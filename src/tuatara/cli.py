@@ -7,8 +7,8 @@ violated preconditions), 3 budget exhausted without a certificate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import iota as iota_mod
@@ -67,7 +67,7 @@ class _Block:
         self.name = name
         self.line = line
         self.kind: str | None = None
-        self.domain: list[str] = []
+        self.domain: dict[str, None] = {}  # ordered, with O(1) membership
         self.maps: dict[str, str] = {}
         self.generator: str | None = None
         self.extras: tuple[str, ...] = ()
@@ -84,7 +84,9 @@ def _bits_token(token: str, line: int) -> str:
         raise MachineFileError(line, str(exc)) from None
 
 
-def _finish_block(block: _Block, known: dict[str, MachineSpec]) -> MachineSpec:
+def _finish_block(
+    block: _Block, known: dict[str, MachineSpec], budgets: tuple[int, int]
+) -> MachineSpec:
     if block.kind is None:
         raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
     if block.kind == "finite":
@@ -99,6 +101,8 @@ def _finish_block(block: _Block, known: dict[str, MachineSpec]) -> MachineSpec:
     if block.kind == "builtin":
         if block.generator is None:
             raise MachineFileError(block.line, "builtin block needs a generator")
+        if block.generator == "iota":
+            return Builtin(block.generator, block.extras, *budgets)
         return Builtin(block.generator, block.extras)
     if block.construct is None:
         raise MachineFileError(block.line, "construction block needs construct")
@@ -110,10 +114,16 @@ def _finish_block(block: _Block, known: dict[str, MachineSpec]) -> MachineSpec:
     return Construction(block.construct, tuple(operands), tuple(block.bounds))
 
 
-def parse_machine_file(text: str) -> MachineSpec:
+def parse_machine_file(
+    text: str,
+    step_budget: int = iota_mod.DEFAULT_STEP_BUDGET,
+    size_budget: int = iota_mod.DEFAULT_SIZE_BUDGET,
+) -> MachineSpec:
     """Parse a machine description; the last block is the result.
 
     Earlier blocks become named operands for later construction blocks.
+    Iota generator blocks run their programs under the given reduction
+    budgets.
     """
     known: dict[str, MachineSpec] = {}
     block: _Block | None = None
@@ -122,7 +132,7 @@ def parse_machine_file(text: str) -> MachineSpec:
     def close() -> None:
         nonlocal block, last
         if block is not None:
-            spec = _finish_block(block, known)
+            spec = _finish_block(block, known, (step_budget, size_budget))
             known[block.name] = spec
             last = spec
             block = None
@@ -159,7 +169,7 @@ def parse_machine_file(text: str) -> MachineSpec:
             w = _bits_token(tokens[1], lineno)
             if w in block.domain:
                 raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
-            block.domain.append(w)
+            block.domain[w] = None
         elif key == "map":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
@@ -217,7 +227,14 @@ def parse_machine_file(text: str) -> MachineSpec:
 
 
 def _frac(x: Fraction | None) -> str:
-    return "inf" if x is None else str(x)
+    """Exact text of x, also for integers past str()'s digit limit."""
+    if x is None:
+        return "inf"
+    try:
+        return str(x)
+    except ValueError:  # Decimal renders integers of any size
+        parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+        return "/".join(str(Decimal(n)) for n in parts)
 
 
 def _decimal_common(e: Enclosure, places: int = 12) -> str:
@@ -292,28 +309,25 @@ def _machine_from(args) -> MachineSpec:
     if not args.machine:
         raise ValueError("this command needs --machine FILE")
     with open(args.machine, encoding="utf-8") as fh:
-        return parse_machine_file(fh.read())
-
-
-def _executable_from(args) -> ExecutableMachine:
-    spec = _machine_from(args)
-    if isinstance(spec, Builtin) and spec.generator == "iota":
-        spec = dataclasses.replace(
-            spec, step_budget=args.steps, size_budget=args.size_budget
-        )
-    return ExecutableMachine(spec)
+        return parse_machine_file(fh.read(), args.steps, args.size_budget)
 
 
 def _build_parser() -> _Parser:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+        return value
+
     common = _Parser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--digits", type=int, default=None)
     common.add_argument("--format", choices=("table", "csv"), default="table")
     common.add_argument("--machine", default=None)
     common.add_argument("-s", dest="s", default=None)
-    common.add_argument("--steps", type=int, default=iota_mod.DEFAULT_STEP_BUDGET)
+    common.add_argument("--steps", type=count, default=iota_mod.DEFAULT_STEP_BUDGET)
     common.add_argument(
-        "--size-budget", type=int, default=iota_mod.DEFAULT_SIZE_BUDGET
+        "--size-budget", type=count, default=iota_mod.DEFAULT_SIZE_BUDGET
     )
 
     top = _Parser(prog="tuatara", parents=[common])
@@ -436,7 +450,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_deficiency(args) -> int:
-    machine = _executable_from(args)
+    machine = ExecutableMachine(_machine_from(args))
     kind = args.kind.replace("-", "_")
     oracle = ComplexityOracle(kind, machine)
     from .complexity import deficiency as deficiency_fn
@@ -532,8 +546,8 @@ def _dispatch(args) -> int:
         _emit(
             ["quantity", "value"],
             [
-                ["omega", str(rep.omega)],
-                ["zeta", str(rep.zeta)],
+                ["omega", _frac(rep.omega)],
+                ["zeta", _frac(rep.zeta)],
                 ["chain_holds", "yes" if rep.holds else "no"],
                 ["strict", "yes" if rep.strict else "no"],
             ],
@@ -543,14 +557,14 @@ def _dispatch(args) -> int:
     if cmd == "nabla":
         from .complexity import nabla as nabla_fn
 
-        value = nabla_fn(_executable_from(args), parse_bits(args.x), args.budget)
+        value = nabla_fn(ExecutableMachine(_machine_from(args)), parse_bits(args.x), args.budget)
         if value is NO_WITNESS:
             print("no witness within budget", file=sys.stderr)
             return EXIT_BUDGET
         print(value)
         return EXIT_OK
     if cmd == "complexity":
-        machine = _executable_from(args)
+        machine = ExecutableMachine(_machine_from(args))
         oracle = ComplexityOracle(args.kind.replace("-", "_"), machine)
         value = oracle.value(parse_bits(args.x), args.budget)
         if value is NO_WITNESS:

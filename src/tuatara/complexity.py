@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import iota as iota_mod
 from .binstr import bin_of, is_prefix_free
@@ -77,9 +77,11 @@ class ExecutableMachine:
             raise ValueError("machine spec is not executable")
 
     def _run_iota(self, w: str) -> str | None:
-        if not iota_mod.is_program(w):
+        try:
+            term = iota_mod.parse(w)
+        except iota_mod.ParseFailure:
             return None
-        r = iota_mod.run_program(w, self._steps, self._sizes)
+        r = iota_mod.reduce(term, self._steps, self._sizes)
         if not r.halted:
             return None
         return iota_mod.unparse(r.term)
@@ -104,33 +106,49 @@ class ExecutableMachine:
         return None
 
 
-def _first_match(
-    machine: ExecutableMachine, x: str, budget: int
-) -> tuple[int, str] | None:
+def least_indices(
+    machine: ExecutableMachine, targets: Iterable[str], budget: int
+) -> dict[str, int]:
+    """Least n <= budget with machine(bin(n)) = x, for each target x hit.
+
+    One pass over the candidates serves every target; it stops as soon as
+    each target has its witness.
+    """
+    wanted = set(targets)
+    found: dict[str, int] = {}
     for n in range(1, budget + 1):
-        w = bin_of(n)
-        if machine.run(w) == x:
-            return n, w
-    return None
+        out = machine.run(bin_of(n))
+        if out in wanted and out not in found:
+            found[out] = n
+            if len(found) == len(wanted):
+                break
+    return found
+
+
+def _length_of_index(n):
+    # bin is length-monotone, so the least index is also a shortest input
+    return n if n is NO_WITNESS else len(bin_of(n))
 
 
 def plain_k(machine: ExecutableMachine, x: str, budget: int):
     """Least |w| with machine(w) = x among the first budget inputs."""
-    hit = _first_match(machine, x, budget)
-    return NO_WITNESS if hit is None else len(hit[1])
+    return _length_of_index(least_indices(machine, (x,), budget).get(x, NO_WITNESS))
+
+
+def _require_prefix_free(machine: ExecutableMachine) -> None:
+    if machine.domain_is_prefix_free() is False:
+        raise ValueError("domain is not prefix-free")
 
 
 def program_size_h(machine: ExecutableMachine, x: str, budget: int):
     """plain_k restricted to machines with a prefix-free domain."""
-    if machine.domain_is_prefix_free() is False:
-        raise ValueError("domain is not prefix-free")
+    _require_prefix_free(machine)
     return plain_k(machine, x, budget)
 
 
 def nabla(machine: ExecutableMachine, x: str, budget: int):
     """Least index n with machine(bin(n)) = x among the first budget inputs."""
-    hit = _first_match(machine, x, budget)
-    return NO_WITNESS if hit is None else hit[0]
+    return least_indices(machine, (x,), budget).get(x, NO_WITNESS)
 
 
 def universality_factor(
@@ -166,13 +184,24 @@ class ComplexityOracle:
         if self.kind not in ("plain", "prefix", "nabla_log"):
             raise ValueError(f"unknown complexity kind {self.kind!r}")
 
-    def value(self, x: str, budget: int):
-        if self.kind == "plain":
-            return plain_k(self.machine, x, budget)
+    def _check_domain(self) -> None:
         if self.kind == "prefix":
-            return program_size_h(self.machine, x, budget)
-        n = nabla(self.machine, x, budget)
-        return NO_WITNESS if n is NO_WITNESS else len(bin_of(n))
+            _require_prefix_free(self.machine)
+
+    def value(self, x: str, budget: int):
+        self._check_domain()
+        return _length_of_index(nabla(self.machine, x, budget))
+
+    def prefix_indices(self, digits: str, budget: int) -> list:
+        """Least index (or NO_WITNESS) of each prefix of digits; one pass.
+
+        Every kind's value is the length of bin(least index): a shortest
+        input for plain and prefix, |bin(nabla)| for nabla_log.
+        """
+        self._check_domain()
+        prefixes = [digits[:m] for m in range(1, len(digits) + 1)]
+        least = least_indices(self.machine, prefixes, budget)
+        return [least.get(p, NO_WITNESS) for p in prefixes]
 
 
 @dataclass(frozen=True)
@@ -209,18 +238,15 @@ def deficiency(
     rows = []
     worst: Fraction | None = None
     nabla_rows = []
-    for m in range(1, len(digits) + 1):
-        prefix = digits[:m]
-        c = oracle.value(prefix, budget)
+    for m, idx in enumerate(oracle.prefix_indices(digits, budget), start=1):
+        c = _length_of_index(idx)
         threshold = Fraction(m) / s
         slack = None if c is NO_WITNESS else c - threshold
         rows.append(DeficiencyRow(m, c, threshold, slack))
         if slack is not None and (worst is None or slack < worst):
             worst = slack
-        if oracle.kind == "nabla_log":
-            idx = nabla(oracle.machine, prefix, budget)
-            if idx is not NO_WITNESS:
-                nabla_rows.append(NablaRow(m, idx, Fraction(idx, 2 ** m)))
+        if oracle.kind == "nabla_log" and idx is not NO_WITNESS:
+            nabla_rows.append(NablaRow(m, idx, Fraction(idx, 2 ** m)))
     return DeficiencyReport(tuple(rows), worst, tuple(nabla_rows))
 
 
@@ -228,15 +254,12 @@ def liminf_proxy(digits: str, oracle: ComplexityOracle, budget: int):
     """Min over n of complexity(alpha[n])/n; a finite-prefix proxy only."""
     if not digits:
         raise ValueError("digits must be nonempty")
-    best: Fraction | None = None
-    for n in range(1, len(digits) + 1):
-        c = oracle.value(digits[:n], budget)
-        if c is NO_WITNESS:
-            continue
-        ratio = Fraction(c, n)
-        if best is None or ratio < best:
-            best = ratio
-    return NO_WITNESS if best is None else best
+    ratios = [
+        Fraction(_length_of_index(idx), n)
+        for n, idx in enumerate(oracle.prefix_indices(digits, budget), start=1)
+        if idx is not NO_WITNESS
+    ]
+    return min(ratios) if ratios else NO_WITNESS
 
 
 def identity_table(strings: Sequence[str]) -> ExecutableMachine:

@@ -5,7 +5,10 @@ iota and "1" marks an application. Semantics are given by translation into
 S and K: iota x rewrites to x S K, and the usual rules S x y z -> x z (y z),
 K x y -> x apply. Reduction is normal order (leftmost outermost) under
 explicit step and size budgets; running out of budget is an ordinary result,
-not an exception.
+not an exception. One kernel applies the rules, reducing a term to weak
+head normal form: a stuck head atom and its unreduced arguments. Full
+normalization head-reduces and then normalizes each argument; the list
+decoder needs only heads and stops there.
 
 Valid programs of length 2n-1 are counted by the Catalan number C_{n-1},
 and the prefix code they form carries total weight
@@ -33,6 +36,7 @@ class Atom:
     """Inert leaf: one of the combinators, or a fresh probe mark."""
 
     __slots__ = ("name",)
+    size = 1
 
     def __init__(self, name: str):
         self.name = name
@@ -49,7 +53,7 @@ class App:
     def __init__(self, f: "Term", x: "Term"):
         self.f = f
         self.x = x
-        self.size = size_of(f) + size_of(x) + 1
+        self.size = f.size + x.size + 1
 
     def __repr__(self) -> str:
         return f"({self.f!r} {self.x!r})"
@@ -63,7 +67,7 @@ K = Atom("K")
 
 
 def size_of(t: Term) -> int:
-    return t.size if isinstance(t, App) else 1
+    return t.size
 
 
 def term_eq(a: Term, b: Term) -> bool:
@@ -137,7 +141,6 @@ def parse(bits: str) -> Term:
             f = stack.pop()
             x = stack.pop()
             stack.append(App(f, x))
-    assert len(stack) == 1
     return stack[0]
 
 
@@ -247,54 +250,59 @@ class _Meter:
             raise _BudgetStop("size")
 
 
+def _whnf(t: Term, meter: _Meter) -> tuple[Term, list[Term]]:
+    """Normal-order head reduction: the stuck head atom and its arguments.
+
+    The head is a probe mark, or a combinator applied to too few arguments
+    to fire; the arguments are left unreduced, in application order.
+    """
+    spine: list[App] = []
+    while True:
+        while isinstance(t, App):
+            spine.append(t)
+            t = t.f
+        if t is IOTA and spine:
+            x = spine.pop().x
+            t = App(App(x, S), K)
+            meter.spend(2)
+        elif t is K and len(spine) >= 2:
+            x = spine.pop().x
+            y = spine.pop().x
+            meter.spend(-(y.size + 3))
+            t = x
+        elif t is S and len(spine) >= 3:
+            x = spine.pop().x
+            y = spine.pop().x
+            z = spine.pop().x
+            meter.spend(z.size - 1)
+            t = App(App(x, z), App(y, z))
+        else:
+            return t, [a.x for a in reversed(spine)]
+
+
 def _normalize(root: Term, meter: _Meter) -> Term:
-    """Full normal-order normalization with an explicit work stack."""
+    """Full normal-order normalization: head-reduce, then each argument in turn.
+
+    The work stack holds terms still to normalize and, below their
+    arguments, the count of arguments to re-apply to a finished head.
+    """
     done: list[Term] = []
-    todo: list[tuple] = [("norm", root)]
+    todo: list[Term | int] = [root]
     while todo:
         job = todo.pop()
-        if job[0] == "norm":
-            t = job[1]
-            spine: list[App] = []
-            while True:
-                while isinstance(t, App):
-                    spine.append(t)
-                    t = t.f
-                if t is IOTA and spine:
-                    a = spine.pop()
-                    x = a.x
-                    t = App(App(x, S), K)
-                    meter.spend(2)
-                elif t is K and len(spine) >= 2:
-                    a1 = spine.pop()
-                    a2 = spine.pop()
-                    meter.spend(-(size_of(a2.x) + 3))
-                    t = a1.x
-                elif t is S and len(spine) >= 3:
-                    a1 = spine.pop()
-                    a2 = spine.pop()
-                    a3 = spine.pop()
-                    x, y, z = a1.x, a2.x, a3.x
-                    meter.spend(size_of(z) - 1)
-                    t = App(App(x, z), App(y, z))
-                else:
-                    break
-            # head atom with too few arguments: normalize the args in place
-            args = [a.x for a in reversed(spine)]
-            done.append(t)
-            todo.append(("build", len(args)))
-            for a in reversed(args):
-                todo.append(("norm", a))
-        else:  # build
-            n = job[1]
-            if n:
-                args = done[-n:]
-                del done[-n:]
-                head = done.pop()
-                for a in args:
-                    head = App(head, a)
-                done.append(head)
-    assert len(done) == 1
+        if isinstance(job, int):
+            args = done[len(done) - job :]
+            del done[len(done) - job :]
+            head = done.pop()
+            for a in args:
+                head = App(head, a)
+            done.append(head)
+            continue
+        head, args = _whnf(job, meter)
+        done.append(head)
+        if args:
+            todo.append(len(args))
+            todo.extend(reversed(args))
     return done[0]
 
 
@@ -304,9 +312,9 @@ def reduce(
     size_budget: int = DEFAULT_SIZE_BUDGET,
 ) -> ReduceResult:
     """Normalize t under budgets; exhaustion is reported, never raised."""
-    if size_of(t) > size_budget:
+    if t.size > size_budget:
         return ReduceResult("size", 0)
-    meter = _Meter(size_of(t), step_budget, size_budget)
+    meter = _Meter(t.size, step_budget, size_budget)
     try:
         nf = _normalize(t, meter)
     except _BudgetStop as stop:
@@ -420,53 +428,45 @@ def decode_bits(
 ) -> str:
     """Inverse of encode_bits up to reduction, for any term of list shape.
 
-    Each node is probed by applying it to two fresh marks: the empty list
-    returns the first mark, while a cons cell surfaces the head and tail as
-    arguments of the first mark. Total step usage across all probes is
-    capped by step_budget.
+    Each node is applied to two fresh marks and head-reduced: the empty list
+    gives the bare first mark, a cons cell the first mark applied to head,
+    tail and second mark. The head is read by behaviour (F m n -> m,
+    T m n -> n), and the tail is probed without being reduced first. A weak
+    head normal form has the head and argument count of the normal form, so
+    wherever full normalization settles, the list or MalformedList is the
+    same; as the rest of the list and discarded parts are never normalized,
+    an input on which full normalization exhausts the budget may decode
+    here. step_budget caps the steps of all probes together.
     """
     t = parse(bits)
     meter = _Meter(0, step_budget, size_budget)
     out: list[str] = []
-    probe_a = Atom("a")
-    probe_b = Atom("b")
+    probe_a, probe_b = Atom("a"), Atom("b")
+    mark_f, mark_t = Atom("f"), Atom("t")
+
+    def head_of(term: Term) -> tuple[Term, list[Term]]:
+        meter.size = term.size
+        try:
+            return _whnf(term, meter)
+        except _BudgetStop as stop:
+            raise DecodeBudget(stop.kind) from None
+
     while True:
-        probed = App(App(t, probe_a), probe_b)
-        meter.size = size_of(probed)
-        try:
-            nf = _normalize(probed, meter)
-        except _BudgetStop as stop:
-            raise DecodeBudget(stop.kind) from None
-        if nf is probe_a:
+        head, args = head_of(App(App(t, probe_a), probe_b))
+        if head is probe_a and not args:
             return "".join(out)
-        # expect probe_a applied to exactly (head, tail, probe_b)
-        spine: list[App] = []
-        u: Term = nf
-        while isinstance(u, App):
-            spine.append(u)
-            u = u.f
-        if u is not probe_a or len(spine) != 3:
+        if head is not probe_a or len(args) != 3:
             raise MalformedList("node is neither the empty list nor a cons cell")
-        head = spine[-1].x
-        tail = spine[-2].x
-        if spine[-3].x is not probe_b:
+        element, t, last = args
+        if head_of(last) != (probe_b, []):
             raise MalformedList("cons probe did not pass through")
-        # booleans are recognized by behaviour: F m n -> m, T m n -> n
-        mark_f = Atom("f")
-        mark_t = Atom("t")
-        choice = App(App(head, mark_f), mark_t)
-        meter.size = size_of(choice)
-        try:
-            picked = _normalize(choice, meter)
-        except _BudgetStop as stop:
-            raise DecodeBudget(stop.kind) from None
-        if picked is mark_f:
+        picked = head_of(App(App(element, mark_f), mark_t))
+        if picked == (mark_f, []):
             out.append("0")
-        elif picked is mark_t:
+        elif picked == (mark_t, []):
             out.append("1")
         else:
             raise MalformedList("list element is not a boolean")
-        t = tail
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,11 @@ class MachineSpecError(ValueError):
     """A machine description that fails validation."""
 
 
+class StreamCut(Exception):
+    """A stream examined its limit of candidates before finding the next
+    domain string; everything not yet yielded is still unknown."""
+
+
 class BudgetExhausted(Exception):
     """A search consumed its stream budget without reaching a certificate."""
 
@@ -208,6 +213,13 @@ class DomainStream:
     def indices(self) -> Iterator[int]:
         return (bin_inv(w) for w in self)
 
+    def limit_examined(self, limit: int) -> None:
+        """Let each pass examine at most limit candidates, then raise StreamCut.
+
+        Only streams that filter a larger enumeration examine candidates
+        they do not yield; the others have nothing to limit.
+        """
+
     def count_up_to_length(self, ell: int) -> int | None:
         """Exact number of domain strings of length <= ell, when countable."""
         return None
@@ -341,10 +353,18 @@ class _IotaHaltingStream(DomainStream):
     def __init__(self, spec: Builtin):
         self.step_budget = spec.step_budget
         self.size_budget = spec.size_budget
+        self.examine_limit: int | None = None
         self._inner = _LukasiewiczStream()
 
+    def limit_examined(self, limit: int) -> None:
+        self.examine_limit = limit
+
     def __iter__(self) -> Iterator[str]:
-        for w in self._inner:
+        for examined, w in enumerate(self._inner):
+            if len(w) > self.size_budget:
+                return  # w parses to a term of len(w) nodes, which reduce refuses
+            if examined == self.examine_limit:
+                raise StreamCut
             r = iota_mod.run_program(w, self.step_budget, self.size_budget)
             if r.halted:
                 yield w
@@ -487,6 +507,9 @@ class _DoubleStream(DomainStream):
         self.inner = domain_stream(spec.operands[0])
         self.exhaustible = self.inner.exhaustible
 
+    def limit_examined(self, limit: int) -> None:
+        self.inner.limit_examined(limit)
+
     def __iter__(self) -> Iterator[str]:
         return (w + w for w in self.inner)
 
@@ -510,6 +533,9 @@ class _TuataraOfStream(DomainStream):
     def __init__(self, spec: Construction):
         self.inner = domain_stream(spec.operands[0])
         self.exhaustible = self.inner.exhaustible
+
+    def limit_examined(self, limit: int) -> None:
+        self.inner.limit_examined(limit)
 
     def __iter__(self) -> Iterator[str]:
         if self.exhaustible:
@@ -787,6 +813,9 @@ def weighted_domain_sum(
     if budget < 0 or budget >= _BUDGET_CAP:
         raise ValueError("budget out of range")
     stream = domain_stream(spec)
+    # the budget also bounds the candidates a filtering stream examines, so
+    # a domain that turns out sparse cannot stall the search
+    stream.limit_examined(budget)
 
     acc = _IntervalAcc()
     hi_complete = Fraction(0)  # upper sum over fully consumed lengths
@@ -802,7 +831,10 @@ def weighted_domain_sum(
     )
 
     while consumed < budget:
-        key = next(src, None)
+        try:
+            key = next(src, None)
+        except StreamCut:
+            break  # not exhausted: the tail bound covers what was not yielded
         if key is None:
             exhausted = True
             break
@@ -1054,16 +1086,21 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
     seen: set[int] = set()
     smallest = 1
     consumed = 0
-    for n in domain_stream(spec).indices():
-        if consumed >= budget:
-            raise BudgetExhausted(consumed, f"partial sum {acc}")
-        consumed += 1
-        acc += Fraction(1, n)
-        seen.add(n)
-        while smallest in seen:
-            smallest += 1
-        if acc > threshold:
-            return bin_of(smallest)
+    stream = domain_stream(spec)
+    stream.limit_examined(budget)
+    try:
+        for n in stream.indices():
+            if consumed >= budget:
+                raise BudgetExhausted(consumed, f"partial sum {acc}")
+            consumed += 1
+            acc += Fraction(1, n)
+            seen.add(n)
+            while smallest in seen:
+                smallest += 1
+            if acc > threshold:
+                return bin_of(smallest)
+    except StreamCut:
+        raise BudgetExhausted(consumed, f"partial sum {acc}") from None
     # stream ended; the sum is final
     if acc > threshold:
         return bin_of(smallest)

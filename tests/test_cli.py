@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from tuatara.cli import (
     parse_machine_file,
     run,
 )
+from tuatara.iota import run_program, words_of_length
 from tuatara.machines import Builtin, Construction, FiniteTable
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
@@ -160,6 +162,21 @@ def test_sanity_command(tmp_path, capsys):
     assert err == "error: sanity needs a finite table machine\n"
 
 
+def test_sanity_prints_sums_of_any_size(tmp_path, capsys):
+    # the exact zeta of this table has more digits than str() converts
+    words = [format(i, "013b") for i in range(4500)]
+    text = "machine big\nkind finite\n" + "".join(f"domain {w}\n" for w in words)
+    code, out, err = _go(capsys, "sanity", "--machine", _file(tmp_path, text), "--format", "csv")
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "omega,1125/2048"  # 4500 words of length 13
+    label, value = lines[2].split(",")
+    num, den = (int(Decimal(part)) for part in value.split("/"))
+    assert label == "zeta" and len(value) > 4300
+    assert F(num, den) == sum(F(1, 2 ** 13 + i) for i in range(4500))
+    assert lines[3:] == ["chain_holds,yes", "strict,yes"]
+
+
 def test_nabla_and_complexity_commands(tmp_path, capsys):
     f = _file(tmp_path, _MAPPED)
     code, out, err = _go(capsys, "nabla", "1", "--machine", f)
@@ -235,6 +252,62 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, out, err = _go(capsys, "zeta", "--machine", bad)
     assert code == EXIT_COMPUTE
     assert err == "error: line 3: not a bit string: '012'\n"
+
+
+def test_negative_budgets_are_usage_errors(capsys):
+    for flag in ("--steps", "--size-budget"):
+        code, out, err = _go(capsys, "iota", "run", "0", flag, "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines()[-1].endswith(f"argument {flag}: must be >= 0: -1")
+    code, out, err = _go(capsys, "iota", "run", "0", "--steps", "0")
+    assert code == EXIT_OK and out == "0\n"
+
+
+def test_sum_commands_honour_reduction_budgets(tmp_path, capsys):
+    f = _file(tmp_path, _IOTA)
+    base = ["zeta", "--machine", f, "--budget", "40", "--format", "csv"]
+    code, full, err = _go(capsys, *base, "--steps", "100000")
+    assert code == EXIT_OK
+    assert _go(capsys, *base) == (EXIT_OK, full, "")  # the default budgets
+    # with fewer steps or nodes fewer short programs halt, so the enclosure
+    # moves; with one step only the program 0 halts, and the search for more
+    # stops after the budget's 40 candidates with the tail bound
+    for flag, value in (("--steps", "1"), ("--steps", "10"), ("--size-budget", "20")):
+        code, out, err = _go(capsys, *base, flag, value)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[1] != full.splitlines()[1]
+    code, out, err = _go(capsys, *base, "--steps", "1")
+    assert out.splitlines()[1] == "zeta,1/2,1,,interval,40"
+
+
+def test_size_budget_ends_the_iota_domain(tmp_path, capsys):
+    # no program longer than the size budget can halt, so the stream ends
+    # and the sum is exact, however large the sum budget
+    f = _file(tmp_path, _IOTA)
+    halting = [
+        w
+        for n in range(1, 10, 2)
+        for w in words_of_length(n)
+        if run_program(w, size_budget=9).halted
+    ]
+    want = sum(F(1, 2 ** len(w)) for w in halting)
+    code, out, err = _go(
+        capsys, "omega", "--machine", f, "--size-budget", "9", "--budget", "100000",
+        "--format", "csv",
+    )
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1] == f"omega,{want},{want},{float(want):.12f},exact,100000"
+    code, out, err = _go(capsys, "fresh-index", "1", "--machine", f, "--steps", "1")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: budget exhausted after 1 stream element(s): partial sum 1/2\n"
+
+
+def test_reduction_budgets_leave_other_generators_alone(tmp_path, capsys):
+    f = _file(tmp_path, _LUKA)
+    base = ["zeta", "--machine", f, "--budget", "50", "--format", "csv"]
+    code, want, _ = _go(capsys, *base)
+    assert code == EXIT_OK
+    assert _go(capsys, *base, "--steps", "0", "--size-budget", "0") == (EXIT_OK, want, "")
 
 
 def test_exponent_commands(tmp_path, capsys):

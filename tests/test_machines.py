@@ -349,3 +349,19 @@ def test_tuatara_of_spawn_sets():
         zt = zeta_enclosure(spec)
         om = omega_enclosure(table)
         assert zt.lo == zt.hi == om.lo
+
+
+def test_sparse_iota_domain_stops_at_the_budget():
+    # one step halts only the program 0; the budget bounds the candidates
+    # examined, and what was not reached stays under the tail bound
+    tight = Builtin("iota", (), 1)
+    rep = weighted_domain_sum(tight, F(1), 30, "omega")
+    assert (rep.consumed, rep.exhausted) == (1, False)
+    assert (rep.enclosure.lo, rep.enclosure.hi) == (F(1, 2), 1)
+    doubled = weighted_domain_sum(Construction("double", (tight,)), F(1), 30, "omega")
+    assert (doubled.consumed, doubled.exhausted) == (1, False)
+    assert doubled.enclosure.lo == F(1, 4) < doubled.enclosure.hi
+    # nothing longer than the size budget halts, so that domain is finite
+    small = weighted_domain_sum(Builtin("iota", (), 1, 9), F(1), 30, "omega")
+    assert (small.consumed, small.exhausted) == (1, True)
+    assert small.enclosure.lo == small.enclosure.hi == F(1, 2)
