@@ -41,7 +41,7 @@ from .machines import (
     validate_spec,
     zeta_enclosure,
 )
-from .numerics import Enclosure, digits as digit_extract, parse_rational
+from .numerics import Enclosure, PrecisionLimit, digits as digit_extract, parse_rational
 from .spectral import kappa, kappa_natural, omega_s, zeta_s
 
 EXIT_OK = 0
@@ -593,7 +593,7 @@ def run(argv: list[str]) -> int:
     except iota_mod.DecodeBudget as exc:
         print(f"error: reduction {exc} budget exhausted mid-decode", file=sys.stderr)
         return EXIT_BUDGET
-    except ExpansionOverflow as exc:
+    except (ExpansionOverflow, PrecisionLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (

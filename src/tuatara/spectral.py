@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .machines import DEFAULT_BUDGET, MachineSpec, weighted_domain_sum
-from .numerics import Enclosure, ln_bounds, pow2_bounds, pow_bounds
-
-_TERM_PREC = 160
+from .machines import _TERM_PREC, DEFAULT_BUDGET, MachineSpec, weighted_domain_sum
+from .numerics import Enclosure, first_primes, ln_bounds, pow2_bounds, pow_bounds
 
 
 def omega_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -100,31 +98,7 @@ def dyadic_weight_sum(length_cap: int) -> Fraction:
     for k in range(length_cap):
         # 2^k integers share floor(log2 n) = k
         total += Fraction(2 ** k, 4 ** k)
-    assert total == 2 - Fraction(1, 2 ** (length_cap - 1))
     return total
-
-
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(limit + 1) if flags[i]]
-
-
-def _primes_up_to_index(count: int) -> list[int]:
-    import math
-
-    limit = 100
-    if count >= 6:
-        # Rosser-style overshoot, only used to size the sieve
-        limit = int(count * (math.log(count) + math.log(math.log(count)))) + 10
-    while True:
-        primes = _sieve(limit)
-        if len(primes) >= count:
-            return primes[:count]
-        limit *= 2
 
 
 def pnt_check(upper: int) -> list[int]:
@@ -135,7 +109,7 @@ def pnt_check(upper: int) -> list[int]:
     """
     if upper < 6:
         raise ValueError("upper must be >= 6")
-    primes = _primes_up_to_index(upper)
+    primes = first_primes(upper)
     violations = []
     for i in range(6, upper + 1):
         p_i = primes[i - 1]

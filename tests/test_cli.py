@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import tuatara
 from tuatara.cli import (
     EXIT_BUDGET,
     EXIT_COMPUTE,
@@ -395,3 +400,51 @@ def test_parse_machine_file_errors():
         with pytest.raises(MachineFileError) as exc:
             parse_machine_file(text)
         assert fragment in str(exc.value), text
+
+
+_ALL = "machine a\nkind builtin\ngenerator all_strings\n"
+
+
+def test_root_size_cap_ends_in_exit_3(tmp_path, capsys):
+    f = _file(tmp_path, _ALL)
+    for cmd, s in (("zeta-s", "100001/100000"), ("omega-s", "1/100000"),
+                   ("kappa", "100001/100000"), ("kappa-natural", "100001/100000")):
+        code, out, err = _go(capsys, cmd, "-s", s, "--machine", f, "--budget", "3")
+        assert code == EXIT_BUDGET and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "operand bits, over" in err
+
+
+def test_denominator_1000_is_accepted(tmp_path, capsys):
+    f = _file(tmp_path, _ALL)
+    code, out, err = _go(
+        capsys, "zeta-s", "-s", "1001/1000", "--machine", f, "--budget", "20", "--format", "csv"
+    )
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1].startswith("zeta[s=1001/1000],")
+    assert out.splitlines()[1].endswith(",interval,20")
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(tuatara.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    f = _file(tmp_path, _FINITE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tuatara", "zeta", "--machine", f, "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert proc.stdout.splitlines()[1] == "zeta,2/3,2/3,0.666666666666,exact,100000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tuatara", "zeta", "--machine", str(tmp_path / "missing.mt")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_COMPUTE and proc.stderr.startswith("error: ")
+
+
+def test_prime_product_index_cap(tmp_path, capsys):
+    f = _file(tmp_path, "machine a\nkind finite\ndomain " + "1" * 21 + "\n"
+              "machine p\nkind construction\nconstruct prime_product a\n")
+    code, out, err = _go(capsys, "zeta", "--machine", f)
+    assert code == EXIT_COMPUTE and out == ""
+    assert err == "error: 4194303 primes requested, past the cap of 1048576\n"

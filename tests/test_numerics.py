@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from tuatara.numerics import (
+    PRIME_COUNT_CAP,
     DigitResult,
     Enclosure,
     catalan,
     digits,
     e_bounds,
     exp_bounds,
+    first_primes,
     harmonic_segment,
     lambert_w,
     ln2_bounds,
@@ -109,6 +111,16 @@ def test_catalan():
     assert catalan(10) == 16796
     with pytest.raises(ValueError):
         catalan(-1)
+
+
+def test_first_primes():
+    assert first_primes(0) == [] and first_primes(1) == [2]
+    assert first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    trial = [p for p in range(2, 30_000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    for count in (5, 6, 7, 100, 1000, len(trial)):
+        assert first_primes(count) == trial[:count]
+    with pytest.raises(ValueError):
+        first_primes(PRIME_COUNT_CAP + 1)
 
 
 def test_e_bounds():
