@@ -269,8 +269,7 @@ class _FiniteStream(DomainStream):
         acc = Fraction(0)
         for w in self.sorted_domain:
             if len(w) > ell:
-                key = len(w) if kind == "omega" else bin_inv(w)
-                acc += _weight_interval(key, s, kind)[1]
+                acc += _weight_interval(_weight_key(w, kind), s, kind)[1]
         return acc
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction:
@@ -393,8 +392,7 @@ class _GeometricStream(DomainStream):
             acc = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
         for w in self.extras:
             if len(w) > ell:
-                key = len(w) if kind == "omega" else bin_inv(w)
-                acc += _weight_interval(key, s, kind)[1]
+                acc += _weight_interval(_weight_key(w, kind), s, kind)[1]
         return acc
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
@@ -607,11 +605,18 @@ def _convergent_exponents(spec: Construction) -> list[int]:
     return out
 
 
+# an operand string of length n names a prime index near 2^n; at the cap the
+# sieve takes about 0.8 s and 70 MB on a 2-core x86-64 host
+PRIME_COUNT_CAP = 1 << 20
+
+
 class _PrimeProductStream(DomainStream):
     def __init__(self, spec: Construction):
         table = spec.operands[0]
         assert isinstance(table, FiniteTable)
         idx = sorted(bin_inv(w) for w in table.domain)
+        if idx and idx[-1] > PRIME_COUNT_CAP:
+            raise ValueError(f"{idx[-1]} primes requested, past the cap of {PRIME_COUNT_CAP}")
         primes = first_primes(idx[-1]) if idx else []
         self.primes = [primes[i - 1] for i in idx]
         self.exhaustible = not self.primes
@@ -701,6 +706,11 @@ class SumReport:
     enclosure: Enclosure
     consumed: int
     exhausted: bool
+
+
+def _weight_key(w: str, kind: str) -> int:
+    """_weight_interval's key for the string w: its length or its index."""
+    return len(w) if kind == "omega" else bin_inv(w)
 
 
 def _weight_interval(key: int, s: Fraction, kind: str) -> tuple[Fraction, Fraction]:
@@ -793,7 +803,8 @@ def weighted_domain_sum(
     exhausted = False
     per_len_cache: dict[int, tuple[Fraction, Fraction]] = {}
 
-    # omega weights depend on the length alone; zeta weights on the index
+    # the keys of _weight_key: omega weights depend on the length alone,
+    # zeta weights on the index, which some streams yield without strings
     src: Iterator[int] = (
         (len(w) for w in stream) if kind == "omega" else stream.indices()
     )

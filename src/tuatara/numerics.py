@@ -145,15 +145,8 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-# at this count first_primes takes about 0.8 s and 70 MB (a byte per integer
-# up to 16.3 million, and the list of primes) on a 2-core x86-64 host
-PRIME_COUNT_CAP = 1 << 20
-
-
 def first_primes(count: int) -> list[int]:
     """The first `count` primes, from a sieve of Eratosthenes."""
-    if count > PRIME_COUNT_CAP:
-        raise ValueError(f"{count} primes requested, past the cap of {PRIME_COUNT_CAP}")
     limit = 100
     if count >= 6:
         # Rosser: p_n < n (ln n + ln ln n) for n >= 6, so one sieve suffices
@@ -355,17 +348,13 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
         return Enclosure.exact(v ** e.numerator)
     a, b = e.numerator, e.denominator
     if a < 0:
+        # the reciprocal of the root enclosure at p bits, in integers:
+        # 2^p / (r + 1) < v^e <= 2^p / r with r = floor(2^p v^(-e)); a tiny
+        # v^(-e) can floor r to zero, so widen p until it is positive
         p = prec + 4
-        if v.denominator == 1:
-            # the reciprocal of the root enclosure at p bits, in integers:
-            # 2^p / (r + 1) < v^e <= 2^p / r with r = floor(2^p v^(-e)) >= 2^p
-            r = _scaled_root(v.numerator ** -a, 1, b, p)
-            return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
-        inner = pow_bounds(v, -e, p)
-        while inner.lo == 0:  # tiny v^|e| can floor to zero, widen until positive
+        while (r := _scaled_root(v.numerator ** -a, v.denominator ** -a, b, p)) == 0:
             p *= 2
-            inner = pow_bounds(v, -e, p)
-        return Enclosure(1 / inner.hi, 1 / inner.lo)
+        return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
     return root_bounds(v ** a, b, prec)
 
 
