@@ -17,6 +17,8 @@ from .complexity import (
     NO_WITNESS,
     ComplexityOracle,
     ExecutableMachine,
+    deficiency,
+    nabla,
 )
 from .egyptian import (
     ExpansionOverflow,
@@ -333,38 +335,32 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="tuatara", parents=[common])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, **kwargs) -> _Parser:
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name: str, handler) -> _Parser:
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
-    add("zeta")
-    add("omega")
-    add("classify")
-    add("zeta-s")
-    add("omega-s")
-    add("kappa")
-    add("kappa-natural")
-    p = add("egyptian")
+    for name in _SUMS:
+        add(name, _cmd_sum)
+        if name == "omega":  # classify keeps its place in the usage listing
+            add("classify", _cmd_classify)
+    p = add("egyptian", _cmd_egyptian)
     p.add_argument("q")
     p.add_argument("--floor", type=int, default=2)
-    p = add("kraft")
-    p.add_argument("lengths", type=int, nargs="+")
-    p = add("grid")
-    p.add_argument("ms", type=int, nargs="+")
-    p = add("fresh-index")
-    p.add_argument("y")
-    p = add("density")
-    p.add_argument("n", type=int)
-    add("sanity")
-    p = add("nabla")
-    p.add_argument("x")
-    p = add("complexity")
+    add("kraft", _cmd_kraft).add_argument("lengths", type=int, nargs="+")
+    add("grid", _cmd_grid).add_argument("ms", type=int, nargs="+")
+    add("fresh-index", _cmd_fresh_index).add_argument("y")
+    add("density", _cmd_density).add_argument("n", type=int)
+    add("sanity", _cmd_sanity)
+    add("nabla", _cmd_nabla).add_argument("x")
+    p = add("complexity", _cmd_complexity)
     p.add_argument("x")
     p.add_argument("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
-    p = add("deficiency")
+    p = add("deficiency", _cmd_deficiency)
     p.add_argument("prefix_digits")
     p.add_argument("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
 
-    iota_p = add("iota")
+    iota_p = add("iota", _cmd_iota)
     iota_sub = iota_p.add_subparsers(dest="iota_command", required=True, parser_class=_Parser)
 
     def add_iota(name: str) -> _Parser:
@@ -383,17 +379,10 @@ def _build_parser() -> _Parser:
 # subcommand bodies
 
 
-def _render_term(t) -> str:
-    if isinstance(t, iota_mod.Atom):
-        return "i" if t is iota_mod.IOTA else t.name
-    return f"({_render_term(t.f)} {_render_term(t.x)})"
-
-
 def _cmd_iota(args) -> int:
     cmd = args.iota_command
     if cmd == "parse":
-        term = iota_mod.parse(parse_bits(args.bits))
-        print(_render_term(term))
+        print(repr(iota_mod.parse(parse_bits(args.bits))))
         return EXIT_OK
     if cmd == "run":
         r = iota_mod.run_program(parse_bits(args.bits), args.steps, args.size_budget)
@@ -429,6 +418,27 @@ def _parse_s(args, default: str | None = None) -> Fraction:
     return parse_rational(text)
 
 
+# each sum command and its enclosure of (machine, s, budget); the lambdas look
+# the library functions up when called, so wrappers installed on this module
+# after import still see every call
+_SUMS = {
+    "zeta": lambda spec, s, budget: zeta_enclosure(spec, budget),
+    "omega": lambda spec, s, budget: omega_enclosure(spec, budget),
+    "zeta-s": lambda spec, s, budget: zeta_s(spec, s, budget),
+    "omega-s": lambda spec, s, budget: omega_s(spec, s, budget),
+    "kappa": lambda spec, s, budget: kappa(spec, s, budget),
+    "kappa-natural": lambda spec, s, budget: kappa_natural(spec, s, budget),
+}
+
+
+def _cmd_sum(args) -> int:
+    name = args.command
+    s = None if name in ("zeta", "omega") else _parse_s(args)
+    label = name if s is None else f"{name.removesuffix('-s')}[s={s}]"
+    _enclosure_report(label, _SUMS[name](_machine_from(args), s, args.budget), args)
+    return EXIT_OK
+
+
 def _cmd_classify(args) -> int:
     outcome = classify(_machine_from(args), args.budget)
     rows = []
@@ -453,9 +463,7 @@ def _cmd_deficiency(args) -> int:
     machine = ExecutableMachine(_machine_from(args))
     kind = args.kind.replace("-", "_")
     oracle = ComplexityOracle(kind, machine)
-    from .complexity import deficiency as deficiency_fn
-
-    report = deficiency_fn(
+    report = deficiency(
         parse_bits(args.prefix_digits), _parse_s(args, "1"), oracle, args.budget
     )
     rows = []
@@ -474,109 +482,85 @@ def _cmd_deficiency(args) -> int:
     return EXIT_OK
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "zeta":
-        _enclosure_report("zeta", zeta_enclosure(_machine_from(args), args.budget), args)
-        return EXIT_OK
-    if cmd == "omega":
-        _enclosure_report("omega", omega_enclosure(_machine_from(args), args.budget), args)
-        return EXIT_OK
-    if cmd == "classify":
-        return _cmd_classify(args)
-    if cmd == "zeta-s":
-        s = _parse_s(args)
-        _enclosure_report(f"zeta[s={s}]", zeta_s(_machine_from(args), s, args.budget), args)
-        return EXIT_OK
-    if cmd == "omega-s":
-        s = _parse_s(args)
-        _enclosure_report(f"omega[s={s}]", omega_s(_machine_from(args), s, args.budget), args)
-        return EXIT_OK
-    if cmd == "kappa":
-        s = _parse_s(args)
-        _enclosure_report(f"kappa[s={s}]", kappa(_machine_from(args), s, args.budget), args)
-        return EXIT_OK
-    if cmd == "kappa-natural":
-        s = _parse_s(args)
-        _enclosure_report(
-            f"kappa-natural[s={s}]",
-            kappa_natural(_machine_from(args), s, args.budget),
-            args,
-        )
-        return EXIT_OK
-    if cmd == "egyptian":
-        q = parse_rational(args.q)
-        # the budget caps greedy denominator bits; unbudgeted runs can outgrow memory
-        denoms = egyptian_floor(q, args.floor, bit_budget=args.budget)
-        print(" + ".join(f"1/{d}" for d in denoms))
-        return EXIT_OK
-    if cmd == "kraft":
-        words = kraft_chaitin(args.lengths)
-        rows = [
-            [str(i + 1), str(n), render_bits(w)]
-            for i, (n, w) in enumerate(zip(args.lengths, words))
-        ]
-        _emit(["index", "length", "word"], rows, args.format)
-        return EXIT_OK
-    if cmd == "grid":
-        rows = [
-            [str(t.d), str(t.row), str(t.col), str(t.term)]
-            for t in grid_walk(args.ms, args.budget)
-        ]
-        _emit(["diagonal", "row", "col", "term"], rows, args.format)
-        return EXIT_OK
-    if cmd == "fresh-index":
-        result = fresh_index(_machine_from(args), parse_bits(args.y), args.budget)
-        print(render_bits(result))
-        return EXIT_OK
-    if cmd == "density":
-        value = density_statistic(_machine_from(args), args.n)
-        e = Enclosure.exact(value)
-        _emit(
-            ["n", "value", "decimal"],
-            [[str(args.n), str(value), _decimal_common(e)]],
-            args.format,
-        )
-        return EXIT_OK
-    if cmd == "sanity":
-        spec = _machine_from(args)
-        if not isinstance(spec, FiniteTable):
-            raise ValueError("sanity needs a finite table machine")
-        rep = sanity_chain(spec)
-        _emit(
-            ["quantity", "value"],
-            [
-                ["omega", _frac(rep.omega)],
-                ["zeta", _frac(rep.zeta)],
-                ["chain_holds", "yes" if rep.holds else "no"],
-                ["strict", "yes" if rep.strict else "no"],
-            ],
-            args.format,
-        )
-        return EXIT_OK
-    if cmd == "nabla":
-        from .complexity import nabla as nabla_fn
+def _cmd_egyptian(args) -> int:
+    q = parse_rational(args.q)
+    # the budget caps greedy denominator bits; unbudgeted runs can outgrow memory
+    denoms = egyptian_floor(q, args.floor, bit_budget=args.budget)
+    print(" + ".join(f"1/{d}" for d in denoms))
+    return EXIT_OK
 
-        value = nabla_fn(ExecutableMachine(_machine_from(args)), parse_bits(args.x), args.budget)
-        if value is NO_WITNESS:
-            print("no witness within budget", file=sys.stderr)
-            return EXIT_BUDGET
-        print(value)
-        return EXIT_OK
-    if cmd == "complexity":
-        machine = ExecutableMachine(_machine_from(args))
-        oracle = ComplexityOracle(args.kind.replace("-", "_"), machine)
-        value = oracle.value(parse_bits(args.x), args.budget)
-        if value is NO_WITNESS:
-            print("no witness within budget", file=sys.stderr)
-            return EXIT_BUDGET
-        print(value)
-        return EXIT_OK
-    if cmd == "deficiency":
-        return _cmd_deficiency(args)
-    if cmd == "iota":
-        return _cmd_iota(args)
-    raise AssertionError(f"unhandled command {cmd!r}")
+
+def _cmd_kraft(args) -> int:
+    words = kraft_chaitin(args.lengths)
+    rows = [
+        [str(i + 1), str(n), render_bits(w)]
+        for i, (n, w) in enumerate(zip(args.lengths, words))
+    ]
+    _emit(["index", "length", "word"], rows, args.format)
+    return EXIT_OK
+
+
+def _cmd_grid(args) -> int:
+    rows = [
+        [str(t.d), str(t.row), str(t.col), str(t.term)]
+        for t in grid_walk(args.ms, args.budget)
+    ]
+    _emit(["diagonal", "row", "col", "term"], rows, args.format)
+    return EXIT_OK
+
+
+def _cmd_fresh_index(args) -> int:
+    result = fresh_index(_machine_from(args), parse_bits(args.y), args.budget)
+    print(render_bits(result))
+    return EXIT_OK
+
+
+def _cmd_density(args) -> int:
+    value = density_statistic(_machine_from(args), args.n)
+    e = Enclosure.exact(value)
+    _emit(
+        ["n", "value", "decimal"],
+        [[str(args.n), str(value), _decimal_common(e)]],
+        args.format,
+    )
+    return EXIT_OK
+
+
+def _cmd_sanity(args) -> int:
+    spec = _machine_from(args)
+    if not isinstance(spec, FiniteTable):
+        raise ValueError("sanity needs a finite table machine")
+    rep = sanity_chain(spec)
+    _emit(
+        ["quantity", "value"],
+        [
+            ["omega", _frac(rep.omega)],
+            ["zeta", _frac(rep.zeta)],
+            ["chain_holds", "yes" if rep.holds else "no"],
+            ["strict", "yes" if rep.strict else "no"],
+        ],
+        args.format,
+    )
+    return EXIT_OK
+
+
+def _print_witness(value) -> int:
+    if value is NO_WITNESS:
+        print("no witness within budget", file=sys.stderr)
+        return EXIT_BUDGET
+    print(value)
+    return EXIT_OK
+
+
+def _cmd_nabla(args) -> int:
+    machine = ExecutableMachine(_machine_from(args))
+    return _print_witness(nabla(machine, parse_bits(args.x), args.budget))
+
+
+def _cmd_complexity(args) -> int:
+    machine = ExecutableMachine(_machine_from(args))
+    oracle = ComplexityOracle(args.kind.replace("-", "_"), machine)
+    return _print_witness(oracle.value(parse_bits(args.x), args.budget))
 
 
 def run(argv: list[str]) -> int:
@@ -586,7 +570,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -53,8 +53,6 @@ def egyptian_floor(
         if bit_budget is not None and rem.denominator.bit_length() > bit_budget:
             raise ExpansionOverflow(bit_budget)
         nxt = -((-rem.denominator) // rem.numerator)
-        if out:
-            assert nxt > out[-1], "greedy denominator failed to increase"
         out.append(nxt)
         rem -= Fraction(1, nxt)
     return out
@@ -195,7 +193,8 @@ class CodeAssignment:
     total: Fraction  # sum of the emitted terms
 
     def __post_init__(self) -> None:
-        assert len(self.terms) == len(self.words)
+        if len(self.terms) != len(self.words):
+            raise ValueError("terms and words must pair up")
 
 
 def unit_sum_to_prefix_free(ms: Sequence[int], budget: int) -> CodeAssignment:

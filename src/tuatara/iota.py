@@ -56,7 +56,18 @@ class App:
         self.size = f.size + x.size + 1
 
     def __repr__(self) -> str:
-        return f"({self.f!r} {self.x!r})"
+        # a work stack of cells and literal text, so deep terms cannot
+        # exhaust the interpreter's recursion limit
+        out: list[str] = []
+        todo: list[Term | str] = [self]
+        while todo:
+            u = todo.pop()
+            if isinstance(u, App):
+                out.append("(")
+                todo += (")", u.x, " ", u.f)
+            else:
+                out.append(u if isinstance(u, str) else u.name)
+        return "".join(out)
 
 
 Term = Atom | App

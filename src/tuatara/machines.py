@@ -9,9 +9,11 @@ classification vocabulary below is keyed to the unit threshold of the
 index sum.
 
 Enclosures returned here are certified: the true sum lies inside, whatever
-the budget. Lower bounds come from partial sums rounded down; upper bounds
-combine partial sums over fully enumerated lengths with per-kind tail
-majorants, or an exact closed form for the total where one exists.
+the budget. Lower bounds come from partial sums rounded down. Upper bounds
+are the least of a closed form for the total, where one exists, and the
+partial sums over fully enumerated lengths plus a tail majorant, taken at
+every length the enumeration completed; so a larger budget never raises
+the upper bound of a sum it does not exhaust.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .numerics import Enclosure, first_primes, log2_bounds, pow2_bounds, pow_bou
 
 DEFAULT_BUDGET = 10 ** 5
 
-# accumulator grid and the rounding allowance folded into tail bounds;
-# budgets and finite domains are assumed to stay below _BUDGET_CAP
+# accumulator grid: past exact mode, lower sums round each term down and
+# upper sums round each term up to a multiple of 2^-_ACC_BITS; sum budgets
+# must stay below _BUDGET_CAP
 _ACC_BITS = 128
 _BUDGET_CAP = 1 << 40
 _TERM_PREC = _ACC_BITS + 32
@@ -225,12 +228,23 @@ class DomainStream:
         return None
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        """Upper bound on the weight of domain strings of length > ell."""
+        """Upper bound on the weight of domain strings of length > ell, from
+        what the stream knows of its own domain; the sum engine takes the
+        smaller of this and the majorant over all strings."""
         return None
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
-        """Upper bound on the full weight sum, when a closed form exists."""
-        return None
+        """Upper bound on the full weight sum; by default the stream's own
+        tail past length -1. The sum engine also bounds the total by its
+        partial sums plus the smaller of tail_bound and the majorant."""
+        return self.tail_bound(-1, s, kind)
+
+
+def _tail_upper(stream: DomainStream, ell: int, s: Fraction, kind: str) -> Fraction | None:
+    """The smaller of the stream's tail bound past length ell and the
+    majorant over all strings longer than ell, or None if neither exists."""
+    bounds = (stream.tail_bound(ell, s, kind), _universal_tail(ell, s, kind))
+    return min((b for b in bounds if b is not None), default=None)
 
 
 def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
@@ -246,11 +260,13 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
         r = pow2_bounds(1 - s, _TERM_PREC).hi
         first = pow2_bounds((1 - s) * lo_k, _TERM_PREC).hi
         return None if r >= 1 else first / (1 - r)
-    # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1
-    n_min = (1 << (ell + 1)) - 1 if ell >= 0 else 1
+    # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1;
+    # below length 0 the empty string adds its index 1 and weight 1
+    n_min = (1 << (max(ell, 0) + 1)) - 1
+    head = 1 if ell < 0 else 0
     if s.denominator == 1:
-        return Fraction(1, n_min ** (s.numerator - 1)) / (s - 1)
-    return pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
+        return head + Fraction(1, n_min ** (s.numerator - 1)) / (s - 1)
+    return head + pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
 
 
 class _FiniteStream(DomainStream):
@@ -272,9 +288,6 @@ class _FiniteStream(DomainStream):
                 acc += _weight_interval(_weight_key(w, kind), s, kind)[1]
         return acc
 
-    def total_upper(self, s: Fraction, kind: str) -> Fraction:
-        return self.tail_bound(-1, s, kind)
-
 
 class _AllStringsStream(DomainStream):
     def __iter__(self) -> Iterator[str]:
@@ -285,9 +298,6 @@ class _AllStringsStream(DomainStream):
 
     def count_up_to_length(self, ell: int) -> int:
         return (1 << (ell + 1)) - 1 if ell >= 0 else 0
-
-    def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        return _universal_tail(ell, s, kind)
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
         if kind != "omega" or s <= 1:
@@ -329,9 +339,6 @@ class _LukasiewiczStream(DomainStream):
             scale = pow2_bounds(s - 2, _TERM_PREC).hi
         return scale * q ** (n0 + 1) / (1 - q)
 
-    def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
-        return Fraction(1) if s == 1 else None  # complete prefix code
-
 
 class _IotaHaltingStream(DomainStream):
     def __init__(self, spec: Builtin):
@@ -355,9 +362,6 @@ class _IotaHaltingStream(DomainStream):
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         return self._inner.tail_bound(ell, s, kind)  # halting domain is a subset
-
-    def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
-        return self._inner.total_upper(s, kind)
 
 
 class _GeometricStream(DomainStream):
@@ -395,9 +399,6 @@ class _GeometricStream(DomainStream):
                 acc += _weight_interval(_weight_key(w, kind), s, kind)[1]
         return acc
 
-    def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
-        return self.tail_bound(-1, s, kind)
-
 
 class _ProductStream(DomainStream):
     """Concatenations p1..pn (n >= 0) with nondecreasing part indices.
@@ -408,9 +409,7 @@ class _ProductStream(DomainStream):
     """
 
     def __init__(self, spec: Construction):
-        table = spec.operands[0]
-        assert isinstance(table, FiniteTable)
-        self.parts = tuple(sorted(set(table.domain), key=_lenlex_key))
+        self.parts = tuple(sorted(set(spec.operands[0].domain), key=_lenlex_key))
         self.exhaustible = not any(self.parts)
         usable = [p for p in self.parts if p]
         self._usable = usable
@@ -419,6 +418,8 @@ class _ProductStream(DomainStream):
         self._tiers: list[list[tuple[str, ...]]] = [
             [("",)] for _ in range(len(usable) + 1)
         ]
+        # _heads[s][L]: lower bound on the weight of the strings shorter than L
+        self._heads: dict[Fraction, list[Fraction]] = {}
 
     def _level(self, length: int) -> tuple[str, ...]:
         while len(self._tiers[0]) <= length:
@@ -462,17 +463,13 @@ class _ProductStream(DomainStream):
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         total = self.total_upper(s, kind)
-        universal = _universal_tail(ell, s, kind)
         if total is None:
-            return universal
-        head = Fraction(0)
-        for l in range(0, ell + 1):
-            for w in self._level(l):
-                head += _weight_interval(len(w), s, "omega")[0]
-        specific = max(total - head, Fraction(0))
-        if universal is None or specific <= universal:
-            return specific
-        return universal
+            return None
+        heads = self._heads.setdefault(s, [Fraction(0)])
+        while len(heads) <= ell + 1:
+            l = len(heads) - 1
+            heads.append(heads[l] + len(self._level(l)) * _weight_interval(l, s, "omega")[0])
+        return max(total - heads[ell + 1], Fraction(0))
 
 
 class _DoubleStream(DomainStream):
@@ -493,10 +490,7 @@ class _DoubleStream(DomainStream):
         # ww longer than ell means w longer than floor(ell/2); the omega
         # weight of ww at s is the omega weight of w at 2s, and the zeta
         # weight is smaller still
-        inner_tail = self.inner.tail_bound(ell // 2, 2 * s, "omega")
-        universal = _universal_tail(ell, s, kind)
-        candidates = [t for t in (inner_tail, universal) if t is not None]
-        return min(candidates) if candidates else None
+        return _tail_upper(self.inner, ell // 2, 2 * s, "omega")
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
         return self.inner.total_upper(2 * s, "omega")
@@ -511,40 +505,31 @@ class _TuataraOfStream(DomainStream):
         self.inner.limit_examined(limit)
 
     def __iter__(self) -> Iterator[str]:
-        if self.exhaustible:
-            members: list[str] = []
-            for p in self.inner:
-                members.extend(tuatara_unit_identity(p).members)
-            yield from sorted(set(members), key=_lenlex_key)
-            return
-        # lazy: emit length by length; a member of X(p) at length L needs
-        # |p| <= L, so the operand prefix up to length L suffices
-        stored: list[str] = []
+        # X(p) is p, then p 0^i for each position i (from 1) where p has a 1,
+        # in order of length; waiting[L] holds the operands whose next member
+        # has length L, and each operand arrives before p itself is due
+        waiting: dict[int, list[str]] = {}
         it = iter(self.inner)
         pending = next(it, None)
-        for length in itertools.count(0):
+        length = 0
+        while pending is not None or waiting:
             while pending is not None and len(pending) <= length:
-                stored.append(pending)
+                waiting.setdefault(len(pending), []).append(pending)
                 pending = next(it, None)
             batch = set()
-            for p in stored:
-                if len(p) == length:
-                    batch.add(p)
-                else:
-                    i = length - len(p)  # p 0^i needs bit i of p set
-                    if 1 <= i <= len(p) and p[i - 1] == "1":
-                        batch.add(p + "0" * i)
+            for p in waiting.pop(length, ()):
+                i = length - len(p)
+                batch.add(p + "0" * i)
+                j = p.find("1", i)  # the next member is p 0^(j+1)
+                if j >= 0:
+                    waiting.setdefault(len(p) + j + 1, []).append(p)
             yield from sorted(batch)
+            length += 1
 
     def count_up_to_length(self, ell: int) -> int | None:
         if not self.exhaustible:
             return None
-        count = 0
-        for p in self.inner:
-            for x in tuatara_unit_identity(p).members:
-                if len(x) <= ell:
-                    count += 1
-        return count
+        return sum(1 for _ in itertools.takewhile(lambda x: len(x) <= ell, self))
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
         if s != 1:
@@ -612,9 +597,7 @@ PRIME_COUNT_CAP = 1 << 20
 
 class _PrimeProductStream(DomainStream):
     def __init__(self, spec: Construction):
-        table = spec.operands[0]
-        assert isinstance(table, FiniteTable)
-        idx = sorted(bin_inv(w) for w in table.domain)
+        idx = sorted(bin_inv(w) for w in spec.operands[0].domain)
         if idx and idx[-1] > PRIME_COUNT_CAP:
             raise ValueError(f"{idx[-1]} primes requested, past the cap of {PRIME_COUNT_CAP}")
         primes = first_primes(idx[-1]) if idx else []
@@ -638,14 +621,10 @@ class _PrimeProductStream(DomainStream):
         return (bin_of(n) for n in self.indices())
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        universal = _universal_tail(ell, s, kind)
         total = self.total_upper(s, kind)
-        if total is None:
-            return universal
-        # subtract the certainly-present head: 1 alone (conservative)
-        specific = total - (Fraction(1) if ell >= 0 else Fraction(0))
-        candidates = [t for t in (universal, specific) if t is not None]
-        return min(candidates) if candidates else None
+        if total is None or ell < 0:
+            return total
+        return total - 1  # subtract the certainly-present head: 1 alone (conservative)
 
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
         if s.denominator != 1:
@@ -739,8 +718,9 @@ class _IntervalAcc:
     a zeta sum passes the guard once the least common multiple of its terms'
     denominators does (at s = 1, 1,000 random 20-bit indices pass it, as do
     the integers to 2,900) and then comes out as an interval of dyadic
-    endpoints, like the long streams, whose rounding error the pad folded
-    into tail bounds covers.
+    endpoints, like the long streams. Rounding each term outward keeps both
+    sums certified as they stand: hi is an upper bound on the terms added,
+    and tails need no allowance for it.
     """
 
     _GUARD_BITS = 1 << 12
@@ -796,9 +776,10 @@ def weighted_domain_sum(
     stream.limit_examined(budget)
 
     acc = _IntervalAcc()
-    hi_complete = Fraction(0)  # upper sum over fully consumed lengths
-    complete_len = -1
-    current_len = -1
+    # (ell, upper sum over the strings of length <= ell) for every length ell
+    # the enumeration has completed, from -1 on
+    complete: list[tuple[int, Fraction]] = [(-1, Fraction(0))]
+    current_len = 0
     consumed = 0
     exhausted = False
     per_len_cache: dict[int, tuple[Fraction, Fraction]] = {}
@@ -819,8 +800,7 @@ def weighted_domain_sum(
             break
         length = key if kind == "omega" else key.bit_length() - 1
         if length > current_len:
-            hi_complete = acc.hi
-            complete_len = length - 1
+            complete.append((length - 1, acc.hi))
             current_len = length
         # sparse streams reach term weights below the accumulator grid long
         # before the budget; the tail bound over the completed lengths covers
@@ -847,19 +827,14 @@ def weighted_domain_sum(
     if exhausted:
         return SumReport(Enclosure(lo, acc.hi), consumed, True)
 
-    candidates: list[Fraction] = []
-    tail = stream.tail_bound(complete_len, s, kind)
-    if tail is None:
-        tail = _universal_tail(complete_len, s, kind)
-    if tail is not None:
-        pad = Fraction(_BUDGET_CAP - budget, 1 << (_ACC_BITS - 1))
-        candidates.append(hi_complete + tail + pad)
-    total = stream.total_upper(s, kind)
-    if total is not None:
-        candidates.append(total)
-    hi = min(candidates) if candidates else None
-    if hi is not None and hi < lo:
-        hi = lo  # tails are sound, so this only trims rounding slack
+    # acc.hi rounds every term up and every tail is an upper bound, so each
+    # candidate is sound as it stands; a larger budget passes every length
+    # a smaller one did, so the least of them cannot rise with the budget
+    candidates = [stream.total_upper(s, kind)]
+    for ell, hi_complete in complete:
+        tail = _tail_upper(stream, ell, s, kind)
+        candidates.append(None if tail is None else hi_complete + tail)
+    hi = min((c for c in candidates if c is not None), default=None)
     return SumReport(Enclosure(lo, hi), consumed, False)
 
 
@@ -962,10 +937,10 @@ def classify(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Classification:
     omega_v = _threshold_verdict(omega_enclosure(spec, budget), "halting weight")
     # finiteness agreement: a certified-finite index sum comes with a
     # certified-finite halting weight sum and conversely
-    if zeta_v.certified and omega_v.certified:
-        assert (zeta_v.enclosure.hi is not None) == (
-            omega_v.enclosure.hi is not None
-        )
+    if zeta_v.certified and omega_v.certified and (
+        (zeta_v.enclosure.hi is None) != (omega_v.enclosure.hi is None)
+    ):
+        raise ArithmeticError("index and halting weight sums disagree on finiteness")
     return Classification(zeta=zeta_v, omega=omega_v)
 
 
@@ -1016,7 +991,6 @@ def tuatara_unit_identity(p: str) -> TuataraUnit:
         if c == "1":
             members.append(p + "0" * i)
     total = sum((Fraction(1, bin_inv(x)) for x in members), Fraction(0))
-    assert total == Fraction(1, 1 << len(p))
     return TuataraUnit(tuple(members), total, len(members))
 
 
@@ -1025,9 +999,7 @@ def universal_prefix_identity(i: int, n: int) -> tuple[str, int]:
     if i < 1 or n < 1:
         raise ValueError("requires i >= 1 and n >= 1")
     w = "0" * i + "1" + bin_of(n)
-    value = (1 << (i + 1 + (n.bit_length() - 1))) + n
-    assert bin_inv(w) == value
-    return w, value
+    return w, (1 << (i + 1 + (n.bit_length() - 1))) + n
 
 
 def j_pairing(i: int, m: int) -> int:

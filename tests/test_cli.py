@@ -33,6 +33,7 @@ _MAPPED = (
 _FACT = "machine fact\nkind builtin\ngenerator geometric 10\n"
 _LUKA = "machine l\nkind builtin\ngenerator lukasiewicz\n"
 _IOTA = "machine h\nkind builtin\ngenerator iota\n"
+_ALL = "machine a\nkind builtin\ngenerator all_strings\n"
 _TOF = (
     "machine a\nkind finite\ndomain 1011\n"
     "machine w\nkind construction\nconstruct tuatara_of a\n"
@@ -335,6 +336,25 @@ def test_exponent_commands(tmp_path, capsys):
     # zeta_s(2) = 5/18 divided by an enclosure of the full index sum at 2
     assert fields[3] == "0.16886863" and fields[4] == "interval"
     assert lines[2] == "digits=0.001010 determined=6"
+
+
+def test_small_budget_gives_no_false_certificate(tmp_path, capsys):
+    # the one element consumed is the empty string, weight 1 of zeta(3) ~ 1.202
+    f = _file(tmp_path, _ALL)
+    code, out, err = _go(
+        capsys, "zeta-s", "-s", "3", "--machine", f, "--budget", "1", "--format", "csv"
+    )
+    assert code == EXIT_OK and err == ""
+    _, lo, hi, _, cert, _ = out.splitlines()[1].split(",")
+    assert cert == "interval" and F(lo) == 1 and F(hi) > F(6, 5)
+
+
+def test_iota_parse_prints_deep_terms(capsys):
+    n = 1200
+    code, out, err = _go(capsys, "iota", "parse", "1" * n + "0" * (n + 1))
+    assert (code, out, err) == (EXIT_OK, "(" * n + "i" + " i)" * n + "\n", "")
+    code, out, err = _go(capsys, "iota", "parse", "10" * n + "0")
+    assert (code, out, err) == (EXIT_OK, "(i " * n + "i" + ")" * n + "\n", "")
 
 
 def test_runs_are_deterministic(tmp_path, capsys):

@@ -184,3 +184,8 @@ def test_unit_sum_overflow():
     with pytest.raises(KraftViolation) as info:
         unit_sum_to_prefix_free((2, 2, 2), 5)
     assert info.value.index == 3
+
+
+def test_code_assignment_pairs_terms_with_words():
+    with pytest.raises(ValueError):
+        CodeAssignment((F(1, 2), F(1, 4)), ("0",), F(3, 4))

@@ -351,6 +351,27 @@ def test_tuatara_of_spawn_sets():
         assert zt.lo == zt.hi == om.lo
 
 
+def test_tuatara_of_order_is_the_union_of_spawn_sets():
+    # length-lex order of the union of X(p) over the operand, each string once;
+    # every member of the finite operand's domain has length <= 8
+    top = 12
+    finite = FiniteTable(("0", "10", "1100", "1101", "111"))
+    for operand in (finite, Builtin("geometric", extras=("10",)), Builtin("lukasiewicz")):
+        ops = itertools.takewhile(lambda p: len(p) <= top, domain_stream(operand))
+        members = {x for p in ops for x in tuatara_unit_identity(p).members}
+        want = sorted((x for x in members if len(x) <= top), key=lambda w: (len(w), w))
+        stream = domain_stream(Construction("tuatara_of", (operand,)))
+        if operand is finite:
+            assert list(stream) == want
+            assert stream.count_up_to_length(5) == sum(len(x) <= 5 for x in want)
+        else:
+            assert list(itertools.islice(stream, len(want))) == want
+    # an operand stream that ends (iota past its size budget) ends the stream
+    small_iota = Construction("tuatara_of", (Builtin("iota", (), 100, 9),))
+    rep = weighted_domain_sum(small_iota, F(1), 100, "omega")
+    assert rep.exhausted and rep.enclosure.lo == rep.enclosure.hi == F(95, 128)
+
+
 def test_sparse_iota_domain_stops_at_the_budget():
     # one step halts only the program 0; the budget bounds the candidates
     # examined, and what was not reached stays under the tail bound
