@@ -17,7 +17,7 @@ EPS = "eps"  # rendering of the empty string in reports and machine files
 
 def validate_bits(w: str) -> str:
     """Return w unchanged if it consists only of 0s and 1s (empty allowed)."""
-    if any(c not in "01" for c in w):
+    if w.strip("01"):
         raise ValueError(f"not a bit string: {w!r}")
     return w
 

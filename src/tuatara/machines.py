@@ -22,6 +22,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from . import iota as iota_mod
@@ -34,6 +35,7 @@ DEFAULT_BUDGET = 10 ** 5
 # upper sums round each term up to a multiple of 2^-_ACC_BITS; sum budgets
 # must stay below _BUDGET_CAP
 _ACC_BITS = 128
+_ACC_ONE = 1 << _ACC_BITS
 _BUDGET_CAP = 1 << 40
 _TERM_PREC = _ACC_BITS + 32
 
@@ -191,6 +193,12 @@ def validate_spec(spec: MachineSpec) -> None:
             for b in spec.bounds:
                 if b <= 0:
                     raise MachineSpecError("declared bounds must be positive")
+            for n, j in enumerate(_convergent_exponents(spec), start=1):
+                if j > PREFIX_ZEROS_CAP:
+                    raise MachineSpecError(
+                        f"member {n}: its declared bound gives a prefix of more than "
+                        f"{PREFIX_ZEROS_CAP} zeros"
+                    )
         elif spec.bounds:
             raise MachineSpecError("bounds only apply to universal_convergent")
         return
@@ -574,6 +582,13 @@ class _UniversalStream(DomainStream):
         return sum(1 for w in self._all() if len(w) <= ell)
 
 
+# the members of universal_convergent sit behind prefixes 0^J 1 held in
+# memory; at the cap (a bound near 2^20 for a lone member) zeta, omega and
+# classify take about 0.2 s and 32 MB on a 2-core x86-64 host, and both
+# grow linearly in J
+PREFIX_ZEROS_CAP = 1 << 22
+
+
 def _convergent_exponents(spec: Construction) -> list[int]:
     """J = 2^i (2M + 1) - 1 per member, from the declared index-sum bounds.
 
@@ -685,6 +700,9 @@ class SumReport:
     enclosure: Enclosure
     consumed: int
     exhausted: bool
+    # why the enumeration ended: "budget", "exhausted" (the stream ran
+    # out), "grid" (terms below the 2^-128 grid) or "cut" (StreamCut)
+    stop: str
 
 
 def _weight_key(w: str, kind: str) -> int:
@@ -713,6 +731,19 @@ class _IntervalAcc:
     """Running interval sum: exact until the lower sum's denominator passes
     _GUARD_BITS bits, then outward rounded on the 2^-_ACC_BITS grid.
 
+    Terms arrive in two forms, and neither builds a Fraction on the grid:
+    - add(t_lo, t_hi, count) adds count copies of a term t_lo <= t <= t_hi,
+      as the omega kind does for a run of strings of one length. On the
+      grid, count copies of the rounded term equal count rounded terms. In
+      exact mode the run goes in at once when the least common multiple of
+      the lower sum's and the term's denominators is within the guard, for
+      then no partial sum inside the run can pass it; otherwise the copies
+      go in one at a time until the sum leaves exact mode.
+    - add_inverse(m) adds the exact term 1/m, as the zeta kind does at
+      integer s; on the grid it is one integer divmod of 2^_ACC_BITS by m.
+    In exact mode a term whose bounds coincide is added once, and the upper
+    sum shares the lower one for as long as they are equal.
+
     So an exhaustible stream at integer s comes out exact (lo == hi) only
     while its denominators stay small: omega sums of finite tables do, but
     a zeta sum passes the guard once the least common multiple of its terms'
@@ -727,34 +758,47 @@ class _IntervalAcc:
 
     def __init__(self) -> None:
         self.exact = True
-        self.lo_f = Fraction(0)
-        self.hi_f = Fraction(0)
+        self.lo_f = self.hi_f = Fraction(0)
         self.lo_i = 0
         self.hi_i = 0
 
-    def add(self, t_lo: Fraction, t_hi: Fraction) -> None:
+    def _add_exact(self, t_lo: Fraction, t_hi: Fraction) -> None:
+        shared = t_lo is t_hi and self.lo_f is self.hi_f
+        self.lo_f += t_lo
+        self.hi_f = self.lo_f if shared else self.hi_f + t_hi
+        if self.lo_f.denominator.bit_length() > self._GUARD_BITS:
+            self.lo_i = (self.lo_f.numerator << _ACC_BITS) // self.lo_f.denominator
+            self.hi_i = -((-self.hi_f.numerator << _ACC_BITS) // self.hi_f.denominator)
+            self.exact = False
+
+    def add(self, t_lo: Fraction, t_hi: Fraction, count: int = 1) -> None:
+        while self.exact and count:
+            n = 1
+            if lcm(self.lo_f.denominator, t_lo.denominator).bit_length() <= self._GUARD_BITS:
+                n = count
+            run_lo = n * t_lo
+            self._add_exact(run_lo, run_lo if t_hi is t_lo else n * t_hi)
+            count -= n
+        if count:
+            self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
+            self.hi_i += count * -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
+
+    def add_inverse(self, m: int) -> None:
         if self.exact:
-            self.lo_f += t_lo
-            self.hi_f += t_hi
-            if self.lo_f.denominator.bit_length() > self._GUARD_BITS:
-                self.lo_i = (
-                    self.lo_f.numerator << _ACC_BITS
-                ) // self.lo_f.denominator
-                self.hi_i = -(
-                    (-self.hi_f.numerator << _ACC_BITS) // self.hi_f.denominator
-                )
-                self.exact = False
+            t = Fraction(1, m)
+            self._add_exact(t, t)
             return
-        self.lo_i += (t_lo.numerator << _ACC_BITS) // t_lo.denominator
-        self.hi_i += -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
+        q, r = divmod(_ACC_ONE, m)
+        self.lo_i += q
+        self.hi_i += q + (r != 0)
 
     @property
     def lo(self) -> Fraction:
-        return self.lo_f if self.exact else Fraction(self.lo_i, 1 << _ACC_BITS)
+        return self.lo_f if self.exact else Fraction(self.lo_i, _ACC_ONE)
 
     @property
     def hi(self) -> Fraction:
-        return self.hi_f if self.exact else Fraction(self.hi_i, 1 << _ACC_BITS)
+        return self.hi_f if self.exact else Fraction(self.hi_i, _ACC_ONE)
 
 
 def weighted_domain_sum(
@@ -781,51 +825,57 @@ def weighted_domain_sum(
     complete: list[tuple[int, Fraction]] = [(-1, Fraction(0))]
     current_len = 0
     consumed = 0
-    exhausted = False
-    per_len_cache: dict[int, tuple[Fraction, Fraction]] = {}
+    stop = "budget"
+    # sparse streams reach term weights below the accumulator grid long
+    # before the budget: from stop_len on, s * length > _ACC_BITS + 8, and
+    # the tail bound over the completed lengths covers everything from there
+    stop_len = None if stream.exhaustible else (_ACC_BITS + 8) * s.denominator // s.numerator + 1
 
-    # the keys of _weight_key: omega weights depend on the length alone,
-    # zeta weights on the index, which some streams yield without strings
-    src: Iterator[int] = (
-        (len(w) for w in stream) if kind == "omega" else stream.indices()
-    )
+    # the keys of _weight_key: omega weights depend on the length alone, so
+    # the strings of one length are added as one run from run_start on; zeta
+    # weights depend on the index, which some streams yield without strings
+    omega = kind == "omega"
+    src: Iterator[int] = map(len, stream) if omega else stream.indices()
+    k = s.numerator if s.denominator == 1 else 0
+    next_key = 1 if omega else 2  # the least key of a length past current_len
+    run_start = 0
 
     while consumed < budget:
         try:
             key = next(src, None)
         except StreamCut:
-            break  # not exhausted: the tail bound covers what was not yielded
+            stop = "cut"  # not exhausted: the tail bound covers what was not yielded
+            break
         if key is None:
-            exhausted = True
+            stop = "exhausted"
             break
-        length = key if kind == "omega" else key.bit_length() - 1
-        if length > current_len:
-            complete.append((length - 1, acc.hi))
-            current_len = length
-        # sparse streams reach term weights below the accumulator grid long
-        # before the budget; the tail bound over the completed lengths covers
-        # everything from here on, so stop rather than build huge exact terms
-        if not stream.exhaustible and s * length > _ACC_BITS + 8:
-            break
-        if kind == "omega":
-            cached = per_len_cache.get(key)
-            if cached is None:
-                cached = _weight_interval(key, s, kind)
-                per_len_cache[key] = cached
-            t_lo, t_hi = cached
-        else:
-            t_lo, t_hi = _weight_interval(key, s, kind)
-        acc.add(t_lo, t_hi)
+        if key >= next_key:  # lengths never fall in length-lex order
+            if omega and consumed > run_start:
+                acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
+                run_start = consumed
+            current_len = key if omega else key.bit_length() - 1
+            complete.append((current_len - 1, acc.hi))
+            next_key = current_len + 1 if omega else 1 << (current_len + 1)
+            if stop_len is not None and current_len >= stop_len:
+                stop = "grid"
+                break
+        if not omega:
+            if k:
+                acc.add_inverse(key ** k)
+            else:
+                acc.add(*_weight_interval(key, s, kind))
         consumed += 1
     else:
         # budget reached; probe one more element only when the stream is
         # known finite, to detect exhaustion at the boundary
         if stream.exhaustible and next(src, None) is None:
-            exhausted = True
+            stop = "exhausted"
+    if omega and consumed > run_start:
+        acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
 
     lo = acc.lo
-    if exhausted:
-        return SumReport(Enclosure(lo, acc.hi), consumed, True)
+    if stop == "exhausted":
+        return SumReport(Enclosure(lo, acc.hi), consumed, True, stop)
 
     # acc.hi rounds every term up and every tail is an upper bound, so each
     # candidate is sound as it stands; a larger budget passes every length
@@ -835,7 +885,7 @@ def weighted_domain_sum(
         tail = _tail_upper(stream, ell, s, kind)
         candidates.append(None if tail is None else hi_complete + tail)
     hi = min((c for c in candidates if c is not None), default=None)
-    return SumReport(Enclosure(lo, hi), consumed, False)
+    return SumReport(Enclosure(lo, hi), consumed, False, stop)
 
 
 def omega_enclosure(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Enclosure:

@@ -85,6 +85,21 @@ def test_validate_and_render():
         parse_bits("abc")
 
 
+def test_validate_bits_rejects_every_other_character():
+    # every string of up to three characters over an alphabet with spaces,
+    # underscores (which int() accepts) and non-ASCII digits
+    alphabet = "01 _2\n\u0661\uff12"
+    words = [""]
+    for _ in range(3):
+        words += [w + c for w in words if len(w) == len(words[-1]) for c in alphabet]
+    for w in words:
+        if set(w) <= {"0", "1"}:
+            assert validate_bits(w) == w
+        else:
+            with pytest.raises(ValueError):
+                validate_bits(w)
+
+
 def test_hamming_weight():
     assert hamming_weight("") == 0
     assert hamming_weight("1011") == 3

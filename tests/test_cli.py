@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
@@ -468,3 +469,44 @@ def test_prime_product_index_cap(tmp_path, capsys):
     code, out, err = _go(capsys, "zeta", "--machine", f)
     assert code == EXIT_COMPUTE and out == ""
     assert err == "error: 4194303 primes requested, past the cap of 1048576\n"
+
+
+def _convergent(bound: str) -> str:
+    return (
+        "machine a\nkind finite\ndomain 0\ndomain 1\n"
+        f"machine u\nkind construction\nconstruct universal_convergent a\nbound {bound}\n"
+    )
+
+
+def test_convergent_prefix_cap(tmp_path, capsys):
+    # J = 2 (2M + 1) - 1 zeros for the lone member of bound M: 4,194,301 at
+    # M = 2^20 - 1, past the cap of 2^22 from M = 2^20 on
+    message = "error: member 1: its declared bound gives a prefix of more than 4194304 zeros\n"
+    for bound in ("1e400", "1048576", "1048575.5"):
+        f = _file(tmp_path, _convergent(bound))
+        for cmd in ("zeta", "omega", "classify"):
+            assert _go(capsys, cmd, "--machine", f) == (EXIT_COMPUTE, "", message)
+    f = _file(tmp_path, _convergent("1048575"))
+    code, out, err = _go(capsys, "omega", "--machine", f, "--format", "csv")
+    assert code == EXIT_OK and err == ""
+
+
+def test_huge_exponent_numerator_stops_below_the_grid(tmp_path, capsys):
+    # past n = 1 every term of zeta(200001/2) lies below the 2^-160 grid
+    f = _file(tmp_path, _ALL)
+    reports = {}
+    for budget in ("2", "1000"):
+        start = time.perf_counter()
+        code, out, err = _go(
+            capsys, "kappa-natural", "-s", "200001/2", "--machine", f,
+            "--budget", budget, "--format", "csv",
+        )
+        assert code == EXIT_OK and err == ""
+        assert time.perf_counter() - start < 5
+        # the endpoints have more digits than str() converts
+        reports[budget] = [
+            F(*(int(Decimal(part)) for part in x.split("/")))
+            for x in out.splitlines()[1].split(",")[1:3]
+        ]
+    (lo2, hi2), (lo, hi) = reports["2"], reports["1000"]
+    assert lo2 <= lo <= hi <= hi2

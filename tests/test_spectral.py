@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tuatara.machines import Builtin, Construction, FiniteTable, domain_stream
+from tuatara.machines import _TERM_PREC, Builtin, Construction, FiniteTable, domain_stream
+from tuatara.numerics import pow_bounds
 from tuatara.spectral import (
     dyadic_weight_sum,
     kappa,
@@ -82,6 +83,43 @@ def test_riemann_zeta_values():
     z32 = riemann_zeta(F(3, 2), 10**4)
     assert z32.contains(F("2.612375348685488"))
     assert z32.width < F(1, 10**4)
+
+
+def _parent_riemann_zeta(s: F, budget: int):
+    """Every term to the budget, then the tail [(N+1)^(1-s), N^(1-s)]/(s-1)."""
+    grid = 1 << _TERM_PREC
+    lo_i = hi_i = 0
+    for n in range(1, budget + 1):
+        b = pow_bounds(F(n), -s, _TERM_PREC)
+        lo_i += (b.lo.numerator * grid) // b.lo.denominator
+        hi_i += -((-b.hi.numerator * grid) // b.hi.denominator)
+    lo_tail = pow_bounds(F(budget + 1), 1 - s, _TERM_PREC).lo / (s - 1)
+    hi_tail = pow_bounds(F(budget), 1 - s, _TERM_PREC).hi / (s - 1)
+    return F(lo_i, grid) + lo_tail, F(hi_i, grid) + hi_tail
+
+
+def test_riemann_zeta_stops_below_the_grid():
+    # the first n with n^-s below 2^-160: 17 at s = 40, 16 at s = 81/2
+    for s, first in ((F(40), 17), (F(81, 2), 16)):
+        for budget in range(1, first):
+            enc = riemann_zeta(s, budget)
+            assert (enc.lo, enc.hi) == _parent_riemann_zeta(s, budget)
+        stopped = riemann_zeta(s, first)
+        assert riemann_zeta(s, 10 ** 6) == stopped
+        # nested inside the every-term enclosure from one term short of the stop
+        for budget in range(first - 1, first + 30):
+            lo, hi = _parent_riemann_zeta(s, budget)
+            assert lo <= stopped.lo and stopped.hi <= hi, (s, budget)
+    # exact brackets of zeta(40): every term to 60 plus the integral tails
+    head = sum(F(1, n ** 40) for n in range(1, 61))
+    stopped = riemann_zeta(F(40), 1000)
+    assert stopped.lo <= head + F(1, 60 ** 39 * 39)
+    assert stopped.hi >= head + F(1, 61 ** 39 * 39)
+    s = F(200001, 2)
+    enc = riemann_zeta(s, 1000)
+    for budget in (1, 2):
+        lo, hi = _parent_riemann_zeta(s, budget)
+        assert lo <= enc.lo and enc.hi <= hi
 
 
 def test_kappa_values():
