@@ -7,8 +7,8 @@ violated preconditions), 3 budget exhausted without a certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import iota as iota_mod
@@ -43,7 +43,7 @@ from .machines import (
     validate_spec,
     zeta_enclosure,
 )
-from .numerics import Enclosure, PrecisionLimit, digits as digit_extract, parse_rational
+from .numerics import Enclosure, PrecisionLimit, digits as digit_extract, frac_text, parse_rational
 from .spectral import kappa, kappa_natural, omega_s, zeta_s
 
 EXIT_OK = 0
@@ -229,14 +229,7 @@ def parse_machine_file(
 
 
 def _frac(x: Fraction | None) -> str:
-    """Exact text of x, also for integers past str()'s digit limit."""
-    if x is None:
-        return "inf"
-    try:
-        return str(x)
-    except ValueError:  # Decimal renders integers of any size
-        parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
-        return "/".join(str(Decimal(n)) for n in parts)
+    return "inf" if x is None else frac_text(x)
 
 
 def _decimal_common(e: Enclosure, places: int = 12) -> str:
@@ -314,6 +307,7 @@ def _machine_from(args) -> MachineSpec:
         return parse_machine_file(fh.read(), args.steps, args.size_budget)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     def count(text: str) -> int:
         value = int(text)
@@ -454,7 +448,9 @@ def _cmd_classify(args) -> int:
             ]
         )
     _emit(["sum", "verdict", "certified", "lo", "hi", "notes"], rows, args.format)
-    if not (outcome.zeta.certified and outcome.omega.certified):
+    unsettled = [v.witness for v in (outcome.zeta, outcome.omega) if not v.certified]
+    if unsettled:
+        print(f"error: {'; '.join(unsettled)}", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -564,9 +560,15 @@ def _cmd_complexity(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process: parsing starts each call from a fresh namespace, and
+    usage errors and --help look sys.stderr and sys.stdout up when they write,
+    so redirected streams still see their output.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,7 +14,8 @@ from typing import Iterator, Sequence
 
 
 class ExpansionOverflow(Exception):
-    """Raised when a greedy denominator outgrows the caller's bit budget."""
+    """Raised when the remainder's denominator, from which the next greedy
+    denominator comes, outgrows the caller's bit budget."""
 
     def __init__(self, bits: int):
         self.bits = bits
@@ -35,8 +36,12 @@ def egyptian_floor(
     The greedy denominators roughly double in bit length per step, so a
     remainder with an n-bit numerator needs on the order of 2^(n/3) bits
     for its final denominator; beyond roughly 64 numerator bits the result
-    is too large to materialize. A bit_budget turns that regime into an
-    ExpansionOverflow instead of an effectively unbounded computation.
+    is too large to materialize. The consecutive run is long when q is
+    large against 1/floor (about floor * e^q terms), and its remainder's
+    denominator grows with the least common multiple of the run. A
+    bit_budget on the remainder's denominator, checked before every term,
+    turns both regimes into an ExpansionOverflow instead of an effectively
+    unbounded computation.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -45,14 +50,13 @@ def egyptian_floor(
     out: list[int] = []
     rem = q
     m = floor
-    while rem >= Fraction(1, m):  # consecutive run
-        out.append(m)
-        rem -= Fraction(1, m)
-        m += 1
-    while rem > 0:  # greedy tail: 1/next <= rem < 1/(next-1)
+    while rem > 0:
         if bit_budget is not None and rem.denominator.bit_length() > bit_budget:
             raise ExpansionOverflow(bit_budget)
-        nxt = -((-rem.denominator) // rem.numerator)
+        if rem >= Fraction(1, m):  # consecutive run
+            nxt, m = m, m + 1
+        else:  # greedy tail: 1/nxt <= rem < 1/(nxt-1)
+            nxt = -((-rem.denominator) // rem.numerator)
         out.append(nxt)
         rem -= Fraction(1, nxt)
     return out

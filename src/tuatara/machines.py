@@ -22,12 +22,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator
 
 from . import iota as iota_mod
 from .binstr import all_strings, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
-from .numerics import Enclosure, first_primes, log2_bounds, pow2_bounds, pow_bounds
+from .numerics import Enclosure, first_primes, frac_text, log2_bounds, pow2_bounds, pow_bounds
 
 DEFAULT_BUDGET = 10 ** 5
 
@@ -731,18 +731,29 @@ class _IntervalAcc:
     """Running interval sum: exact until the lower sum's denominator passes
     _GUARD_BITS bits, then outward rounded on the 2^-_ACC_BITS grid.
 
+    Exact mode runs on integers and builds no Fraction: the lower sum is
+    ln/ld, where ld is the least common multiple of the term denominators,
+    left unreduced, so adding num/den costs one gcd. The upper sum is hn/hd
+    the same way, or None while it equals the lower sum (every term so far
+    exact). Since ld is a multiple of the reduced denominator, the reduced
+    one is within the guard whenever ld is; only when ld passes the guard is
+    the lower sum reduced, and the guard tested again on the reduced
+    denominator. So the switch to the grid comes at the same term as for a
+    sum of reduced Fractions, and lo and hi, which build their Fraction when
+    read, equal that sum's.
+
     Terms arrive in two forms, and neither builds a Fraction on the grid:
     - add(t_lo, t_hi, count) adds count copies of a term t_lo <= t <= t_hi,
       as the omega kind does for a run of strings of one length. On the
       grid, count copies of the rounded term equal count rounded terms. In
       exact mode the run goes in at once when the least common multiple of
-      the lower sum's and the term's denominators is within the guard, for
-      then no partial sum inside the run can pass it; otherwise the copies
-      go in one at a time until the sum leaves exact mode.
+      ld and the term's denominator is within the guard, for then no partial
+      sum inside the run can pass it; otherwise the copies go in one at a
+      time until the sum leaves exact mode. The unreduced ld only makes
+      that test stricter, and a run split into single copies has the same
+      sum.
     - add_inverse(m) adds the exact term 1/m, as the zeta kind does at
       integer s; on the grid it is one integer divmod of 2^_ACC_BITS by m.
-    In exact mode a term whose bounds coincide is added once, and the upper
-    sum shares the lower one for as long as they are equal.
 
     So an exhaustible stream at integer s comes out exact (lo == hi) only
     while its denominators stay small: omega sums of finite tables do, but
@@ -758,26 +769,43 @@ class _IntervalAcc:
 
     def __init__(self) -> None:
         self.exact = True
-        self.lo_f = self.hi_f = Fraction(0)
+        self.ln, self.ld = 0, 1
+        self.hn: int | None = None
+        self.hd = 1
         self.lo_i = 0
         self.hi_i = 0
 
-    def _add_exact(self, t_lo: Fraction, t_hi: Fraction) -> None:
-        shared = t_lo is t_hi and self.lo_f is self.hi_f
-        self.lo_f += t_lo
-        self.hi_f = self.lo_f if shared else self.hi_f + t_hi
-        if self.lo_f.denominator.bit_length() > self._GUARD_BITS:
-            self.lo_i = (self.lo_f.numerator << _ACC_BITS) // self.lo_f.denominator
-            self.hi_i = -((-self.hi_f.numerator << _ACC_BITS) // self.hi_f.denominator)
-            self.exact = False
+    def _add_exact(self, num: int, den: int, h_num: int | None = None, h_den: int = 1) -> None:
+        """Add num/den to the lower sum and h_num/h_den (num/den when h_num
+        is None) to the upper sum."""
+        if self.hn is None and h_num is not None:
+            self.hn, self.hd = self.ln, self.ld
+        if self.hn is not None:
+            if h_num is None:
+                h_num, h_den = num, den
+            g = gcd(self.hd, h_den)
+            self.hn = self.hn * (h_den // g) + h_num * (self.hd // g)
+            self.hd *= h_den // g
+        g = gcd(self.ld, den)
+        self.ln = self.ln * (den // g) + num * (self.ld // g)
+        self.ld *= den // g
+        if self.ld.bit_length() > self._GUARD_BITS:
+            g = gcd(self.ln, self.ld)
+            self.ln //= g
+            self.ld //= g
+            if self.ld.bit_length() > self._GUARD_BITS:
+                hn, hd = (self.ln, self.ld) if self.hn is None else (self.hn, self.hd)
+                self.lo_i = (self.ln << _ACC_BITS) // self.ld
+                self.hi_i = -((-hn << _ACC_BITS) // hd)
+                self.exact = False
 
     def add(self, t_lo: Fraction, t_hi: Fraction, count: int = 1) -> None:
         while self.exact and count:
             n = 1
-            if lcm(self.lo_f.denominator, t_lo.denominator).bit_length() <= self._GUARD_BITS:
+            if lcm(self.ld, t_lo.denominator).bit_length() <= self._GUARD_BITS:
                 n = count
-            run_lo = n * t_lo
-            self._add_exact(run_lo, run_lo if t_hi is t_lo else n * t_hi)
+            h_num = None if t_hi is t_lo else n * t_hi.numerator
+            self._add_exact(n * t_lo.numerator, t_lo.denominator, h_num, t_hi.denominator)
             count -= n
         if count:
             self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
@@ -785,8 +813,7 @@ class _IntervalAcc:
 
     def add_inverse(self, m: int) -> None:
         if self.exact:
-            t = Fraction(1, m)
-            self._add_exact(t, t)
+            self._add_exact(1, m)
             return
         q, r = divmod(_ACC_ONE, m)
         self.lo_i += q
@@ -794,11 +821,13 @@ class _IntervalAcc:
 
     @property
     def lo(self) -> Fraction:
-        return self.lo_f if self.exact else Fraction(self.lo_i, _ACC_ONE)
+        return Fraction(self.ln, self.ld) if self.exact else Fraction(self.lo_i, _ACC_ONE)
 
     @property
     def hi(self) -> Fraction:
-        return self.hi_f if self.exact else Fraction(self.hi_i, _ACC_ONE)
+        if not self.exact:
+            return Fraction(self.hi_i, _ACC_ONE)
+        return Fraction(self.ln, self.ld) if self.hn is None else Fraction(self.hn, self.hd)
 
 
 def weighted_domain_sum(
@@ -929,21 +958,21 @@ def _threshold_verdict(enc: Enclosure, series: str) -> Verdict:
                 "tuatara",
                 True,
                 enc,
-                f"{series} sum certified <= 1 (upper bound {enc.hi})",
+                f"{series} sum certified <= 1 (upper bound {frac_text(enc.hi)})",
             )
         if enc.lo > 1:
             return Verdict(
                 "convergent",
                 True,
                 enc,
-                f"{series} sum certified finite and > 1 (lower bound {enc.lo})",
+                f"{series} sum certified finite and > 1 (lower bound {frac_text(enc.lo)})",
             )
         return Verdict(
             "convergent",
             True,
             enc,
             f"{series} sum certified finite; the unit threshold lies inside "
-            f"[{enc.lo}, {enc.hi}] and stays unresolved at this budget",
+            f"[{frac_text(enc.lo)}, {frac_text(enc.hi)}] and stays unresolved at this budget",
         )
     if enc.lo > 1:
         return Verdict(
@@ -1092,7 +1121,7 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
     try:
         for n in stream.indices():
             if consumed >= budget:
-                raise BudgetExhausted(consumed, f"partial sum {acc}")
+                raise BudgetExhausted(consumed, f"partial sum {frac_text(acc)}")
             consumed += 1
             acc += Fraction(1, n)
             seen.add(n)
@@ -1101,8 +1130,8 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
             if acc > threshold:
                 return bin_of(smallest)
     except StreamCut:
-        raise BudgetExhausted(consumed, f"partial sum {acc}") from None
+        raise BudgetExhausted(consumed, f"partial sum {frac_text(acc)}") from None
     # stream ended; the sum is final
     if acc > threshold:
         return bin_of(smallest)
-    raise BudgetExhausted(consumed, f"stream exhausted at partial sum {acc}")
+    raise BudgetExhausted(consumed, f"stream exhausted at partial sum {frac_text(acc)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import compress
 from math import comb, isqrt, log, log2
@@ -26,6 +27,37 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def frac_text(x: Fraction) -> str:
+    """Exact text of x, also for integers past str()'s digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+        return "/".join(_int_text(n) for n in parts)
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an integer of any size. Decimal(n) alone takes time
+    quadratic in the length; splitting n in halves at bit w and joining
+    them as hi * 2^w + lo in exact Decimal arithmetic, whose products of
+    long operands are subquadratic, is far faster past a few thousand
+    digits. The Inexact trap turns any rounding into an error."""
+    powers: dict[int, Decimal] = {}
+
+    def dec(m: int, bits: int) -> Decimal:
+        if bits <= 1 << 12:
+            return Decimal(m)
+        w = bits >> 1
+        if w not in powers:
+            powers[w] = Decimal(2) ** w
+        return dec(m >> w, bits - w) * powers[w] + dec(m & ((1 << w) - 1), w)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return ("-" if n < 0 else "") + str(dec(abs(n), abs(n).bit_length()))
 
 
 @dataclass(frozen=True)

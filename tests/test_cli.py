@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import tuatara
+from tuatara import cli
 from tuatara.cli import (
     EXIT_BUDGET,
     EXIT_COMPUTE,
@@ -85,6 +87,17 @@ def test_classify_report(tmp_path, capsys):
     assert lines[0] == "sum,verdict,certified,lo,hi,notes"
     assert lines[1].startswith("zeta,tuatara,yes,2/3,2/3,")
     assert lines[2].startswith("omega,tuatara,yes,3/4,3/4,")
+
+
+def test_uncertified_classify_says_why_on_one_line(tmp_path, capsys):
+    # one element of the convergent member leaves both sums unbounded above
+    f = _file(tmp_path, _convergent("3"))
+    code, out, err = _go(capsys, "classify", "--machine", f, "--budget", "1", "--format", "csv")
+    assert code == EXIT_BUDGET and out.splitlines()[1].startswith("zeta,unknown,no,")
+    assert err == (
+        "error: index sum not separated from the unit threshold at this budget; "
+        "halting weight sum not separated from the unit threshold at this budget\n"
+    )
 
 
 def test_egyptian_command(capsys):
@@ -363,6 +376,60 @@ def test_runs_are_deterministic(tmp_path, capsys):
     first = _go(capsys, "classify", "--machine", f, "--format", "csv")
     second = _go(capsys, "classify", "--machine", f, "--format", "csv")
     assert first == second and first[0] == EXIT_OK
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    f = _file(tmp_path, _FINITE)
+    cli._build_parser.cache_clear()
+    for _ in range(20):
+        assert _go(capsys, "zeta", "--machine", f)[0] == EXIT_OK
+        assert _go(capsys, "kraft", "1", "2")[0] == EXIT_OK
+        assert _go(capsys, "zeta", "--bogus")[0] == EXIT_USAGE
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    f = _file(tmp_path, _FINITE)
+    argvs = [
+        ["zeta", "--machine", f, "--bogus"],
+        ["--help"],
+        ["zeta", "--machine", f, "--budget", "5", "--format", "csv"],
+        ["zeta", "--machine", f, "--format", "csv"],
+        ["iota", "count", "5"],
+        ["iota", "zeta", "3", "--format", "csv"],
+    ]
+    reused = [_go(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_go(capsys, *argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert "unrecognized arguments: --bogus" in reused[0][2]
+    assert reused[1][1].startswith("usage: tuatara")
+    # the budget column: the default comes back after an explicit budget
+    assert reused[2][1].splitlines()[1].endswith(",exact,5")
+    assert reused[3][1].splitlines()[1].endswith(",exact,100000")
+
+
+def test_huge_rationals_in_witnesses_and_messages(tmp_path, capsys):
+    # the exact index sum of 3,000 random 20-bit strings, the upper bound
+    # while the budget has not exhausted the table, has more digits than
+    # str() converts
+    rng = random.Random(3000)
+    words = sorted({format(rng.getrandbits(20), "020b") for _ in range(3000)})
+    f = _file(tmp_path, "machine t\nkind finite\n" + "".join(f"domain {w}\n" for w in words))
+    code, out, err = _go(capsys, "classify", "--machine", f, "--budget", "10", "--format", "csv")
+    assert code == EXIT_OK and err == ""
+    zeta = out.splitlines()[1].split(",")
+    assert zeta[:3] == ["zeta", "tuatara", "yes"] and len(zeta[4]) > 4300
+    assert zeta[5] == f"index sum certified <= 1 (upper bound {zeta[4]})"
+    # so is the first index of the member of bound 4000
+    f = _file(tmp_path, _convergent("4000"))
+    code, out, err = _go(capsys, "fresh-index", "1", "--machine", f, "--budget", "1")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: budget exhausted after 1 stream element(s): partial sum 1/")
+    assert err.count("\n") == 1 and len(err) > 4300
 
 
 def test_parse_machine_file_features():

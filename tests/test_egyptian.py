@@ -73,6 +73,10 @@ def test_egyptian_floor_overflow():
     assert info.value.bits == 100_000
     # generous budgets leave feasible instances untouched
     assert egyptian_floor(F(4, 5), 2, bit_budget=100_000) == [2, 4, 20]
+    # the run 1/40 + 1/41 + ... reaches 30 only after about 40 e^30 terms;
+    # the budget bounds the remainder's denominator inside the run too
+    with pytest.raises(ExpansionOverflow):
+        egyptian_floor(F(30), 40, bit_budget=2000)
 
 
 def test_dyadic_row_values():

@@ -5,12 +5,15 @@ for the omega kind, adds 1/n^k terms in integers for the zeta kind at
 integer s, and tests the grid stop only when the length grows. A reference
 kept here is the per-element accumulator and loop it replaced, which
 builds a Fraction for every term; every endpoint, the consumed count and
-the exhaustion flag must equal the reference's exactly.
+the exhaustion flag must equal the reference's exactly. A second reference
+is the run accumulator whose exact mode added reduced Fractions; the
+integer exact mode must agree with it after every operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import lcm, prod
 
 import pytest
 
@@ -59,6 +62,70 @@ class _RefAcc:
     @property
     def hi(self) -> F:
         return self.hi_f if self.exact else F(self.hi_i, 1 << _ACC_BITS)
+
+
+class _FractionAcc:
+    """The run accumulator with an exact mode on reduced Fractions."""
+
+    _GUARD_BITS = 1 << 12
+
+    def __init__(self) -> None:
+        self.exact = True
+        self.lo_f = self.hi_f = F(0)
+        self.lo_i = 0
+        self.hi_i = 0
+
+    def _add_exact(self, t_lo: F, t_hi: F) -> None:
+        shared = t_lo is t_hi and self.lo_f is self.hi_f
+        self.lo_f += t_lo
+        self.hi_f = self.lo_f if shared else self.hi_f + t_hi
+        if self.lo_f.denominator.bit_length() > self._GUARD_BITS:
+            self.lo_i = (self.lo_f.numerator << _ACC_BITS) // self.lo_f.denominator
+            self.hi_i = -((-self.hi_f.numerator << _ACC_BITS) // self.hi_f.denominator)
+            self.exact = False
+
+    def add(self, t_lo: F, t_hi: F, count: int = 1) -> None:
+        while self.exact and count:
+            n = 1
+            if lcm(self.lo_f.denominator, t_lo.denominator).bit_length() <= self._GUARD_BITS:
+                n = count
+            run_lo = n * t_lo
+            self._add_exact(run_lo, run_lo if t_hi is t_lo else n * t_hi)
+            count -= n
+        if count:
+            self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
+            self.hi_i += count * -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
+
+    def add_inverse(self, m: int) -> None:
+        if self.exact:
+            t = F(1, m)
+            self._add_exact(t, t)
+            return
+        q, r = divmod(1 << _ACC_BITS, m)
+        self.lo_i += q
+        self.hi_i += q + (r != 0)
+
+    @property
+    def lo(self) -> F:
+        return self.lo_f if self.exact else F(self.lo_i, 1 << _ACC_BITS)
+
+    @property
+    def hi(self) -> F:
+        return self.hi_f if self.exact else F(self.hi_i, 1 << _ACC_BITS)
+
+
+def _replay(ops):
+    """Apply ("add", t_lo, t_hi, count) and ("inverse", m) operations to the
+    integer accumulator and the Fraction one, comparing after each."""
+    acc, ref = _IntervalAcc(), _FractionAcc()
+    for op in ops:
+        for a in (acc, ref):
+            if op[0] == "add":
+                a.add(*op[1:])
+            else:
+                a.add_inverse(op[1])
+        assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact), op
+    return acc
 
 
 def _ref_sum(spec, s: F, budget: int, kind: str):
@@ -181,6 +248,38 @@ def test_accumulator_runs_equal_single_adds():
                 assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact)
 
 
+def test_unreduced_denominator_past_the_guard_reduces_within_it():
+    # 6a has 4,097 bits, but 1/(3a) + 1/(6a) = 1/(2a) reduces to 4,095
+    a = (1 << 4096) // 6 + 1
+    assert (6 * a).bit_length() > _IntervalAcc._GUARD_BITS >= (2 * a).bit_length()
+    acc = _replay([("inverse", 3 * a), ("inverse", 6 * a)])
+    assert acc.exact and acc.lo == acc.hi == F(1, 2 * a)
+    # one more term takes the reduced sum past the guard
+    acc = _replay([("inverse", 3 * a), ("inverse", 6 * a), ("inverse", 1 << 4097)])
+    assert not acc.exact
+    # the same through add, with an upper sum of its own
+    t = F(1, 3 * a)
+    _replay([("add", t, t + F(1, 1 << 300), 1), ("add", F(1, 6 * a), F(1, 6 * a), 1)])
+    _replay([("add", F(1, 6 * a), F(1, 6 * a), 2), ("add", t, t, 3)])
+
+
+def test_zeta_sum_switches_to_the_grid_at_the_same_term():
+    # the lower sum of 1/1 + ... + 1/n leaves exact mode at n = 2,833
+    for budget in (2800, 2831, 2832, 2833, 2834, 2900, 3000):
+        _same_as_reference(_ALL, F(1), budget, "zeta")
+    _replay([("inverse", m) for m in range(1, 2900)])
+
+
+def test_integer_zeta_sums_add_no_fractions(monkeypatch):
+    # exact mode runs on integers: no Fraction addition per term
+    calls = []
+    add, radd = F.__add__, F.__radd__
+    monkeypatch.setattr(F, "__add__", lambda x, y: calls.append(1) or add(x, y))
+    monkeypatch.setattr(F, "__radd__", lambda x, y: calls.append(1) or radd(x, y))
+    rep = weighted_domain_sum(_ALL, F(1), 10 ** 4, "zeta")
+    assert rep.consumed == 10 ** 4 and len(calls) <= 32
+
+
 def test_stop_reasons():
     assert weighted_domain_sum(_ALL, F(1), 10, "omega").stop == "budget"
     assert weighted_domain_sum(_PREFIX_FREE, F(1), 10, "zeta").stop == "exhausted"
@@ -225,6 +324,32 @@ if given is not None:
     )
     def test_every_stream_matches_the_reference(name, kind, s, budget):
         _same_as_reference(STREAMS[name], s, budget, kind)
+
+    # denominators that share large factors, so that sums cross the guard
+    # and reduce back below it (multiples of a 4,094-bit number, as in the
+    # test above); and small ones that keep the sum exact
+    _BIG = (3 ** 1300, 5 ** 900, (1 << 2000) + 1, 7 ** 700)
+    _A = (1 << 4096) // 6 + 1
+    _dens = st.one_of(
+        st.integers(1, 60),
+        st.integers(1, 12).map(lambda k: k * _A),
+        st.integers(0, 4200).map(lambda k: 1 << k),
+        st.lists(st.sampled_from(_BIG), min_size=1, max_size=3).map(prod),
+    )
+
+    @st.composite
+    def _op(draw):
+        if draw(st.booleans()):
+            return ("inverse", draw(_dens) * draw(st.integers(1, 6)))
+        t_lo = F(draw(st.integers(0, 5)), draw(_dens))
+        gap = draw(st.one_of(st.none(), st.integers(0, 300)))
+        t_hi = t_lo if gap is None else t_lo + F(1, 1 << gap)
+        return ("add", t_lo, t_hi, draw(st.integers(1, 5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_op(), max_size=12))
+    def test_integer_exact_mode_matches_fraction_sums(ops):
+        _replay(ops)
 
     @settings(max_examples=60, deadline=None)
     @given(
