@@ -400,6 +400,9 @@ def _cmd_iota(args) -> int:
             raise ValueError("length must be >= 0")
         print(iota_mod.count_programs(args.length))
         return EXIT_OK
+    if args.n > args.budget:
+        print(f"error: iota zeta {args.n} is past --budget {args.budget}", file=sys.stderr)
+        return EXIT_BUDGET
     e = iota_mod.iota_zeta_partial(args.n)
     _enclosure_report(f"iota-zeta[{args.n}]", e, args)
     return EXIT_OK

@@ -487,13 +487,9 @@ def decode_bits(
 def iota_zeta_partial(n: int) -> Enclosure:
     """Enclosure of the total program-length weight from the first n sizes.
 
-    lo is sum_{m<=n} C_{m-1} 2^-(2m-1); the exact tail binom(2n, n) 4^-n
-    brings hi to 1, the full weight of the program code.
+    lo is sum_{m<=n} C_{m-1} 2^-(2m-1) = 1 - binom(2n, n) 4^-n by the
+    module's identity; the exact tail brings hi to 1, the full weight.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo = Fraction(0)
-    for m in range(1, n + 1):
-        lo += Fraction(count_programs(2 * m - 1), 1 << (2 * m - 1))
-    tail = Fraction(comb(2 * n, n), 4 ** n)
-    return Enclosure(lo, lo + tail)
+    return Enclosure(1 - Fraction(comb(2 * n, n), 4 ** n), Fraction(1))

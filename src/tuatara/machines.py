@@ -9,11 +9,12 @@ classification vocabulary below is keyed to the unit threshold of the
 index sum.
 
 Enclosures returned here are certified: the true sum lies inside, whatever
-the budget. Lower bounds come from partial sums rounded down. Upper bounds
-are the least of a closed form for the total, where one exists, and the
-partial sums over fully enumerated lengths plus a tail majorant, taken at
-every length the enumeration completed; so a larger budget never raises
-the upper bound of a sum it does not exhaust.
+the budget. Lower bounds are partial sums rounded down, plus a tail bracket's
+lower end where the stream has one. Upper bounds are the least of a closed
+form for the total, where one exists, and partial sums plus a tail majorant,
+taken at every length the enumeration completed or at the string where a
+bracketed sum stopped; so a larger budget never widens the enclosure of a
+sum it does not exhaust.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterator
+from math import ceil, comb, gcd, lcm, log2
+from typing import Callable, Iterator
 
 from . import iota as iota_mod
 from .binstr import all_strings, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
@@ -34,10 +35,11 @@ DEFAULT_BUDGET = 10 ** 5
 # accumulator grid: past exact mode, lower sums round each term down and
 # upper sums round each term up to a multiple of 2^-_ACC_BITS; sum budgets
 # must stay below _BUDGET_CAP
-_ACC_BITS = 128
+_ACC_BITS = 192
 _ACC_ONE = 1 << _ACC_BITS
 _BUDGET_CAP = 1 << 40
-_TERM_PREC = _ACC_BITS + 32
+_TERM_PREC = 160  # bits of the roots behind non-integer weights and tails
+_STOP_BITS = 136  # a sparse stream stops where its terms pass below 2^-_STOP_BITS
 
 
 class MachineSpecError(ValueError):
@@ -247,6 +249,13 @@ class DomainStream:
         partial sums plus the smaller of tail_bound and the majorant."""
         return self.tail_bound(-1, s, kind)
 
+    def element_tail(self, s: Fraction, kind: str) -> Callable[[int], Enclosure] | None:
+        """For a stream whose n-th string has index n, a function of n that
+        encloses the weight of every string after the first n; None for
+        other streams, kinds and exponents. The sum engine stops such a
+        stream at _element_stop and adds the enclosure at the stop."""
+        return None
+
 
 def _tail_upper(stream: DomainStream, ell: int, s: Fraction, kind: str) -> Fraction | None:
     """The smaller of the stream's tail bound past length ell and the
@@ -262,9 +271,6 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     if kind == "omega":
         # sum over k >= ell+1 of 2^k 2^(-s k) = r^(ell+1)/(1-r), r = 2^(1-s)
         lo_k = max(ell + 1, 0)
-        if s.denominator == 1:
-            r = Fraction(1, 2 ** (s.numerator - 1))
-            return r ** lo_k / (1 - r)
         r = pow2_bounds(1 - s, _TERM_PREC).hi
         first = pow2_bounds((1 - s) * lo_k, _TERM_PREC).hi
         return None if r >= 1 else first / (1 - r)
@@ -272,8 +278,6 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     # below length 0 the empty string adds its index 1 and weight 1
     n_min = (1 << (max(ell, 0) + 1)) - 1
     head = 1 if ell < 0 else 0
-    if s.denominator == 1:
-        return head + Fraction(1, n_min ** (s.numerator - 1)) / (s - 1)
     return head + pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
 
 
@@ -311,10 +315,17 @@ class _AllStringsStream(DomainStream):
         if kind != "omega" or s <= 1:
             return None
         # sum over k >= 0 of 2^k 2^(-sk) = 1/(1 - 2^(1-s))
-        if s.denominator == 1:
-            return 1 / (1 - Fraction(1, 2 ** (s.numerator - 1)))
         r = pow2_bounds(1 - s, _TERM_PREC).hi
         return None if r >= 1 else 1 / (1 - r)
+
+    def element_tail(self, s: Fraction, kind: str) -> Callable[[int], Enclosure] | None:
+        # integral test: the sum over m > n of m^-s lies between
+        # (n+1)^(1-s)/(s-1) and that plus its first term (n+1)^-s
+        def bracket(n: int) -> Enclosure:
+            b = pow_bounds(Fraction(n + 1), 1 - s, _TERM_PREC)
+            return Enclosure(b.lo / (s - 1), b.hi / (n + 1) + b.hi / (s - 1))
+
+        return bracket if kind == "zeta" and s > 1 else None
 
 
 class _LukasiewiczStream(DomainStream):
@@ -332,19 +343,13 @@ class _LukasiewiczStream(DomainStream):
         # omega weight, and C_{m-1} <= 4^(m-1) bounds the counts
         n0 = max((ell + 1) // 2, 0)
         if s == 1:
-            from math import comb
-
             return Fraction(comb(2 * n0, n0), 4 ** n0)
         if s < 1:
             return None
-        if s.denominator == 1:
-            q = Fraction(1, 4 ** (s.numerator - 1))
-            scale = Fraction(2 ** s.numerator, 4)
-        else:
-            q = pow2_bounds(2 * (1 - s), _TERM_PREC).hi
-            if q >= 1:
-                return None
-            scale = pow2_bounds(s - 2, _TERM_PREC).hi
+        q = pow2_bounds(2 * (1 - s), _TERM_PREC).hi
+        if q >= 1:
+            return None
+        scale = pow2_bounds(s - 2, _TERM_PREC).hi
         return scale * q ** (n0 + 1) / (1 - q)
 
 
@@ -394,14 +399,10 @@ class _GeometricStream(DomainStream):
         if s <= 0:
             return None
         i0 = max(ell, 0)  # base strings 0^i 1 with i >= i0 have length > ell
-        if s.denominator == 1:
-            r = Fraction(1, 2 ** s.numerator)
-            acc = r ** i0 * r / (1 - r)
-        else:
-            r = pow2_bounds(-s, _TERM_PREC).hi
-            if r >= 1:
-                return None
-            acc = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
+        r = pow2_bounds(-s, _TERM_PREC).hi
+        if r >= 1:
+            return None
+        acc = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
         for w in self.extras:
             if len(w) > ell:
                 acc += _weight_interval(_weight_key(w, kind), s, kind)[1]
@@ -659,10 +660,7 @@ class _PrimeProductStream(DomainStream):
         """Euler product over the selected primes, exact for integer s >= 1."""
         if s < 1:
             raise ValueError("s must be >= 1")
-        acc = Fraction(1)
-        for p in self.primes:
-            acc *= Fraction(p ** s, p ** s - 1)
-        return acc
+        return self.total_upper(Fraction(s), "zeta")
 
 
 def domain_stream(spec: MachineSpec) -> DomainStream:
@@ -701,7 +699,8 @@ class SumReport:
     consumed: int
     exhausted: bool
     # why the enumeration ended: "budget", "exhausted" (the stream ran
-    # out), "grid" (terms below the 2^-128 grid) or "cut" (StreamCut)
+    # out), "grid" (terms below 2^-136, or a further term could no longer
+    # narrow a bracketed tail) or "cut" (StreamCut)
     stop: str
 
 
@@ -830,6 +829,26 @@ class _IntervalAcc:
         return Fraction(self.ln, self.ld) if self.hn is None else Fraction(self.hn, self.hd)
 
 
+def _element_stop(s: Fraction) -> int:
+    """How many indices 1, 2, 3, ... a bracketed zeta sum takes.
+
+    Index a raises lo by a^-s less I, the integral of x^-s over [a, a+1],
+    and lowers hi by I less (a+1)^-s, less a grid unit of rounding on each
+    side. Both gains pass s (a+1)^(-s-1)/2, two units while a + 1 < n* =
+    ceil(2^((_ACC_BITS - 2 + log2 s)/(s + 1))); index n* - 1 is taken only
+    if its own gains, in floats, reach two units. So enclosures nest as the
+    budget grows; the stop is sound wherever it falls.
+    """
+    e = Fraction(_ACC_BITS - 2 + log2(s.numerator) - log2(s.denominator)) / (s + 1)
+    a = max(ceil(2 ** float(e)) - 1, 1)
+    if a > 1:  # then s < 2^8 fits a float
+        f = float(s)
+        i = (a ** (1 - f) - (a + 1) ** (1 - f)) / (f - 1)
+        if min(a ** -f - i, i - (a + 1) ** -f) < 2.0 ** (1 - _ACC_BITS):
+            a -= 1
+    return a
+
+
 def weighted_domain_sum(
     spec: MachineSpec, s: Fraction, budget: int, kind: str
 ) -> SumReport:
@@ -855,10 +874,13 @@ def weighted_domain_sum(
     current_len = 0
     consumed = 0
     stop = "budget"
-    # sparse streams reach term weights below the accumulator grid long
-    # before the budget: from stop_len on, s * length > _ACC_BITS + 8, and
-    # the tail bound over the completed lengths covers everything from there
-    stop_len = None if stream.exhaustible else (_ACC_BITS + 8) * s.denominator // s.numerator + 1
+    # a stream that brackets its tail at every string stops at limit, where
+    # a further term could widen the enclosure; other sparse streams reach
+    # terms below 2^-_STOP_BITS long before the budget, from stop_len on,
+    # and the tail bound over the completed lengths covers the rest
+    tail_at = stream.element_tail(s, kind)
+    limit = budget if tail_at is None else min(budget, _element_stop(s))
+    stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * s.denominator // s.numerator + 1
 
     # the keys of _weight_key: omega weights depend on the length alone, so
     # the strings of one length are added as one run from run_start on; zeta
@@ -869,7 +891,7 @@ def weighted_domain_sum(
     next_key = 1 if omega else 2  # the least key of a length past current_len
     run_start = 0
 
-    while consumed < budget:
+    while consumed < limit:
         try:
             key = next(src, None)
         except StreamCut:
@@ -895,9 +917,12 @@ def weighted_domain_sum(
                 acc.add(*_weight_interval(key, s, kind))
         consumed += 1
     else:
-        # budget reached; probe one more element only when the stream is
-        # known finite, to detect exhaustion at the boundary
-        if stream.exhaustible and next(src, None) is None:
+        # short of the budget, limit is the bracketed stop; at the budget,
+        # probe one more element only when the stream is known finite, to
+        # detect exhaustion at the boundary
+        if consumed < budget:
+            stop = "grid"
+        elif stream.exhaustible and next(src, None) is None:
             stop = "exhausted"
     if omega and consumed > run_start:
         acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
@@ -908,11 +933,17 @@ def weighted_domain_sum(
 
     # acc.hi rounds every term up and every tail is an upper bound, so each
     # candidate is sound as it stands; a larger budget passes every length
-    # a smaller one did, so the least of them cannot rise with the budget
+    # a smaller one did, so the least of them cannot rise with the budget.
+    # A bracketed tail narrows with each string up to limit instead
     candidates = [stream.total_upper(s, kind)]
-    for ell, hi_complete in complete:
-        tail = _tail_upper(stream, ell, s, kind)
-        candidates.append(None if tail is None else hi_complete + tail)
+    if tail_at is not None:
+        tail = tail_at(consumed)
+        lo += tail.lo
+        candidates.append(acc.hi + tail.hi)
+    else:
+        for ell, hi_complete in complete:
+            tail = _tail_upper(stream, ell, s, kind)
+            candidates.append(None if tail is None else hi_complete + tail)
     hi = min((c for c in candidates if c is not None), default=None)
     return SumReport(Enclosure(lo, hi), consumed, False, stop)
 
@@ -1107,31 +1138,38 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
     """Smallest index outside the enumerated domain once the partial index
     sum strictly exceeds the rational 0.y.
 
-    The enumeration is ascending in the index order, so the partial sums
-    and the seen set are exact. Raises BudgetExhausted when the threshold
-    is not crossed within the budget.
+    The enumeration is ascending in the index order, so the seen set is
+    exact. The partial sum runs in the interval accumulator, and only when
+    its enclosure holds the threshold are the seen indices summed exactly.
+    Raises BudgetExhausted when the threshold is not crossed within the
+    budget.
     """
     threshold = rational_of_prefix(y)
-    acc = Fraction(0)
+    acc = _IntervalAcc()
     seen: set[int] = set()
     smallest = 1
     consumed = 0
     stream = domain_stream(spec)
     stream.limit_examined(budget)
+    ending = ""
     try:
         for n in stream.indices():
             if consumed >= budget:
-                raise BudgetExhausted(consumed, f"partial sum {frac_text(acc)}")
+                break
             consumed += 1
-            acc += Fraction(1, n)
+            acc.add_inverse(n)
             seen.add(n)
             while smallest in seen:
                 smallest += 1
-            if acc > threshold:
+            lo = acc.lo
+            if lo <= threshold < acc.hi:  # the grid cannot decide
+                lo = sum(Fraction(1, m) for m in seen)
+            if lo > threshold:
                 return bin_of(smallest)
+        else:
+            ending = "stream exhausted at "  # the sum is final
     except StreamCut:
-        raise BudgetExhausted(consumed, f"partial sum {frac_text(acc)}") from None
-    # stream ended; the sum is final
-    if acc > threshold:
-        return bin_of(smallest)
-    raise BudgetExhausted(consumed, f"stream exhausted at partial sum {frac_text(acc)}")
+        pass
+    lo, hi = acc.lo, acc.hi
+    text = frac_text(lo) if lo == hi else f"in [{frac_text(lo)}, {frac_text(hi)}]"
+    raise BudgetExhausted(consumed, f"{ending}partial sum {text}")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .machines import _TERM_PREC, DEFAULT_BUDGET, MachineSpec, weighted_domain_sum
-from .numerics import Enclosure, first_primes, ln_bounds, pow2_bounds, pow_bounds
+from .machines import _TERM_PREC, DEFAULT_BUDGET, Builtin, MachineSpec, weighted_domain_sum
+from .numerics import Enclosure, first_primes, ln_bounds, pow2_bounds
 
 
 def omega_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -32,57 +32,18 @@ def zeta_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
 def riemann_zeta(s, budget: int = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of sum over all n >= 1 of n^-s for rational s > 1.
 
-    Partial sum over n <= N plus the integral tail bracket
-    [(N+1)^(1-s), N^(1-s)] / (s-1), where N is the budget. Terms accumulate
-    outward-rounded on a fixed dyadic grid; exact summation would grow
-    endpoint denominators with the least common multiple of the term
-    denominators, far past any printable or comparable size. The loop stops
-    early at the first n whose term lies below the grid, where each further
-    term would add nothing to the lower sum and a whole grid unit to the
-    upper one; the tail from that n lies in
-    [n^(1-s), n^(1-s)] / (s-1) + [0, n^-s].
+    The index sum over every string: the sum engine adds the first terms
+    to the budget and brackets the rest by the integral test at the string
+    where it stopped.
     """
     s = Fraction(s)
     if s <= 1:
         raise ValueError("riemann_zeta needs s > 1")
-    n_top = max(int(budget), 1)
-    grid = 1 << _TERM_PREC
-    lo_i = 0
-    hi_i = 0
-    below = None  # an upper bound on n^-s at the first n below the grid
-    if s.denominator == 1:
-        k = s.numerator
-        for n in range(1, n_top + 1):
-            q, r = divmod(grid, n ** k)
-            if not q:
-                below = Fraction(1, n ** k)
-                break
-            lo_i += q
-            hi_i += q + (r != 0)
-    else:
-        for n in range(1, n_top + 1):
-            b = pow_bounds(Fraction(n), -s, _TERM_PREC)
-            q = (b.lo.numerator * grid) // b.lo.denominator
-            if not q:
-                below = b.hi
-                break
-            lo_i += q
-            hi_i += -((-b.hi.numerator * grid) // b.hi.denominator)
-    if below is None:
-        lo_tail = pow_bounds(Fraction(n_top + 1), 1 - s, _TERM_PREC).lo / (s - 1)
-        hi_tail = pow_bounds(Fraction(n_top), 1 - s, _TERM_PREC).hi / (s - 1)
-    else:
-        tail = pow_bounds(Fraction(n), 1 - s, _TERM_PREC)
-        lo_tail = tail.lo / (s - 1)
-        hi_tail = below + tail.hi / (s - 1)
-    return Enclosure(Fraction(lo_i, grid) + lo_tail, Fraction(hi_i, grid) + hi_tail)
+    return zeta_s(Builtin("all_strings"), s, max(int(budget), 1))
 
 
 def _normalizer(s: Fraction) -> Enclosure:
     # 1 - 2^(1-s), positive for s > 1
-    if s.denominator == 1:
-        v = 1 - Fraction(1, 2 ** (s.numerator - 1))
-        return Enclosure.exact(v)
     b = pow2_bounds(1 - s, _TERM_PREC)
     return Enclosure(1 - b.hi, 1 - b.lo)
 

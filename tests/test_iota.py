@@ -146,6 +146,15 @@ def test_decode_errors():
         decode_bits(encode_bits("0101"), step_budget=10)
 
 
+def test_iota_zeta_partial_equals_the_sum_over_sizes():
+    # the closed form against the loop it replaced, one Catalan term per size
+    lo = F(0)
+    for n in range(1, 301):
+        lo += F(count_programs(2 * n - 1), 1 << (2 * n - 1))
+        enc = iota_zeta_partial(n)
+        assert (enc.lo, enc.hi) == (lo, lo + F(comb(2 * n, n), 4 ** n))
+
+
 def test_iota_zeta_partial():
     one = iota_zeta_partial(1)
     assert (one.lo, one.hi) == (F(1, 2), 1)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tuatara.binstr import bin_inv, bin_of, is_prefix_free
+from tuatara.binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix
 from tuatara.egyptian import kraft_chaitin
 from tuatara.machines import (
     BudgetExhausted,
@@ -16,6 +16,8 @@ from tuatara.machines import (
     Construction,
     FiniteTable,
     MachineSpecError,
+    StreamCut,
+    _IntervalAcc,
     classify,
     density_statistic,
     domain_stream,
@@ -274,6 +276,75 @@ def test_fresh_index_random():
         j = bin_inv(fresh_index(table, y))
         assert j not in pool
         assert all(m in pool for m in range(1, j))
+
+
+def _fraction_fresh_index(spec, y: str, budget: int):
+    """fresh_index as it was, with one exact Fraction add per element: the
+    string, or ("budget" | "exhausted", consumed) where it gave up."""
+    threshold = rational_of_prefix(y)
+    acc = F(0)
+    seen: set[int] = set()
+    smallest = 1
+    consumed = 0
+    stream = domain_stream(spec)
+    stream.limit_examined(budget)
+    try:
+        for n in stream.indices():
+            if consumed >= budget:
+                return ("budget", consumed)
+            consumed += 1
+            acc += F(1, n)
+            seen.add(n)
+            while smallest in seen:
+                smallest += 1
+            if acc > threshold:
+                return bin_of(smallest)
+    except StreamCut:
+        return ("budget", consumed)
+    return bin_of(smallest) if acc > threshold else ("exhausted", consumed)
+
+
+def _fresh_outcome(spec, y: str, budget: int):
+    try:
+        return fresh_index(spec, y, budget)
+    except BudgetExhausted as exc:
+        return ("exhausted" if "stream exhausted" in str(exc) else "budget", exc.consumed)
+
+
+def test_fresh_index_matches_fraction_sums_on_random_machines():
+    rng = random.Random(71)
+    for _ in range(120):
+        top = 1 << rng.randint(2, 12)
+        pool = rng.sample(range(1, top), rng.randint(1, min(40, top - 1)))
+        machine = rng.choice(
+            [
+                FiniteTable(tuple(bin_of(n) for n in pool)),
+                Builtin("geometric", extras=tuple({bin_of(n)[:6] + "0" for n in pool[:3]})),
+                Builtin("lukasiewicz"),
+                Construction("tuatara_of", (FiniteTable(("1011", "00")),)),
+            ]
+        )
+        y = "".join(rng.choice("01") for _ in range(rng.randint(0, 70)))
+        budget = rng.randint(0, 60)
+        assert _fresh_outcome(machine, y, budget) == _fraction_fresh_index(machine, y, budget)
+
+
+def test_fresh_index_sums_exactly_where_the_grid_cannot_decide():
+    # the indices from 2,000 take the partial sum past exact mode; a 200-bit
+    # threshold just below (or above) the exact sum of the first 2,900 lies
+    # inside the grid enclosure there, and the exact sum decides whether
+    # the 2,900th element crosses it
+    indices = range(2000, 5001)
+    table = FiniteTable(tuple(bin_of(n) for n in indices))
+    acc = _IntervalAcc()
+    for n in indices[:2900]:
+        acc.add_inverse(n)
+    exact = sum(F(1, n) for n in indices[:2900])
+    below = exact.numerator * (1 << 200) // exact.denominator
+    for numerator, want in ((below, ""), (below + 1, ("budget", 2900))):
+        y = format(numerator, "0200b")
+        assert acc.lo < rational_of_prefix(y) < acc.hi
+        assert _fresh_outcome(table, y, 2900) == want == _fraction_fresh_index(table, y, 2900)
 
 
 def test_sanity_chain():

@@ -6,7 +6,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from tuatara.machines import _TERM_PREC, Builtin, Construction, FiniteTable, domain_stream
+from tuatara.machines import (
+    _TERM_PREC,
+    Builtin,
+    Construction,
+    FiniteTable,
+    _element_stop,
+    domain_stream,
+    weighted_domain_sum,
+)
 from tuatara.numerics import pow_bounds
 from tuatara.spectral import (
     dyadic_weight_sum,
@@ -17,6 +25,9 @@ from tuatara.spectral import (
     riemann_zeta,
     zeta_s,
 )
+
+
+_ALL = Builtin("all_strings")
 
 
 def _brackets(e, lo, hi):
@@ -86,30 +97,39 @@ def test_riemann_zeta_values():
 
 
 def _parent_riemann_zeta(s: F, budget: int):
-    """Every term to the budget, then the tail [(N+1)^(1-s), N^(1-s)]/(s-1)."""
+    """The loop riemann_zeta ran before it became the sum engine over
+    all_strings: every term to the budget on the 2^-160 grid, then the tail
+    [(N+1)^(1-s), N^(1-s)]/(s-1); or, at the first n whose term lies below
+    the grid, the tail [n^(1-s), n^(1-s)]/(s-1) + [0, n^-s]."""
     grid = 1 << _TERM_PREC
     lo_i = hi_i = 0
     for n in range(1, budget + 1):
         b = pow_bounds(F(n), -s, _TERM_PREC)
-        lo_i += (b.lo.numerator * grid) // b.lo.denominator
+        q = (b.lo.numerator * grid) // b.lo.denominator
+        if not q:
+            tail = pow_bounds(F(n), 1 - s, _TERM_PREC)
+            lo_tail, hi_tail = tail.lo / (s - 1), b.hi + tail.hi / (s - 1)
+            break
+        lo_i += q
         hi_i += -((-b.hi.numerator * grid) // b.hi.denominator)
-    lo_tail = pow_bounds(F(budget + 1), 1 - s, _TERM_PREC).lo / (s - 1)
-    hi_tail = pow_bounds(F(budget), 1 - s, _TERM_PREC).hi / (s - 1)
+    else:
+        lo_tail = pow_bounds(F(budget + 1), 1 - s, _TERM_PREC).lo / (s - 1)
+        hi_tail = pow_bounds(F(budget), 1 - s, _TERM_PREC).hi / (s - 1)
     return F(lo_i, grid) + lo_tail, F(hi_i, grid) + hi_tail
 
 
 def test_riemann_zeta_stops_below_the_grid():
-    # the first n with n^-s below 2^-160: 17 at s = 40, 16 at s = 81/2
-    for s, first in ((F(40), 17), (F(81, 2), 16)):
-        for budget in range(1, first):
+    # the loop stopped at the first term below 2^-160 (n = 17 at s = 40, 16
+    # at s = 81/2); the engine takes 26 and 25 terms, up to where a further
+    # one could widen the enclosure, and every enclosure nests in the loop's
+    for s, stop in ((F(40), 26), (F(81, 2), 25)):
+        for budget in range(1, stop + 30):
             enc = riemann_zeta(s, budget)
-            assert (enc.lo, enc.hi) == _parent_riemann_zeta(s, budget)
-        stopped = riemann_zeta(s, first)
-        assert riemann_zeta(s, 10 ** 6) == stopped
-        # nested inside the every-term enclosure from one term short of the stop
-        for budget in range(first - 1, first + 30):
             lo, hi = _parent_riemann_zeta(s, budget)
-            assert lo <= stopped.lo and stopped.hi <= hi, (s, budget)
+            assert lo <= enc.lo and enc.hi <= hi, (s, budget)
+        stopped = riemann_zeta(s, stop)
+        assert riemann_zeta(s, 10 ** 6) == stopped != riemann_zeta(s, stop - 1)
+        assert weighted_domain_sum(_ALL, s, 10 ** 6, "zeta").consumed == stop
     # exact brackets of zeta(40): every term to 60 plus the integral tails
     head = sum(F(1, n ** 40) for n in range(1, 61))
     stopped = riemann_zeta(F(40), 1000)
@@ -120,6 +140,27 @@ def test_riemann_zeta_stops_below_the_grid():
     for budget in (1, 2):
         lo, hi = _parent_riemann_zeta(s, budget)
         assert lo <= enc.lo and enc.hi <= hi
+
+
+# budgets across 1 to 40,000, dense where the loop lost nesting at s = 12
+# (between 6,282 and 10,270)
+_GROWING = sorted(set(range(1, 40_001, 1999)) | set(range(6000, 10_500, 250)))
+
+
+@pytest.mark.parametrize("s", [F(12), F(23, 2), F(25, 2), F(20), F(40)], ids=str)
+def test_riemann_zeta_nests_as_the_budget_grows(s):
+    stop = _element_stop(s)
+    if s.denominator == 1:  # integer terms are cheap: every budget near the stop too
+        budgets = sorted(set(_GROWING) | set(range(max(stop - 40, 1), stop + 3)))
+    else:
+        budgets = [1, 2, 3, 10, 100, 1000, 5000, 12_000, 25_000, 40_000]
+    prev = None
+    for budget in budgets:
+        enc = riemann_zeta(s, budget)
+        if prev is not None:
+            assert prev.lo <= enc.lo and enc.hi <= prev.hi, (s, budget)
+        prev = enc
+    assert prev == zeta_s(_ALL, s, budgets[-1])
 
 
 def test_kappa_values():
