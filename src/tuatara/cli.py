@@ -490,6 +490,10 @@ def _cmd_egyptian(args) -> int:
 
 
 def _cmd_kraft(args) -> int:
+    longest = max(args.lengths)
+    if longest > args.budget:
+        print(f"error: kraft length {longest} is past --budget {args.budget}", file=sys.stderr)
+        return EXIT_BUDGET
     words = kraft_chaitin(args.lengths)
     rows = [
         [str(i + 1), str(n), render_bits(w)]
@@ -519,7 +523,7 @@ def _cmd_density(args) -> int:
     e = Enclosure.exact(value)
     _emit(
         ["n", "value", "decimal"],
-        [[str(args.n), str(value), _decimal_common(e)]],
+        [[str(args.n), _frac(value), _decimal_common(e)]],
         args.format,
     )
     return EXIT_OK

@@ -77,6 +77,9 @@ class ExecutableMachine:
             raise ValueError("machine spec is not executable")
 
     def _run_iota(self, w: str) -> str | None:
+        # a program has one more 0 than 1s; text that is not plain bits goes to parse
+        if w.count("0") != w.count("1") + 1 and not w.strip("01"):
+            return None
         try:
             term = iota_mod.parse(w)
         except iota_mod.ParseFailure:

@@ -161,7 +161,10 @@ class KraftAllocator:
     """
 
     def __init__(self) -> None:
-        self._avail: dict[int, str] = {0: ""}
+        # depth -> (stem, zeros): the node stem 0^zeros 1, or the bare stem
+        # when zeros is None (the root); the siblings a request releases
+        # share its stem, so a node's text is built only when it is taken
+        self._avail: dict[int, tuple[str, int | None]] = {0: ("", None)}
         self._count = 0
 
     @property
@@ -176,9 +179,10 @@ class KraftAllocator:
         if not fits:
             raise KraftViolation(self._count, n)
         d = max(fits)
-        node = self._avail.pop(d)
+        stem, zeros = self._avail.pop(d)
+        node = stem if zeros is None else stem + "0" * zeros + "1"
         for i in range(n - d):
-            self._avail[d + i + 1] = node + "0" * i + "1"
+            self._avail[d + i + 1] = (node, i)
         return node + "0" * (n - d)
 
 

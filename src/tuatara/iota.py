@@ -6,9 +6,11 @@ S and K: iota x rewrites to x S K, and the usual rules S x y z -> x z (y z),
 K x y -> x apply. Reduction is normal order (leftmost outermost) under
 explicit step and size budgets; running out of budget is an ordinary result,
 not an exception. One kernel applies the rules, reducing a term to weak
-head normal form: a stuck head atom and its unreduced arguments. Full
-normalization head-reduces and then normalizes each argument; the list
-decoder needs only heads and stops there.
+head normal form: a stuck head atom and its unreduced arguments. It keeps
+the pending arguments on a stack and its step and size counts in locals,
+so a step builds at most one new cell. Full normalization head-reduces and
+then normalizes each argument; the list decoder needs only heads and stops
+there.
 
 Valid programs of length 2n-1 are counted by the Catalan number C_{n-1},
 and the prefix code they form carries total weight
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import indexOf
 
 from .numerics import Enclosure
 
@@ -124,40 +128,40 @@ class TrailingBits(ParseFailure):
 
 def _clean(bits: str) -> str:
     out = "".join(bits.split())
-    if any(c not in "01" for c in out):
+    if out.strip("01"):
         raise ValueError(f"program text must be 0s and 1s: {bits!r}")
     return out
+
+
+_OPEN = {"0": -1, "1": 1}.__getitem__  # change in the count of open subterms
+
+
+def _check(s: str) -> None:
+    """Raise Incomplete or TrailingBits unless s is exactly one program."""
+    try:
+        # the bits read when the count first closes every open subterm
+        end = indexOf(accumulate(map(_OPEN, s), initial=1), 0)
+    except ValueError:
+        raise Incomplete(1 + s.count("1") - s.count("0")) from None
+    if end != len(s):
+        raise TrailingBits(end)
 
 
 def parse(bits: str) -> Term:
     """Parse a program, ignoring whitespace. Raises Incomplete or TrailingBits."""
     s = _clean(bits)
-    if not s:
-        raise Incomplete(1)
-    need = 1
-    for pos, c in enumerate(s):
-        need += 1 if c == "1" else -1
-        if need == 0:
-            if pos != len(s) - 1:
-                raise TrailingBits(pos + 1)
-            break
-    if need > 0:
-        raise Incomplete(need)
+    _check(s)
     # build right to left: each '0' pushes a leaf, each '1' folds the top two
     stack: list[Term] = []
+    push, pop = stack.append, stack.pop
     for c in reversed(s):
-        if c == "0":
-            stack.append(IOTA)
-        else:
-            f = stack.pop()
-            x = stack.pop()
-            stack.append(App(f, x))
+        push(IOTA if c == "0" else App(pop(), pop()))
     return stack[0]
 
 
 def is_program(bits: str) -> bool:
     try:
-        parse(bits)
+        _check(_clean(bits))
         return True
     except ParseFailure:
         return False
@@ -252,43 +256,48 @@ class _Meter:
         self.step_budget = step_budget
         self.size_budget = size_budget
 
-    def spend(self, delta: int) -> None:
-        self.steps += 1
-        if self.steps > self.step_budget:
-            raise _BudgetStop("steps")
-        self.size += delta
-        if self.size > self.size_budget:
-            raise _BudgetStop("size")
-
 
 def _whnf(t: Term, meter: _Meter) -> tuple[Term, list[Term]]:
     """Normal-order head reduction: the stuck head atom and its arguments.
 
     The head is a probe mark, or a combinator applied to too few arguments
-    to fire; the arguments are left unreduced, in application order.
+    to fire; the arguments are left unreduced, in application order. They
+    wait on a stack, the first on top, so a rule rewrites the head and the
+    stack in place: iota x pushes K and S and goes on at x, K x y drops y,
+    and S x y z builds only the cell y z. Each step counts in locals and
+    tests the step budget before the size budget; the counts go back to the
+    meter on every exit.
     """
-    spine: list[App] = []
+    args: list[Term] = []
+    push, pop = args.append, args.pop
+    steps, size = meter.steps, meter.size
+    step_budget, size_budget = meter.step_budget, meter.size_budget
     while True:
         while isinstance(t, App):
-            spine.append(t)
+            push(t.x)
             t = t.f
-        if t is IOTA and spine:
-            x = spine.pop().x
-            t = App(App(x, S), K)
-            meter.spend(2)
-        elif t is K and len(spine) >= 2:
-            x = spine.pop().x
-            y = spine.pop().x
-            meter.spend(-(y.size + 3))
-            t = x
-        elif t is S and len(spine) >= 3:
-            x = spine.pop().x
-            y = spine.pop().x
-            z = spine.pop().x
-            meter.spend(z.size - 1)
-            t = App(App(x, z), App(y, z))
+        if t is IOTA and args:
+            t = pop()
+            args += (K, S)
+            delta = 2
+        elif t is K and len(args) >= 2:
+            t = pop()
+            delta = -(pop().size + 3)
+        elif t is S and len(args) >= 3:
+            t, y, z = pop(), pop(), pop()
+            args += (App(y, z), z)
+            delta = z.size - 1
         else:
-            return t, [a.x for a in reversed(spine)]
+            meter.steps, meter.size = steps, size
+            return t, args[::-1]
+        steps += 1
+        if steps > step_budget:
+            meter.steps, meter.size = steps, size
+            raise _BudgetStop("steps")
+        size += delta
+        if size > size_budget:
+            meter.steps, meter.size = steps, size
+            raise _BudgetStop("size")
 
 
 def _normalize(root: Term, meter: _Meter) -> Term:

@@ -25,7 +25,7 @@ from tuatara.cli import (
     run,
 )
 from tuatara.iota import run_program, words_of_length
-from tuatara.machines import Builtin, Construction, FiniteTable
+from tuatara.machines import DENSITY_LENGTH_CAP, Builtin, Construction, FiniteTable
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
 _FINITE2 = "machine b\nkind finite\ndomain 0\ndomain 11\n"
@@ -175,6 +175,24 @@ def test_density_command(tmp_path, capsys):
     assert fields[0] == "7" and fields[2] == "0.452846428777"
     code, out, err = _go(capsys, "density", "41", "--machine", f, "--format", "csv")
     assert out.splitlines()[1].split(",")[2] == "0.806469782349"
+
+
+def test_density_text_and_cap(tmp_path, capsys):
+    f = _file(tmp_path, _LUKA)
+    code, out, err = _go(capsys, "density", "3000", "--machine", f, "--format", "csv")
+    assert code == EXIT_OK and err == ""
+    assert len(out.splitlines()[1].split(",")[1]) > 4300
+    code, out, err = _go(capsys, "density", str(DENSITY_LENGTH_CAP + 1), "--machine", f)
+    assert code == EXIT_COMPUTE and out == ""
+    assert err == f"error: density length {DENSITY_LENGTH_CAP + 1} is past the cap of 8000\n"
+
+
+def test_kraft_lengths_past_budget(capsys):
+    code, out, err = _go(capsys, "kraft", "1", "100000", "--format", "csv")
+    assert code == EXIT_OK and out.splitlines()[2] == "2,100000,1" + "0" * 99999
+    code, out, err = _go(capsys, "kraft", "1", "3", "--budget", "2")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: kraft length 3 is past --budget 2\n"
 
 
 def test_sanity_command(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Each argv is drawn from the command and option names, small integers and
 rationals, bit strings and junk tokens. Integer arguments stay within 64,
-except iota zeta's, which the budget caps and which reach past it to 3000;
+except those that the budget or a cap bounds: iota zeta's N reaches 3000
+and kraft's lengths 10^9 (both are refused past --budget), and density's n
+reaches from past DENSITY_LENGTH_CAP to 10^12;
 and every argv ends with --budget at most 2000 and --steps at most 1000
 (argparse keeps the last occurrence of an option), so every run is
 bounded. run() is called in-process and no subprocess is started. The same
@@ -18,6 +20,7 @@ import io
 import pytest
 
 from tuatara.cli import EXIT_BUDGET, EXIT_COMPUTE, run
+from tuatara.machines import DENSITY_LENGTH_CAP
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -68,6 +71,10 @@ _rational = st.one_of(
 _s = st.one_of(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64), st.integers(1, 64)), _rational
 )
+# past the budget or the cap; an n at or just below the density cap is left
+# out, as each such run takes seconds
+_length = st.one_of(_int, st.integers(-2, 3000).map(str), st.integers(-2, 10 ** 9).map(str))
+_density_n = st.one_of(_int, st.integers(DENSITY_LENGTH_CAP + 1, 10 ** 12).map(str))
 _bits = st.one_of(st.text("01", max_size=64), st.just("eps"))
 _kind = st.sampled_from(("plain", "prefix", "nabla-log"))
 # each command's arguments: positionals, then options it needs or takes
@@ -81,10 +88,10 @@ _ARGUMENTS = {
     "kappa": ("-s", _s),
     "kappa-natural": ("-s", _s),
     "egyptian": (_rational, "--floor", _int),
-    "kraft": (_int, _int, _int),
+    "kraft": (_length, _length, _length),
     "grid": (_int, _int),
     "fresh-index": (_bits,),
-    "density": (_int,),
+    "density": (_density_n,),
     "nabla": (_bits,),
     "complexity": (_bits, "--kind", _kind),
     "deficiency": (_bits, "--kind", _kind, "-s", _s),

@@ -165,6 +165,27 @@ def test_kraft_chaitin_random_streams():
         assert is_prefix_free(words)
 
 
+def _string_allocator_words(lengths: list[int]) -> list[str]:
+    """Reference allocator that stores every released sibling as its text."""
+    avail, out = {0: ""}, []
+    for n in lengths:
+        d = max(d for d in avail if d <= n)
+        node = avail.pop(d)
+        for i in range(n - d):
+            avail[d + i + 1] = node + "0" * i + "1"
+        out.append(node + "0" * (n - d))
+    return out
+
+
+def test_kraft_words_match_the_string_allocator():
+    rng = random.Random(47)
+    for _ in range(200):
+        lengths = _random_admissible_lengths(rng)
+        # a long first request releases siblings at every depth below it
+        lengths = [rng.randint(24, 400)] + [n + 1 for n in lengths]
+        assert kraft_chaitin(lengths) == _string_allocator_words(lengths)
+
+
 def test_unit_sum_third():
     asg = unit_sum_to_prefix_free((3,), 20)
     assert isinstance(asg, CodeAssignment)
