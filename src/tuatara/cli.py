@@ -395,16 +395,17 @@ def _cmd_iota(args) -> int:
         out = iota_mod.decode_bits(parse_bits(args.bits), args.steps, args.size_budget)
         print(render_bits(out))
         return EXIT_OK
-    if cmd == "count":
-        if args.length < 0:
-            raise ValueError("length must be >= 0")
-        print(iota_mod.count_programs(args.length))
-        return EXIT_OK
-    if args.n > args.budget:
-        print(f"error: iota zeta {args.n} is past --budget {args.budget}", file=sys.stderr)
+    n = args.length if cmd == "count" else args.n
+    if cmd == "count" and n < 0:
+        raise ValueError("length must be >= 0")
+    if n > args.budget:
+        print(f"error: iota {cmd} {n} is past --budget {args.budget}", file=sys.stderr)
         return EXIT_BUDGET
-    e = iota_mod.iota_zeta_partial(args.n)
-    _enclosure_report(f"iota-zeta[{args.n}]", e, args)
+    if cmd == "count":
+        print(frac_text(iota_mod.count_programs(n)))
+        return EXIT_OK
+    e = iota_mod.iota_zeta_partial(n)
+    _enclosure_report(f"iota-zeta[{n}]", e, args)
     return EXIT_OK
 
 

@@ -28,7 +28,9 @@ from typing import Callable, Iterator
 
 from . import iota as iota_mod
 from .binstr import all_strings, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
-from .numerics import Enclosure, first_primes, frac_text, log2_bounds, pow2_bounds, pow_bounds
+from .numerics import (
+    Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds
+)
 
 DEFAULT_BUDGET = 10 ** 5
 
@@ -746,7 +748,7 @@ class _IntervalAcc:
     sum of reduced Fractions, and lo and hi, which build their Fraction when
     read, equal that sum's.
 
-    Terms arrive in two forms, and neither builds a Fraction on the grid:
+    Terms arrive in three forms, and none builds a Fraction on the grid:
     - add(t_lo, t_hi, count) adds count copies of a term t_lo <= t <= t_hi,
       as the omega kind does for a run of strings of one length. On the
       grid, count copies of the rounded term equal count rounded terms. In
@@ -758,6 +760,9 @@ class _IntervalAcc:
       sum.
     - add_inverse(m) adds the exact term 1/m, as the zeta kind does at
       integer s; on the grid it is one integer divmod of 2^_ACC_BITS by m.
+    - add_ratio(num, d_lo, d_hi) adds a term num/d_lo <= t <= num/d_hi, as
+      the zeta kind does at non-integer s. Exact mode takes the integers
+      unreduced (ld is still a multiple of the reduced denominator).
 
     So an exhaustible stream at integer s comes out exact (lo == hi) only
     while its denominators stay small: omega sums of finite tables do, but
@@ -823,6 +828,12 @@ class _IntervalAcc:
         self.lo_i += q
         self.hi_i += q + (r != 0)
 
+    def add_ratio(self, num: int, d_lo: int, d_hi: int) -> None:
+        if self.exact:
+            return self._add_exact(num, d_lo, num, d_hi)
+        self.lo_i += (num << _ACC_BITS) // d_lo
+        self.hi_i -= (-num << _ACC_BITS) // d_hi
+
     @property
     def lo(self) -> Fraction:
         return Fraction(self.ln, self.ld) if self.exact else Fraction(self.lo_i, _ACC_ONE)
@@ -832,6 +843,24 @@ class _IntervalAcc:
         if not self.exact:
             return Fraction(self.hi_i, _ACC_ONE)
         return Fraction(self.ln, self.ld) if self.hn is None else Fraction(self.hn, self.hd)
+
+
+def _root_terms(s: Fraction) -> Callable[[_IntervalAcc, int], None]:
+    """The adder of zeta terms key^-s at non-integer s: one certified root
+    each, in integers. Past exact mode a key >= cut has key^s > 2^_ACC_BITS,
+    so r >= 2^(p + _ACC_BITS) and the root's enclosure would floor to 0 and
+    ceil to 1 grid unit: that unit goes in with no root."""
+    a, b = s.numerator, s.denominator
+    cut = 1 << (_ACC_BITS * b // a + 1)
+
+    def add(acc: _IntervalAcc, key: int) -> None:
+        if key >= cut and not acc.exact:
+            acc.hi_i += 1
+            return
+        p, r = inverse_root(key ** a, 1, b, _TERM_PREC)
+        acc.add_ratio(1 << p, r + 1, r)
+
+    return add
 
 
 def _element_stop(s: Fraction) -> int:
@@ -885,14 +914,16 @@ def weighted_domain_sum(
     # and the tail bound over the completed lengths covers the rest
     tail_at = stream.element_tail(s, kind)
     limit = budget if tail_at is None else min(budget, _element_stop(s))
-    stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * s.denominator // s.numerator + 1
+    a, b = s.numerator, s.denominator
+    stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * b // a + 1
 
     # the keys of _weight_key: omega weights depend on the length alone, so
     # the strings of one length are added as one run from run_start on; zeta
     # weights depend on the index, which some streams yield without strings
     omega = kind == "omega"
     src: Iterator[int] = map(len, stream) if omega else stream.indices()
-    k = s.numerator if s.denominator == 1 else 0
+    k = a if b == 1 else 0
+    add_root = None if omega or k else _root_terms(s)
     next_key = 1 if omega else 2  # the least key of a length past current_len
     run_start = 0
 
@@ -919,7 +950,7 @@ def weighted_domain_sum(
             if k:
                 acc.add_inverse(key ** k)
             else:
-                acc.add(*_weight_interval(key, s, kind))
+                add_root(acc, key)
         consumed += 1
     else:
         # short of the budget, limit is the bracketed stop; at the budget,

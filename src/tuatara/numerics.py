@@ -358,6 +358,15 @@ def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
     return _ikroot((num << (k * prec)) // den, k)
 
 
+def inverse_root(num: int, den: int, k: int, prec: int) -> tuple[int, int]:
+    """(p, r) with 2^p / (r + 1) < (num/den)^(-1/k) <= 2^p / r: r is
+    floor(2^p (num/den)^(1/k)), and p doubles from prec + 4 while it is 0."""
+    p = prec + 4
+    while (r := _scaled_root(num, den, k, p)) == 0:
+        p *= 2
+    return p, r
+
+
 def root_bounds(v: Fraction, k: int, prec: int = 64) -> Enclosure:
     """Interval of width <= 2^-prec around v^(1/k), v >= 0 rational, k >= 1."""
     if v < 0:
@@ -380,12 +389,7 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
         return Enclosure.exact(v ** e.numerator)
     a, b = e.numerator, e.denominator
     if a < 0:
-        # the reciprocal of the root enclosure at p bits, in integers:
-        # 2^p / (r + 1) < v^e <= 2^p / r with r = floor(2^p v^(-e)); a tiny
-        # v^(-e) can floor r to zero, so widen p until it is positive
-        p = prec + 4
-        while (r := _scaled_root(v.numerator ** -a, v.denominator ** -a, b, p)) == 0:
-            p *= 2
+        p, r = inverse_root(v.numerator ** -a, v.denominator ** -a, b, prec)
         return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
     return root_bounds(v ** a, b, prec)
 

@@ -24,7 +24,7 @@ from tuatara.cli import (
     parse_machine_file,
     run,
 )
-from tuatara.iota import run_program, words_of_length
+from tuatara.iota import count_programs, run_program, words_of_length
 from tuatara.machines import DENSITY_LENGTH_CAP, Builtin, Construction, FiniteTable
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
@@ -280,6 +280,14 @@ def test_iota_commands(capsys):
     assert (code, out) == (EXIT_OK, "14\n")
     code, out, err = _go(capsys, "iota", "count", "-1")
     assert code == EXIT_COMPUTE and err == "error: length must be >= 0\n"
+    # past str()'s 4,300 digits the count prints in full; past --budget it
+    # is refused at once
+    code, out, err = _go(capsys, "iota", "count", "100001")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: iota count 100001 is past --budget 100000\n"
+    code, out, err = _go(capsys, "iota", "count", "99999")
+    assert code == EXIT_OK and len(out) == 30097
+    assert Decimal(out) == count_programs(99999)
     code, out, err = _go(capsys, "iota", "zeta", "4", "--format", "csv")
     assert code == EXIT_OK
     assert out.splitlines()[1] == "iota-zeta[4],93/128,1,,interval,100000"

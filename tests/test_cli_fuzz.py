@@ -3,8 +3,8 @@
 Each argv is drawn from the command and option names, small integers and
 rationals, bit strings and junk tokens. Integer arguments stay within 64,
 except those that the budget or a cap bounds: iota zeta's N reaches 3000
-and kraft's lengths 10^9 (both are refused past --budget), and density's n
-reaches from past DENSITY_LENGTH_CAP to 10^12;
+and kraft's lengths and iota count's N 10^9 (all are refused past
+--budget), and density's n reaches from past DENSITY_LENGTH_CAP to 10^12;
 and every argv ends with --budget at most 2000 and --steps at most 1000
 (argparse keeps the last occurrence of an option), so every run is
 bounded. run() is called in-process and no subprocess is started. The same
@@ -99,7 +99,7 @@ _ARGUMENTS = {
     "iota run": (_bits,),
     "iota encode": (_bits,),
     "iota decode": (_bits,),
-    "iota count": (_int,),
+    "iota count": (_length,),
     "iota zeta": (st.integers(-2, 3000).map(str),),
 }
 # options every command takes

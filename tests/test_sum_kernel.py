@@ -12,17 +12,22 @@ reference's. Run on a 2^-128 grid, the same reference is the engine as it
 was before its grid grew to 2^-192, and every enclosure must nest inside
 that one. A second reference is the run accumulator whose exact mode added
 reduced Fractions; the integer exact mode must agree with it after every
-operation.
+operation. It is also the reference for zeta terms at non-integer s, which
+the engine adds from the integers of one root and, past exact mode, adds
+with no root at all once a key is far enough below the grid: they must
+equal _weight_interval's Fractions added to it.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
+from itertools import islice
 from math import lcm, prod
 
 import pytest
 
-from tuatara import machines
+from tuatara import machines, numerics
 from tuatara.machines import (
     _ACC_BITS,
     _STOP_BITS,
@@ -30,6 +35,7 @@ from tuatara.machines import (
     Construction,
     FiniteTable,
     _IntervalAcc,
+    _root_terms,
     _tail_upper,
     _weight_interval,
     domain_stream,
@@ -135,6 +141,22 @@ def _replay(ops):
                 a.add_inverse(op[1])
         assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact), op
     return acc
+
+
+def _replay_roots(s: F, keys, grid: bool) -> None:
+    """Add key^-s for each key through the engine's root terms and through
+    _weight_interval's Fractions, comparing after each; grid starts both
+    accumulators past exact mode."""
+    acc, ref = _IntervalAcc(), _FractionAcc()
+    if grid:
+        for a in (acc, ref):
+            a.add_inverse(3 ** 2600)  # 4,121 bits
+        assert not acc.exact
+    add = _root_terms(s)
+    for key in keys:
+        add(acc, key)
+        ref.add(*_weight_interval(key, s, "zeta"))
+        assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact), (s, key)
 
 
 def _ref_sum(spec, s: F, budget: int, kind: str, bits: int = _ACC_BITS):
@@ -328,8 +350,57 @@ def test_omega_adds_once_per_length(monkeypatch):
     assert rep.consumed == 10 ** 5 and len(calls) <= lengths + 1
 
 
+def test_root_terms_at_the_cut():
+    # 192/s = 128 at s = 3/2: 2^128 has key^s = 2^192 exactly, and the cut
+    # is 2^129; at s = 5/3 (115.2) the cut is 2^116
+    for s in (F(3, 2), F(5, 3), F(193, 192), F(2001, 2)):
+        L = _ACC_BITS * s.denominator // s.numerator
+        near = [(1 << j) + d for j in (L, L + 1) for d in (-1, 0, 1)]
+        keys = [1, 2, 3, 1 << 300] + [k for k in near if k > 0]
+        for grid in (False, True):
+            _replay_roots(s, keys, grid)
+
+
+def test_rational_zeta_sums_take_no_pow_bounds_per_term(monkeypatch):
+    # only the tails, one per completed length, go through pow_bounds
+    calls = []
+    pow_bounds = machines.pow_bounds
+    monkeypatch.setattr(machines, "pow_bounds", lambda *a: calls.append(a) or pow_bounds(*a))
+    rep = weighted_domain_sum(_LUKA, F(3, 2), 2000, "zeta")
+    lengths = {len(w) for w in islice(domain_stream(_LUKA), 2000)}
+    assert rep.consumed == 2000 and len(calls) <= len(lengths) + 3
+
+
+def _table(indices) -> FiniteTable:
+    return FiniteTable(tuple(format(n, "b")[1:] for n in indices))
+
+
+def test_terms_below_the_grid_take_no_root(monkeypatch):
+    roots = []
+    scaled_root = numerics._scaled_root
+    monkeypatch.setattr(
+        numerics, "_scaled_root", lambda *a: roots.append(a) or scaled_root(*a)
+    )
+    rng = random.Random(2001)
+    # the first of 40 20-bit indices at s = 2001/2 takes the sum past the
+    # guard, and every later index is past the cut, 2^1
+    big = _table(rng.sample(range(1 << 19, 1 << 20), 40))
+    # at s = 5/3 the indices 2..40 take it past the guard (at 26), and the
+    # cut is 2^116: the ten indices below it take a root, the twenty past
+    # it none
+    edge = _table(
+        list(range(2, 41))
+        + [(1 << j) | rng.getrandbits(j) for j in (115, 116, 117) for _ in range(10)]
+    )
+    for spec, s, count in ((big, F(2001, 2), 1), (edge, F(5, 3), 39 + 10)):
+        roots.clear()
+        rep = weighted_domain_sum(spec, s, 100, "zeta")
+        assert len(roots) == count and rep.exhausted and not rep.enclosure.is_exact
+        _same_as_reference(spec, s, 100, "zeta")
+
+
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
     given = None
 
@@ -397,3 +468,28 @@ if given is not None:
     )
     def test_random_tables_match_the_reference(words, kind, s, budget):
         _same_as_reference(FiniteTable(tuple(words)), s, budget, kind)
+
+    @st.composite
+    def _root_case(draw):
+        """An exponent a/b with 2 <= b <= 101, where 192/s is sometimes a
+        whole length, and keys up to 2^300: powers of two, either side of
+        both powers around the cut, and any."""
+        if draw(st.booleans()):
+            s = F(_ACC_BITS, draw(st.integers(1, 191)))
+        else:
+            b = draw(st.integers(2, 101))
+            s = F(draw(st.integers(b, 4 * b)), b)
+        assume(2 <= s.denominator <= 101)
+        L = _ACC_BITS * s.denominator // s.numerator
+        near = st.builds(
+            lambda j, d: max((1 << j) + d, 1), st.sampled_from((L, L + 1)), st.integers(-1, 1)
+        )
+        key = st.one_of(
+            near, st.integers(0, 300).map(lambda j: 1 << j), st.integers(1, 1 << 300)
+        )
+        return s, draw(st.lists(key, max_size=12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_root_case(), st.booleans())
+    def test_root_terms_match_weight_interval(case, grid):
+        _replay_roots(*case, grid)
