@@ -760,9 +760,8 @@ class _IntervalAcc:
       sum.
     - add_inverse(m) adds the exact term 1/m, as the zeta kind does at
       integer s; on the grid it is one integer divmod of 2^_ACC_BITS by m.
-    - add_ratio(num, d_lo, d_hi) adds a term num/d_lo <= t <= num/d_hi, as
-      the zeta kind does at non-integer s. Exact mode takes the integers
-      unreduced (ld is still a multiple of the reduced denominator).
+    - add_ratio(num, d_lo, d_hi) adds num/d_lo <= t <= num/d_hi, as the zeta
+      kind does at non-integer s; exact mode takes the integers unreduced.
 
     So an exhaustible stream at integer s comes out exact (lo == hi) only
     while its denominators stay small: omega sums of finite tables do, but
