@@ -15,17 +15,11 @@ from .numerics import Enclosure, first_primes, ln_bounds, pow2_bounds
 
 def omega_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of the length-weighted domain sum at exponent s > 0."""
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError("omega_s needs s > 0")
     return weighted_domain_sum(spec, s, budget, "omega").enclosure
 
 
 def zeta_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of the index-weighted domain sum at exponent s >= 1."""
-    s = Fraction(s)
-    if s < 1:
-        raise ValueError("zeta_s needs s >= 1")
     return weighted_domain_sum(spec, s, budget, "zeta").enclosure
 
 

@@ -25,7 +25,13 @@ from tuatara.cli import (
     run,
 )
 from tuatara.iota import count_programs, run_program, words_of_length
-from tuatara.machines import DENSITY_LENGTH_CAP, Builtin, Construction, FiniteTable
+from tuatara.machines import (
+    DENSITY_LENGTH_CAP,
+    PRODUCT_COUNT_CAP,
+    Builtin,
+    Construction,
+    FiniteTable,
+)
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
 _FINITE2 = "machine b\nkind finite\ndomain 0\ndomain 11\n"
@@ -185,6 +191,37 @@ def test_density_text_and_cap(tmp_path, capsys):
     code, out, err = _go(capsys, "density", str(DENSITY_LENGTH_CAP + 1), "--machine", f)
     assert code == EXIT_COMPUTE and out == ""
     assert err == f"error: density length {DENSITY_LENGTH_CAP + 1} is past the cap of 8000\n"
+
+
+def test_product_density_cap(tmp_path, capsys):
+    # the counts of this product's strings grow like N^5: 532,801 up to
+    # length 68, past PRODUCT_COUNT_CAP, so no longer length is counted
+    f = _file(
+        tmp_path,
+        "machine a\nkind finite\n"
+        + "".join(f"domain {w}\n" for w in ("0", "10", "110", "1110", "11110", "11111"))
+        + "machine p\nkind construction\nconstruct product a\n",
+    )
+    code, out, err = _go(capsys, "density", "68", "--machine", f, "--format", "csv")
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1].split(",")[2] == "0.279753489185"
+    start = time.perf_counter()
+    code, out, err = _go(capsys, "density", "200", "--machine", f)
+    assert time.perf_counter() - start < 20
+    assert code == EXIT_COMPUTE and out == ""
+    assert err == (
+        f"error: 532801 product strings up to length 68, past the cap of {PRODUCT_COUNT_CAP}\n"
+    )
+
+
+def test_exponent_range_is_the_engines(tmp_path, capsys):
+    f = _file(tmp_path, _FINITE)
+    for argv, message in (
+        (("omega-s", "-s", "0"), "omega sums need s > 0"),
+        (("zeta-s", "-s", "1/2"), "zeta sums need s >= 1"),
+    ):
+        code, out, err = _go(capsys, *argv, "--machine", f)
+        assert (code, out, err) == (EXIT_COMPUTE, "", f"error: {message}\n")
 
 
 def test_kraft_lengths_past_budget(capsys):

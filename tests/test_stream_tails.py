@@ -1,0 +1,392 @@
+"""Differential tests of the streams' tail bounds against their older form.
+
+Each stream now states its upper bounds through tail_bound alone, and
+total_upper is the one base definition, the smaller of the stream's tail
+past length -1 and the majorant over all strings. The reference kept here
+is the earlier stream layer: total_upper overrides on five stream kinds
+(all_strings, product, double, tuatara_of, prime_product), a prime_product
+tail of the Euler product less 1 past length 0, a counting loop per finite,
+universal and tuatara_of stream, and the per-element sum loop whose upper
+bound took total_upper and the tails at every completed length from -1 on.
+weighted_domain_sum must give the same enclosure, endpoint for endpoint,
+the same consumed count and the same exhaustion as that reference, and the
+streams must count and enumerate the same strings.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+
+from tuatara import machines
+from tuatara.binstr import bin_inv
+from tuatara.machines import (
+    _STOP_BITS,
+    Builtin,
+    Construction,
+    FiniteTable,
+    _IntervalAcc,
+    _lenlex_key,
+    _tail_upper,
+    _weight_interval,
+    domain_stream,
+    weighted_domain_sum,
+)
+
+# ---------------------------------------------------------------------------
+# the earlier stream layer
+
+
+class _OldTotal:
+    def total_upper(self, s, kind):
+        return self.tail_bound(-1, s, kind)
+
+
+class _RefOperand:
+    def __init__(self, spec):
+        self.inner = _ref_stream(spec.operands[0])
+        self.exhaustible = self.inner.exhaustible
+
+
+def _old_strings_tail(strings, ell, s, kind):
+    acc = F(0)
+    for w in strings:
+        if len(w) > ell:
+            key = len(w) if kind == "omega" else bin_inv(w)
+            acc += _weight_interval(key, s, kind)[1]
+    return acc
+
+
+class _RefFinite(_OldTotal, machines._FiniteStream):
+    def count_up_to_length(self, ell):
+        return sum(1 for w in self.strings if len(w) <= ell)
+
+    def tail_bound(self, ell, s, kind):
+        return _old_strings_tail(self.strings, ell, s, kind)
+
+
+class _RefAllStrings(machines._AllStringsStream):
+    def total_upper(self, s, kind):
+        if kind != "omega" or s <= 1:
+            return None
+        r = machines.pow2_bounds(1 - s, machines._TERM_PREC).hi
+        return None if r >= 1 else 1 / (1 - r)
+
+
+class _RefLukasiewicz(_OldTotal, machines._LukasiewiczStream):
+    pass
+
+
+class _RefGeometric(_OldTotal, machines._GeometricStream):
+    def __iter__(self):
+        extras = list(self.extras)
+        pos = 0
+        for i in itertools.count(0):
+            base = "0" * i + "1"
+            while pos < len(extras) and _lenlex_key(extras[pos]) < _lenlex_key(base):
+                yield extras[pos]
+                pos += 1
+            yield base
+
+    def tail_bound(self, ell, s, kind):
+        if s <= 0:
+            return None
+        i0 = max(ell, 0)
+        r = machines.pow2_bounds(-s, machines._TERM_PREC).hi
+        if r >= 1:
+            return None
+        acc = machines.pow2_bounds(-s * (i0 + 1), machines._TERM_PREC).hi / (1 - r)
+        return acc + _old_strings_tail(self.extras, ell, s, kind)
+
+
+class _RefProduct(machines._ProductStream):
+    def count_up_to_length(self, ell):
+        return sum(len(self._level(l)) for l in range(0, max(ell, -1) + 1))
+
+    def total_upper(self, s, kind):
+        acc = F(1)
+        for p in self._usable:
+            x = _weight_interval(len(p), s, "omega")[1]
+            if x >= 1:
+                return None
+            acc *= 1 / (1 - x)
+        return acc
+
+    def tail_bound(self, ell, s, kind):
+        total = self.total_upper(s, kind)
+        if total is None:
+            return None
+        heads = self._heads.setdefault(s, [F(0)])
+        while len(heads) <= ell + 1:
+            l = len(heads) - 1
+            heads.append(heads[l] + len(self._level(l)) * _weight_interval(l, s, "omega")[0])
+        return max(total - heads[ell + 1], F(0))
+
+
+class _RefDouble(_RefOperand, machines._DoubleStream):
+    def total_upper(self, s, kind):
+        return self.inner.total_upper(2 * s, "omega")
+
+
+class _RefTuataraOf(_RefOperand, machines._TuataraOfStream):
+    def count_up_to_length(self, ell):
+        if not self.exhaustible:
+            return None
+        return sum(1 for _ in itertools.takewhile(lambda x: len(x) <= ell, self))
+
+    def tail_bound(self, ell, s, kind):
+        return None
+
+    def total_upper(self, s, kind):
+        if s != 1:
+            return None
+        if kind == "zeta":
+            return self.inner.total_upper(F(1), "omega")
+        if self.exhaustible:
+            acc = F(0)
+            for p in self.inner:
+                acc += F(bin_inv(p), 4 ** len(p))
+            return acc
+        inner_total = self.inner.total_upper(F(1), "omega")
+        return None if inner_total is None else 2 * inner_total
+
+
+class _RefUniversal(machines._UniversalStream):
+    def __init__(self, spec):
+        self.members = [_ref_stream(op) for op in spec.operands]
+        if spec.kind == "universal_tuatara":
+            self.exponents = list(range(1, len(self.members) + 1))
+        else:
+            self.exponents = machines._convergent_exponents(spec)
+
+    def _all(self):
+        out = []
+        for j, member in zip(self.exponents, self.members):
+            prefix = "0" * j + "1"
+            out.extend(prefix + w for w in member)
+        return sorted(out, key=_lenlex_key)
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def count_up_to_length(self, ell):
+        return sum(1 for w in self._all() if len(w) <= ell)
+
+    def tail_bound(self, ell, s, kind):
+        return None
+
+    def total_upper(self, s, kind):
+        return None
+
+
+class _RefPrimeProduct(machines._PrimeProductStream):
+    def tail_bound(self, ell, s, kind):
+        total = self.total_upper(s, kind)
+        if total is None or ell < 0:
+            return total
+        return total - 1
+
+    def total_upper(self, s, kind):
+        if s.denominator != 1:
+            return None
+        k = s.numerator
+        euler = F(1)
+        for p in self.primes:
+            if p ** k <= 1:
+                return None
+            euler *= F(p ** k, p ** k - 1)
+        if kind == "zeta":
+            return euler
+        return F(2 ** k) * euler
+
+
+_REF_CONSTRUCTIONS = {
+    "product": _RefProduct,
+    "double": _RefDouble,
+    "tuatara_of": _RefTuataraOf,
+    "universal_tuatara": _RefUniversal,
+    "universal_convergent": _RefUniversal,
+    "prime_product": _RefPrimeProduct,
+}
+_REF_BUILTINS = {
+    "all_strings": lambda spec: _RefAllStrings(),
+    "lukasiewicz": lambda spec: _RefLukasiewicz(),
+    "geometric": _RefGeometric,
+}
+
+
+def _ref_stream(spec):
+    """The earlier stream of spec, operands included."""
+    if isinstance(spec, FiniteTable):
+        return _RefFinite(spec)
+    if isinstance(spec, Builtin):
+        return _REF_BUILTINS[spec.generator](spec)
+    return _REF_CONSTRUCTIONS[spec.kind](spec)
+
+
+def _ref_sum(stream, s, budget, kind):
+    """The per-element sum loop with the earlier upper bound:
+    (lo, hi, consumed, exhausted)."""
+    assert stream.element_tail(s, kind) is None
+    stream.limit_examined(budget)
+    acc = _IntervalAcc()
+    complete = [(-1, F(0))]
+    current_len = 0
+    consumed = 0
+    exhausted = False
+    src = (len(w) for w in stream) if kind == "omega" else stream.indices()
+    while consumed < budget:
+        try:
+            key = next(src, None)
+        except machines.StreamCut:
+            break
+        if key is None:
+            exhausted = True
+            break
+        length = key if kind == "omega" else key.bit_length() - 1
+        if length > current_len:
+            complete.append((length - 1, acc.hi))
+            current_len = length
+        if not stream.exhaustible and s * length > _STOP_BITS:
+            break
+        acc.add(*_weight_interval(key, s, kind))
+        consumed += 1
+    else:
+        if stream.exhaustible and next(src, None) is None:
+            exhausted = True
+    if exhausted:
+        return acc.lo, acc.hi, consumed, True
+    candidates = [stream.total_upper(s, kind)]
+    for ell, hi_complete in complete:
+        tail = _tail_upper(stream, ell, s, kind)
+        candidates.append(None if tail is None else hi_complete + tail)
+    hi = min((c for c in candidates if c is not None), default=None)
+    return acc.lo, hi, consumed, False
+
+
+def _same_sums(spec, exponents, budgets, kinds=("omega", "zeta")):
+    for kind in kinds:
+        for s in exponents:
+            if kind == "zeta" and s < 1:
+                continue
+            for budget in budgets:
+                rep = weighted_domain_sum(spec, s, budget, kind)
+                got = (rep.enclosure.lo, rep.enclosure.hi, rep.consumed, rep.exhausted)
+                assert got == _ref_sum(_ref_stream(spec), s, budget, kind), (kind, s, budget)
+
+
+# ---------------------------------------------------------------------------
+# the cases the single tail hook rests on
+
+_LUKA = Builtin("lukasiewicz")
+_PREFIX_FREE = FiniteTable(("0", "10", "1100", "1101", "111"))
+_BUDGETS = (0, 1, 2, 5, 40, 300)
+
+
+@pytest.mark.parametrize("operand", [_PREFIX_FREE, _LUKA, Builtin("geometric", ("10",))])
+def test_double_tuatara_of_reads_the_inner_total_at_twice_s(operand):
+    # at s = 1/2 the double's only finite tail is tuatara_of's total at s = 1
+    spec = Construction("double", (Construction("tuatara_of", (operand,)),))
+    _same_sums(spec, (F(1, 2), F(1), F(3, 2)), _BUDGETS)
+    rep = weighted_domain_sum(spec, F(1, 2), 40, "omega")
+    assert rep.enclosure.hi is not None
+
+
+@pytest.mark.parametrize("operand", [("", "0", "1"), ("0", "10", "1011"), ("1", "11")])
+def test_prime_product_past_length_zero(operand):
+    # budgets past length 0 drop the Euler product less 1, which never won
+    spec = Construction("prime_product", (FiniteTable(operand),))
+    _same_sums(spec, (F(1), F(2), F(3)), _BUDGETS + (2000,))
+    _same_sums(Construction("double", (spec,)), (F(1, 2), F(1)), _BUDGETS)
+
+
+@pytest.mark.parametrize("extras", [(), ("10",), ("10", "0110"), ("11", "0101", "1111")])
+def test_geometric_with_extras(extras):
+    spec = Builtin("geometric", extras)
+    _same_sums(spec, (F(1), F(7, 3)), _BUDGETS)
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    assert list(itertools.islice(new, 60)) == list(itertools.islice(ref, 60))
+    for ell in range(-1, 9):
+        assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
+
+
+@pytest.mark.parametrize("parts", [("1", "01"), ("0", "10", "110"), ("", "1", "00"), ("",)])
+def test_product_per_length_tails(parts):
+    spec = Construction("product", (FiniteTable(parts),))
+    _same_sums(spec, (F(1), F(2), F(3, 2), F(7, 3)), _BUDGETS)
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    for ell in range(-1, 12):
+        assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
+
+
+def test_all_strings_and_lukasiewicz_totals():
+    for spec in (Builtin("all_strings"), Construction("double", (Builtin("all_strings"),)), _LUKA):
+        _same_sums(spec, (F(1), F(3, 2), F(2), F(7, 3)), _BUDGETS, ("omega",))
+    _same_sums(Construction("tuatara_of", (_LUKA,)), (F(1), F(2)), _BUDGETS)
+
+
+_TABLES = {
+    "prefix_free": _PREFIX_FREE,
+    "with_empty": FiniteTable(("", "0", "11", "0101", "10", "111000")),
+    "dense": FiniteTable(tuple(format(n, "b")[1:] for n in range(2, 60, 3))),
+    "universal_tuatara": Construction(
+        "universal_tuatara", (_PREFIX_FREE, FiniteTable(("1", "01")))
+    ),
+    "universal_convergent": Construction(
+        "universal_convergent", (_PREFIX_FREE, FiniteTable(("1",))), (F(1), F(3, 2))
+    ),
+    "tuatara_of": Construction("tuatara_of", (_PREFIX_FREE,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_finite_domains_below_at_and_above_their_size(name):
+    spec = _TABLES[name]
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    strings = list(ref)
+    assert list(new) == strings
+    size = len(strings)
+    for ell in range(-1, len(strings[-1]) + 2):
+        assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
+    budgets = (0, 1, size // 2, size - 1, size, size + 1, 2 * size)
+    _same_sums(spec, (F(1), F(2), F(3, 2), F(7, 3)), budgets)
+
+
+def _min(*bounds):
+    return min((b for b in bounds if b is not None), default=None)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _PREFIX_FREE,
+        _TABLES["with_empty"],
+        Builtin("geometric", ("11", "0101", "1111")),
+        Construction("product", (FiniteTable(("0", "10", "110")),)),
+        Builtin("all_strings"),
+        _LUKA,
+        Construction("double", (Construction("tuatara_of", (_LUKA,)),)),
+        Construction("double", (Construction("prime_product", (FiniteTable(("0", "1")),)),)),
+        Construction("tuatara_of", (_PREFIX_FREE,)),
+        Construction("prime_product", (FiniteTable(("", "0", "1011")),)),
+        _TABLES["universal_convergent"],
+    ],
+)
+def test_tails_and_totals(spec):
+    # where the earlier layer had no override, each tail is unchanged; the
+    # total is the least of the earlier total_upper and the tail past -1
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    same_tails = type(ref).tail_bound in (
+        _RefFinite.tail_bound, _RefGeometric.tail_bound, _RefProduct.tail_bound,
+        machines._LukasiewiczStream.tail_bound, machines.DomainStream.tail_bound,
+    )
+    for kind in ("omega", "zeta"):
+        for s in (F(1, 2), F(1), F(3, 2), F(2), F(7, 3)):
+            if kind == "zeta" and s < 1:
+                continue
+            want = _min(ref.total_upper(s, kind), _tail_upper(ref, -1, s, kind))
+            assert new.total_upper(s, kind) == want, (kind, s)
+            for ell in range(-1, 9) if same_tails else ():
+                assert new.tail_bound(ell, s, kind) == ref.tail_bound(ell, s, kind)
