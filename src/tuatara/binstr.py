@@ -15,10 +15,11 @@ from typing import Iterable, Iterator
 EPS = "eps"  # rendering of the empty string in reports and machine files
 
 
-def validate_bits(w: str) -> str:
-    """Return w unchanged if it consists only of 0s and 1s (empty allowed)."""
+def validate_bits(w: str, error: type[ValueError] = ValueError) -> str:
+    """Return w unchanged if it consists only of 0s and 1s (empty allowed);
+    otherwise raise error."""
     if w.strip("01"):
-        raise ValueError(f"not a bit string: {w!r}")
+        raise error(f"not a bit string: {w!r}")
     return w
 
 

@@ -19,7 +19,7 @@ from .machines import (
     Construction,
     FiniteTable,
     MachineSpec,
-    _convergent_exponents,
+    _member_exponents,
 )
 
 
@@ -66,12 +66,8 @@ class ExecutableMachine:
             "universal_convergent",
         ):
             members = tuple(ExecutableMachine(op) for op in spec.operands)
-            if spec.kind == "universal_tuatara":
-                exponents = range(1, len(members) + 1)
-            else:
-                exponents = _convergent_exponents(spec)
             # prefix 0^j 1 routes to the member owning exponent j
-            self._slots = dict(zip(exponents, members))
+            self._slots = dict(zip(_member_exponents(spec), members))
             self._run = self._run_universal
         else:
             raise ValueError("machine spec is not executable")

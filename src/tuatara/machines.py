@@ -140,10 +140,7 @@ def validate_spec(spec: MachineSpec) -> None:
     if isinstance(spec, FiniteTable):
         seen = set()
         for w in spec.domain:
-            try:
-                validate_bits(w)
-            except ValueError as exc:
-                raise MachineSpecError(str(exc)) from None
+            validate_bits(w, MachineSpecError)
             if w in seen:
                 raise MachineSpecError(f"duplicate domain string {w!r}")
             seen.add(w)
@@ -152,7 +149,7 @@ def validate_spec(spec: MachineSpec) -> None:
                 raise MachineSpecError("outputs must parallel the domain")
             for out in spec.outputs:
                 if out is not None:
-                    validate_bits(out)
+                    validate_bits(out, MachineSpecError)
         return
     if isinstance(spec, Builtin):
         if spec.generator not in _BUILTINS:
@@ -161,7 +158,7 @@ def validate_spec(spec: MachineSpec) -> None:
             raise MachineSpecError("extras are only meaningful for geometric")
         seen = set()
         for w in spec.extras:
-            validate_bits(w)
+            validate_bits(w, MachineSpecError)
             if w in seen:
                 raise MachineSpecError(f"duplicate extra string {w!r}")
             seen.add(w)
@@ -200,14 +197,15 @@ def validate_spec(spec: MachineSpec) -> None:
             for b in spec.bounds:
                 if b <= 0:
                     raise MachineSpecError("declared bounds must be positive")
-            for n, j in enumerate(_convergent_exponents(spec), start=1):
+        elif spec.bounds:
+            raise MachineSpecError("bounds only apply to universal_convergent")
+        if spec.kind.startswith("universal"):
+            for n, j in enumerate(_member_exponents(spec), start=1):
                 if j > PREFIX_ZEROS_CAP:
                     raise MachineSpecError(
                         f"member {n}: its declared bound gives a prefix of more than "
                         f"{PREFIX_ZEROS_CAP} zeros"
                     )
-        elif spec.bounds:
-            raise MachineSpecError("bounds only apply to universal_convergent")
         return
     raise MachineSpecError(f"not a machine description: {spec!r}")
 
@@ -413,86 +411,109 @@ class _GeometricStream(DomainStream):
         return base + _strings_tail(self.extras, ell, s, kind)
 
 
-# counting a product's strings up to length N builds them all in memory; at
-# the cap (N = 68 for the product of {0, 10, 110, 1110, 11110, 11111}) that
-# takes about 0.4 s and 80 MB on a 2-core x86-64 host
+def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
+    """The distinct values of all multisets of parts, ascending from 1.
+
+    Part (m, a) maps a value n to n m + a, above n and above where the part
+    listed before it maps n; a multiset applies its parts in list order. A
+    heap entry (value, i, before) ends in part i, applied to before. Its pop
+    pushes the child (one more part i) and the sibling (part i + 1 in place
+    of part i): each multiset once and above its parent, so equal values,
+    which only parts that are not uniquely decodable give, pop in a row.
+    """
+    yield 1
+    heap = [(parts[0][0] + parts[0][1], 0, 1)] if parts else []
+    last = 1
+    while heap:
+        n, i, before = heap[0]
+        if n != last:
+            yield n
+            last = n
+        m, a = parts[i]
+        heapq.heapreplace(heap, (n * m + a, i, n))
+        if i + 1 < len(parts):
+            m, a = parts[i + 1]
+            heapq.heappush(heap, (before * m + a, i + 1, before))
+
+
+class _MultisetStream(DomainStream):
+    """One string per distinct value of a multiset of parts; see _multisets."""
+
+    def __init__(self, parts: list[tuple[int, int]]):
+        self.parts = parts
+        self.exhaustible = not parts
+
+    def indices(self) -> Iterator[int]:
+        return _multisets(self.parts)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(bin_of, self.indices())
+
+
+# counting a product's strings up to length N takes them one by one, and the
+# cap is checked before each new length; past the cap (N = 68 for the product
+# of {0, 10, 110, 1110, 11110, 11111}) that takes about 1.6 s on a 2-core
+# x86-64 host
 PRODUCT_COUNT_CAP = 1 << 19
 
 
-class _ProductStream(DomainStream):
+class _ProductStream(_MultisetStream):
     """Concatenations p1..pn (n >= 0) with nondecreasing part indices.
 
-    One string per multiset of parts, so the weight sum telescopes into the
-    product of per-part geometric series; deduplication of equal renderings
-    can only shrink the true sum below that closed form.
+    The index of w p is bin_inv(w) 2^|p| + int(p, 2), so the nonempty parts
+    in length-lex order are the multiset parts (2^|p|, int(p, 2)). One string
+    per multiset of parts, so the weight sum telescopes into the product of
+    per-part geometric series; deduplication of equal renderings can only
+    shrink the true sum below that closed form.
     """
 
     def __init__(self, spec: Construction):
-        # the nonempty parts in length-lex order; an empty part adds nothing
-        self._usable = [p for p in sorted(spec.operands[0].domain, key=_lenlex_key) if p]
-        self.exhaustible = not self._usable
-        # _tiers[i][L]: strings of length L drawing on parts i and later;
-        # the last tier holds the empty multiset alone
-        self._tiers: list[list[tuple[str, ...]]] = [[("",)] for _ in range(len(self._usable) + 1)]
-        # _heads[s][L]: lower bound on the weight of the strings shorter than L
+        # an empty part adds nothing
+        usable = [p for p in sorted(spec.operands[0].domain, key=_lenlex_key) if p]
+        super().__init__([(1 << len(p), int(p, 2)) for p in usable])
+        self._lengths = [len(p) for p in usable]
+        # _counts[L]: multisets of length L; _heads[s][L]: lower bound on the
+        # weight of the strings shorter than L
+        self._counts = [1]
         self._heads: dict[Fraction, list[Fraction]] = {}
 
-    def _level(self, length: int) -> tuple[str, ...]:
-        while len(self._tiers[0]) <= length:
-            target = len(self._tiers[0])
-            self._tiers[-1].append(())
-            for i in range(len(self._usable) - 1, -1, -1):
-                p = self._usable[i]
-                acc = set(self._tiers[i + 1][target])
-                if len(p) <= target:
-                    acc.update(p + t for t in self._tiers[i][target - len(p)])
-                self._tiers[i].append(tuple(sorted(acc)))
-        return self._tiers[0][length]
-
-    def __iter__(self) -> Iterator[str]:
-        max_len = max((len(p) for p in self._usable), default=0)
-        empty_run = 0
-        for length in itertools.count(0):
-            level = self._level(length)
-            yield from level
-            if length == 0:
-                continue
-            empty_run = empty_run + 1 if not level else 0
-            # part lengths generate the set of populated lengths, so a gap
-            # of max_len consecutive empty levels starves everything after
-            if max_len == 0 or empty_run >= max_len:
-                return
-
     def count_up_to_length(self, ell: int) -> int:
-        total = 0
-        for length in range(max(ell, -1) + 1):
-            if total > PRODUCT_COUNT_CAP:
-                raise ValueError(
-                    f"{total} product strings up to length {length - 1}, past the cap"
-                    f" of {PRODUCT_COUNT_CAP}"
-                )
-            total += len(self._level(length))
+        total, length = 0, 0
+        for n in self.indices():
+            if n.bit_length() - 1 > length:
+                if total > PRODUCT_COUNT_CAP and length < ell:
+                    raise ValueError(
+                        f"{total} product strings up to length {length}, past the cap"
+                        f" of {PRODUCT_COUNT_CAP}"
+                    )
+                length = n.bit_length() - 1
+            if length > ell:
+                break
+            total += 1
         return total
 
-    def _closed_form(self, s: Fraction) -> Fraction | None:
-        # index weights sit below halting weights, so the omega-kind closed
-        # form serves both kinds
-        acc = Fraction(1)
-        for p in self._usable:
-            x = _weight_interval(len(p), s, "omega")[1]
+    def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
+        # the closed form prod_p 1/(1 - 2^(-s |p|)) less the weight of the
+        # multisets up to length ell; index weights sit below halting
+        # weights, so the omega kind serves both kinds
+        total = Fraction(1)
+        for d in self._lengths:
+            x = _weight_interval(d, s, "omega")[1]
             if x >= 1:
                 return None
-            acc *= 1 / (1 - x)
-        return acc
-
-    def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        total = self._closed_form(s)
-        if total is None:
-            return None
+            total *= 1 / (1 - x)
+        counts = self._counts
+        if len(counts) <= ell:
+            # multisets by length, the coefficients of prod_p 1/(1 - x^|p|),
+            # bound the distinct strings of each length from above
+            counts = self._counts = [1] + [0] * (2 * ell + 1)
+            for d in self._lengths:
+                for l in range(d, len(counts)):
+                    counts[l] += counts[l - d]
         heads = self._heads.setdefault(s, [Fraction(0)])
         while len(heads) <= ell + 1:
             l = len(heads) - 1
-            heads.append(heads[l] + len(self._level(l)) * _weight_interval(l, s, "omega")[0])
+            heads.append(heads[l] + counts[l] * _weight_interval(l, s, "omega")[0])
         return max(total - heads[ell + 1], Fraction(0))
 
 
@@ -566,11 +587,7 @@ class _UniversalStream(DomainStream):
     exhaustible = True  # members are validated to be finite tables
 
     def __init__(self, spec: Construction):
-        if spec.kind == "universal_tuatara":
-            exponents = range(1, len(spec.operands) + 1)
-        else:
-            exponents = _convergent_exponents(spec)
-        members = zip(exponents, spec.operands)
+        members = zip(_member_exponents(spec), spec.operands)
         self.strings = sorted(
             ("0" * j + "1" + w for j, op in members for w in op.domain), key=_lenlex_key
         )
@@ -586,12 +603,16 @@ class _UniversalStream(DomainStream):
 PREFIX_ZEROS_CAP = 1 << 22
 
 
-def _convergent_exponents(spec: Construction) -> list[int]:
-    """J = 2^i (2M + 1) - 1 per member, from the declared index-sum bounds.
+def _member_exponents(spec: Construction) -> list[int] | range:
+    """The J of each member's prefix 0^J 1.
 
-    M is the bound rounded up to an integer of at least 1; i numbers the
-    members sharing the same M, starting from 1.
+    universal_tuatara puts member k behind J = k. universal_convergent takes
+    J = 2^i (2M + 1) - 1 from the declared index-sum bounds: M is the bound
+    rounded up to an integer of at least 1, and i numbers the members
+    sharing the same M, starting from 1.
     """
+    if spec.kind == "universal_tuatara":
+        return range(1, len(spec.operands) + 1)
     ranks: dict[int, int] = {}
     out = []
     for bound in spec.bounds:
@@ -607,30 +628,15 @@ def _convergent_exponents(spec: Construction) -> list[int]:
 PRIME_COUNT_CAP = 1 << 20
 
 
-class _PrimeProductStream(DomainStream):
+class _PrimeProductStream(_MultisetStream):
+    """The numbers that factor over the selected primes: part p is (p, 0)."""
+
     def __init__(self, spec: Construction):
         idx = sorted(bin_inv(w) for w in spec.operands[0].domain)
         if idx and idx[-1] > PRIME_COUNT_CAP:
             raise ValueError(f"{idx[-1]} primes requested, past the cap of {PRIME_COUNT_CAP}")
         primes = first_primes(idx[-1]) if idx else []
-        self.primes = [primes[i - 1] for i in idx]
-        self.exhaustible = not self.primes
-
-    def indices(self) -> Iterator[int]:
-        # ascending smooth numbers over self.primes, starting at 1
-        heap = [1]
-        seen = {1}
-        while heap:
-            n = heapq.heappop(heap)
-            yield n
-            for p in self.primes:
-                m = n * p
-                if m not in seen:
-                    seen.add(m)
-                    heapq.heappush(heap, m)
-
-    def __iter__(self) -> Iterator[str]:
-        return (bin_of(n) for n in self.indices())
+        super().__init__([(primes[i - 1], 0) for i in idx])
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # the Euler product over the selected primes, past length -1 only: a
@@ -640,16 +646,10 @@ class _PrimeProductStream(DomainStream):
             return None
         k = s.numerator
         euler = Fraction(1)
-        for p in self.primes:
+        for p, _ in self.parts:
             euler *= Fraction(p ** k, p ** k - 1)
         # omega: 2^(-s floor(log2 n)) <= (2/n)^s
         return euler if kind == "zeta" else 2 ** k * euler
-
-    def zeta_total_exact(self, s: int) -> Fraction:
-        """Euler product over the selected primes, exact for integer s >= 1."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        return self.tail_bound(-1, Fraction(s), "zeta")
 
 
 def domain_stream(spec: MachineSpec) -> DomainStream:

@@ -86,6 +86,13 @@ def test_validate_spec_rejects():
         )
 
 
+def test_validate_spec_rejects_bad_bits_as_spec_errors():
+    # a malformed extra or output is a spec error, not a bare ValueError
+    for spec in (Builtin("geometric", ("012",)), FiniteTable(("0",), ("2",))):
+        with pytest.raises(MachineSpecError, match="not a bit string"):
+            validate_spec(spec)
+
+
 def test_finite_table_output_for():
     t = FiniteTable(("0", "10"), ("1", None))
     assert t.output_for("0") == "1"

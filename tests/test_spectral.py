@@ -77,7 +77,7 @@ def test_prime_product_euler_value():
     enc = zeta_s(pp, F(2), 10**5)
     assert enc.contains(F(3, 2))
     assert enc.width < F(1, 10**6)
-    assert domain_stream(pp).zeta_total_exact(2) == F(3, 2)
+    assert domain_stream(pp).total_upper(F(2), "zeta") == F(3, 2)
 
 
 def test_riemann_zeta_values():
