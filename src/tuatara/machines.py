@@ -187,10 +187,6 @@ def validate_spec(spec: MachineSpec) -> None:
             # overlapping spawn sets would break the per-string unit sums
             if not is_prefix_free(spec.operands[0].domain):
                 raise MachineSpecError("tuatara_of needs a prefix-free operand")
-        if spec.kind.startswith("universal"):
-            for op in spec.operands:
-                if not isinstance(op, FiniteTable):
-                    raise MachineSpecError(f"{spec.kind} members must be finite")
         if spec.kind == "universal_convergent":
             if len(spec.bounds) != len(spec.operands):
                 raise MachineSpecError("one declared bound per member is required")
@@ -200,6 +196,9 @@ def validate_spec(spec: MachineSpec) -> None:
         elif spec.bounds:
             raise MachineSpecError("bounds only apply to universal_convergent")
         if spec.kind.startswith("universal"):
+            for op in spec.operands:
+                if not isinstance(op, FiniteTable):
+                    raise MachineSpecError(f"{spec.kind} members must be finite")
             for n, j in enumerate(_member_exponents(spec), start=1):
                 if j > PREFIX_ZEROS_CAP:
                     raise MachineSpecError(
@@ -417,9 +416,11 @@ def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
     Part (m, a) maps a value n to n m + a, above n and above where the part
     listed before it maps n; a multiset applies its parts in list order. A
     heap entry (value, i, before) ends in part i, applied to before. Its pop
-    pushes the child (one more part i) and the sibling (part i + 1 in place
-    of part i): each multiset once and above its parent, so equal values,
-    which only parts that are not uniquely decodable give, pop in a row.
+    pushes the sibling (part i + 1 in place of part i) and, the first time
+    its value pops, the child (one more part i). Equal values, which only
+    parts that are not uniquely decodable give, pop in a row, the least i
+    first, whose child and its siblings include the later ones' children; so a
+    value yielded costs at most len(parts) pops and one more heap entry.
     """
     yield 1
     heap = [(parts[0][0] + parts[0][1], 0, 1)] if parts else []
@@ -429,8 +430,10 @@ def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
         if n != last:
             yield n
             last = n
-        m, a = parts[i]
-        heapq.heapreplace(heap, (n * m + a, i, n))
+            m, a = parts[i]
+            heapq.heapreplace(heap, (n * m + a, i, n))
+        else:
+            heapq.heappop(heap)
         if i + 1 < len(parts):
             m, a = parts[i + 1]
             heapq.heappush(heap, (before * m + a, i + 1, before))

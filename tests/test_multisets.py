@@ -5,15 +5,18 @@ ascending order. The references here build those domains by brute force: a
 product's strings from every nondecreasing sequence of parts, and
 prime_product's numbers by trial division. A regression case checks that a
 product over many long parts takes its first strings without building
-whole lengths of them.
+whole lengths of them, and one over parts that are not uniquely decodable
+pops a bounded number of heap entries per string.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +24,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from tuatara import machines  # noqa: E402
 from tuatara.binstr import bin_inv  # noqa: E402
 from tuatara.machines import (  # noqa: E402
     Construction,
@@ -76,6 +80,50 @@ def test_prime_product_indices_are_the_smooth_numbers(idx):
     got = list(itertools.takewhile(lambda n: n <= limit, stream.indices()))
     assert got == [n for n in range(1, limit + 1) if smooth(n)]
     assert list(itertools.islice(stream, len(got))) == [format(n, "b")[1:] for n in got]
+
+
+def test_one_letter_parts_pop_little_per_string(monkeypatch):
+    # {0, 00, ..., 0^8} has one string per length, but every partition of a
+    # length into parts of at most 8 is a multiset of it: about 10^10 of
+    # them up to length 193. The enumerator pops at most 8 heap entries per
+    # string, duplicates included
+    pops = 0
+
+    def counted(pop):
+        def wrapped(*args):
+            nonlocal pops
+            pops += 1
+            if pops > 8 * 274:
+                raise AssertionError("too many heap pops")
+            return pop(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        machines,
+        "heapq",
+        SimpleNamespace(
+            heappush=heapq.heappush,
+            heappop=counted(heapq.heappop),
+            heapreplace=counted(heapq.heapreplace),
+            merge=heapq.merge,
+        ),
+    )
+    spec = Construction("product", (FiniteTable(tuple("0" * k for k in range(1, 9))),))
+    stream = domain_stream(spec)
+    assert list(itertools.islice(stream, 274)) == ["0" * n for n in range(274)]
+    pops = 0
+    assert stream.count_up_to_length(272) == 273
+    pops = 0
+    tracemalloc.start()
+    try:
+        rep = weighted_domain_sum(spec, F(1, 2), 400, "omega")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sum stops on the grid at length 273, 2^-136 below its tail
+    assert (rep.consumed, rep.stop) == (273, "grid")
+    assert peak < 2 ** 20
 
 
 def test_many_long_parts_take_little_memory():

@@ -389,10 +389,14 @@ def test_product_per_length_tails(parts):
         assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
 
 
-@pytest.mark.parametrize("parts", [("0", "00", "1", "01"), ("00", "0")])
+@pytest.mark.parametrize(
+    "parts", [("0", "00", "1", "01"), ("00", "0"), tuple("0" * k for k in range(1, 9))]
+)
 def test_product_not_uniquely_decodable(parts):
     # "00" is both 0 0 and 00; strings, counts, lo, consumed and stop match
-    # the tier enumeration, and hi lies at or below its hi
+    # the tier enumeration, and hi lies at or below its hi. The parts 0 to
+    # 0^8 give one string per length from every partition of that length
+    # into parts of at most 8, so at s = 1/2 the sums reach length 273
     spec = Construction("product", (FiniteTable(parts),))
     for case in (spec, Construction("double", (spec,))):
         _same_sums(case, (F(1, 2), F(1), F(2), F(3, 2), F(7, 3)), _BUDGETS, hi_nested=True)
