@@ -26,13 +26,14 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, gcd, lcm, log2
+from math import ceil, comb, floor, gcd, lcm, log2
 from typing import Callable, Iterator
 
 from . import iota as iota_mod
 from .binstr import all_strings, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
 from .numerics import (
-    Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds
+    Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds,
+    zeta_tail_factor,
 )
 
 DEFAULT_BUDGET = 10 ** 5
@@ -45,6 +46,12 @@ _ACC_ONE = 1 << _ACC_BITS
 _BUDGET_CAP = 1 << 40
 _TERM_PREC = 160  # bits of the roots behind non-integer weights and tails
 _STOP_BITS = 136  # a sparse stream stops where its terms pass below 2^-_STOP_BITS
+# the index sum over all strings takes at most _EM_HEAD terms wherever
+# _element_stop(s) > _EM_HEAD (s below about 40.8) and closes with _EM_TERMS
+# Bernoulli corrections, whose remainder leaves a bracket of about one grid
+# unit (2^-193 to 2^-195 at s = 1001/1000, 2 and 8)
+_EM_HEAD = 24
+_EM_TERMS = 40
 
 
 class MachineSpecError(ValueError):
@@ -258,11 +265,17 @@ class DomainStream:
         """Upper bound on the full weight sum: the tail past length -1."""
         return _tail_upper(self, -1, s, kind)
 
-    def element_tail(self, s: Fraction, kind: str) -> Callable[[int], Enclosure] | None:
-        """For a stream whose n-th string has index n, a function of n that
-        encloses the weight of every string after the first n; None for
-        other streams, kinds and exponents. The sum engine stops such a
-        stream at _element_stop and adds the enclosure at the stop."""
+    def lengths(self) -> Iterator[int]:
+        """The lengths of the strings, in order, for the omega kind's keys."""
+        return map(len, self)
+
+    def element_tail(
+        self, s: Fraction, kind: str, budget: int
+    ) -> tuple[int, Callable[[int], Enclosure]] | None:
+        """For a stream whose n-th string has index n: (limit, bracket), where
+        the sum engine takes at most limit <= budget strings and bracket(n)
+        encloses the weight of every string after the first n; None for other
+        streams, kinds and exponents."""
         return None
 
 
@@ -323,14 +336,28 @@ class _AllStringsStream(DomainStream):
     def count_up_to_length(self, ell: int) -> int:
         return (1 << (ell + 1)) - 1 if ell >= 0 else 0
 
-    def element_tail(self, s: Fraction, kind: str) -> Callable[[int], Enclosure] | None:
-        # integral test: the sum over m > n of m^-s lies between
-        # (n+1)^(1-s)/(s-1) and that plus its first term (n+1)^-s
-        def bracket(n: int) -> Enclosure:
-            b = pow_bounds(Fraction(n + 1), 1 - s, _TERM_PREC)
-            return Enclosure(b.lo / (s - 1), b.hi / (n + 1) + b.hi / (s - 1))
+    def element_tail(
+        self, s: Fraction, kind: str, budget: int
+    ) -> tuple[int, Callable[[int], Enclosure]] | None:
+        if kind != "zeta" or s <= 1:
+            return None
+        limit = min(budget, _element_stop(s))
+        closed = limit > _EM_HEAD
 
-        return bracket if kind == "zeta" and s > 1 else None
+        def bracket(n: int) -> Enclosure:
+            # integral test: the sum over m > n of m^-s lies between
+            # (n+1)^(1-s)/(s-1) and that plus its first term (n+1)^-s
+            b = pow_bounds(Fraction(n + 1), 1 - s, _TERM_PREC)
+            lo, hi = b.lo / (s - 1), b.hi / (n + 1) + b.hi / (s - 1)
+            if closed:
+                # intersected with the Euler–Maclaurin bracket, rounded out
+                # to the accumulator grid
+                c = zeta_tail_factor(s, n + 1, _EM_TERMS)
+                lo = max(lo, Fraction(floor(c.lo * b.lo * _ACC_ONE), _ACC_ONE))
+                hi = min(hi, Fraction(ceil(c.hi * b.hi * _ACC_ONE), _ACC_ONE))
+            return Enclosure(lo, hi)
+
+        return min(limit, _EM_HEAD), bracket
 
 
 class _LukasiewiczStream(DomainStream):
@@ -451,6 +478,9 @@ class _MultisetStream(DomainStream):
 
     def __iter__(self) -> Iterator[str]:
         return map(bin_of, self.indices())
+
+    def lengths(self) -> Iterator[int]:
+        return (n.bit_length() - 1 for n in self.indices())
 
 
 # counting a product's strings up to length N takes them one by one, and the
@@ -888,12 +918,12 @@ def weighted_domain_sum(
     current_len = 0
     consumed = 0
     stop = "budget"
-    # a stream that brackets its tail at every string stops at limit, where
-    # a further term could widen the enclosure; other sparse streams reach
+    # a stream that brackets its tail at every string stops at the limit it
+    # sets, where its bracket closes the sum; other sparse streams reach
     # terms below 2^-_STOP_BITS long before the budget, from stop_len on,
     # and the tail bound over the completed lengths covers the rest
-    tail_at = stream.element_tail(s, kind)
-    limit = budget if tail_at is None else min(budget, _element_stop(s))
+    closing = stream.element_tail(s, kind, budget)
+    limit, tail_at = (budget, None) if closing is None else closing
     a, b = s.numerator, s.denominator
     stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * b // a + 1
 
@@ -902,7 +932,7 @@ def weighted_domain_sum(
     # zeta weights depend on the index, which some streams yield without
     # strings
     omega = kind == "omega"
-    src: Iterator[int] = map(len, stream) if omega else stream.indices()
+    src: Iterator[int] = stream.lengths() if omega else stream.indices()
     k = a if b == 1 else 0
     add_root = None if omega or k else _root_terms(s)
     next_key = 1 if omega else 2  # the least key of a length past current_len

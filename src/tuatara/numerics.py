@@ -406,6 +406,44 @@ def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
 
 
 # ---------------------------------------------------------------------------
+# Bernoulli numbers and Euler–Maclaurin tails of the zeta series
+
+
+@functools.cache
+def bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n (B_1 = -1/2), by the exact recurrence
+    sum over j <= n of C(n+1, j) B_j = 0 for n >= 1; each is computed on
+    first use and kept."""
+    if n < 0:
+        raise ValueError("bernoulli requires n >= 0")
+    if n == 0:
+        return _ONE
+    if n > 1 and n % 2:
+        return _ZERO
+    return -sum((comb(n + 1, j) * bernoulli(j) for j in range(n)), _ZERO) / (n + 1)
+
+
+def zeta_tail_factor(s: Fraction, n: int, terms: int) -> Enclosure:
+    """Enclosure of n^(s-1) times the sum over m >= n of m^-s, for rational
+    s > 1 and n >= 1, by Euler–Maclaurin summation: the factor is
+    1/(s-1) + 1/(2n) + sum over k <= terms of B_2k/(2k)! s(s+1)...(s+2k-2) n^-2k
+    up to a remainder. For real s > 1 the remainder is at most the first
+    omitted term (k = terms + 1) in magnitude (H. M. Edwards, Riemann's Zeta
+    Function, 1974, §6.4), and it is taken on both sides."""
+    if s <= 1 or n < 1 or terms < 0:
+        raise ValueError("zeta_tail_factor requires s > 1, n >= 1 and terms >= 0")
+    c = 1 / (s - 1) + Fraction(1, 2 * n)
+    x = Fraction(1, n * n)
+    # t = s(s+1)...(s+2k-2) n^-2k / (2k)!, from k = 1
+    t = s * x / 2
+    for k in range(1, terms + 1):
+        c += bernoulli(2 * k) * t
+        t *= (s + 2 * k - 1) * (s + 2 * k) * x / ((2 * k + 1) * (2 * k + 2))
+    r = abs(bernoulli(2 * terms + 2) * t)
+    return Enclosure(max(c - r, _ZERO), c + r)
+
+
+# ---------------------------------------------------------------------------
 # Lambert W
 
 

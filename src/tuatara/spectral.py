@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .machines import _TERM_PREC, DEFAULT_BUDGET, Builtin, MachineSpec, weighted_domain_sum
+from .machines import (
+    _TERM_PREC, DEFAULT_BUDGET, Builtin, MachineSpec, _is_all_strings, weighted_domain_sum
+)
 from .numerics import Enclosure, first_primes, ln_bounds, pow2_bounds
 
 
@@ -26,9 +28,17 @@ def zeta_s(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
 def riemann_zeta(s, budget: int = DEFAULT_BUDGET) -> Enclosure:
     """Enclosure of sum over all n >= 1 of n^-s for rational s > 1.
 
-    The index sum over every string: the sum engine adds the first terms
-    to the budget and brackets the rest by the integral test at the string
-    where it stopped.
+    The index sum over every string. The sum engine adds the terms n^-s
+    up to the budget, and at most to _element_stop(s), where a further term
+    would narrow the enclosure by less than the 2^-192 grid; from the next
+    index N on, the integral test brackets the rest by
+    [N^(1-s)/(s-1), N^(1-s)/(s-1) + N^-s]. Where both the budget and that
+    stop pass 24 terms (s below about 40.8), it stops at 24 instead and
+    intersects that bracket with the Euler–Maclaurin one, rounded out to the
+    grid: N^(1-s) times 1/(s-1) + 1/(2N) + the sum over k <= 40 of
+    B_2k/(2k)! s(s+1)...(s+2k-2) N^-2k, widened on both sides by the first
+    omitted term, which bounds the remainder for every real s > 1
+    (H. M. Edwards, Riemann's Zeta Function, 1974, §6.4).
     """
     s = Fraction(s)
     if s <= 1:
@@ -47,6 +57,8 @@ def kappa(spec: MachineSpec, s, budget: int = DEFAULT_BUDGET) -> Enclosure:
     s = Fraction(s)
     if s <= 1:
         raise ValueError("kappa needs s > 1")
+    if _is_all_strings(spec):
+        return Enclosure.exact(Fraction(1))  # (1 - 2^(1-s)) sum over k of 2^k 2^-sk
     return _normalizer(s).mul(omega_s(spec, s, budget))
 
 
@@ -57,6 +69,8 @@ def kappa_natural(
     s = Fraction(s)
     if s <= 1:
         raise ValueError("kappa_natural needs s > 1")
+    if _is_all_strings(spec):
+        return Enclosure.exact(Fraction(1))  # the index sum over every string is zeta(s)
     return zeta_s(spec, s, budget).div(riemann_zeta(s, budget))
 
 

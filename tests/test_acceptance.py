@@ -274,7 +274,9 @@ def _body_09() -> str:
     euler = zeta_s(pp, F(2), 10 ** 5)
     assert euler.contains(F(3, 2)) and euler.width < F(1, 10 ** 6)
     z2 = riemann_zeta(F(2), 10 ** 4)
-    assert z2.contains(F("1.6449340668")) and z2.width < F(1, 10 ** 4)
+    # zeta(2) = pi^2/6 = 1.64493406684822643647...
+    assert F("1.64493406684822643647") <= z2.lo and z2.hi <= F("1.64493406684822643648")
+    assert z2.width < F(1, 10 ** 4)
     return (
         "doubled-weight sum hits 2 exactly; closed forms to L=30; 100 doubling "
         "identities exact; Euler product encloses 3/2 within 10^-6; "

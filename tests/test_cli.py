@@ -430,8 +430,9 @@ def test_exponent_commands(tmp_path, capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     fields = lines[1].split(",")
-    # zeta_s(2) = 5/18 divided by an enclosure of the full index sum at 2
-    assert fields[3] == "0.16886863" and fields[4] == "interval"
+    # zeta_s(2) = 5/18 divided by an enclosure of the full index sum at 2:
+    # 5/(3 pi^2) = 0.16886863940389...
+    assert fields[3] == "0.168868639403" and fields[4] == "interval"
     assert lines[2] == "digits=0.001010 determined=6"
 
 
@@ -582,9 +583,12 @@ _ALL = "machine a\nkind builtin\ngenerator all_strings\n"
 
 
 def test_root_size_cap_ends_in_exit_3(tmp_path, capsys):
-    f = _file(tmp_path, _ALL)
-    for cmd, s in (("zeta-s", "100001/100000"), ("omega-s", "1/100000"),
-                   ("kappa", "100001/100000"), ("kappa-natural", "100001/100000")):
+    # kappa and kappa-natural are exactly 1 on all_strings, with no root, so
+    # they take the table {1}
+    for cmd, s, text in (("zeta-s", "100001/100000", _ALL), ("omega-s", "1/100000", _ALL),
+                         ("kappa", "100001/100000", "machine a\nkind finite\ndomain 1\n"),
+                         ("kappa-natural", "100001/100000", "machine a\nkind finite\ndomain 1\n")):
+        f = _file(tmp_path, text)
         code, out, err = _go(capsys, cmd, "-s", s, "--machine", f, "--budget", "3")
         assert code == EXIT_BUDGET and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,0 +1,126 @@
+"""The Euler–Maclaurin close of the index sum over all_strings.
+
+Past a budget of _EM_HEAD terms the sum engine stops at _EM_HEAD and
+brackets the rest by Euler–Maclaurin summation. These tests check the
+Bernoulli numbers behind it, that each enclosure holds the truth and nests
+inside the integral-test sum it replaces, and that it agrees with the same
+bracket taken ten times further out.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tuatara.machines import (
+    _EM_HEAD,
+    _EM_TERMS,
+    _TERM_PREC,
+    Builtin,
+    _element_stop,
+    _IntervalAcc,
+    _root_terms,
+    weighted_domain_sum,
+)
+from tuatara.numerics import Enclosure, bernoulli, pow_bounds, zeta_tail_factor
+from tuatara.spectral import riemann_zeta
+
+_ALL = Builtin("all_strings")
+
+
+def test_bernoulli_numbers():
+    want = {
+        2: F(1, 6), 4: F(-1, 30), 6: F(1, 42), 8: F(-1, 30), 10: F(5, 66),
+        12: F(-691, 2730), 14: F(7, 6), 16: F(-3617, 510), 18: F(43867, 798),
+        20: F(-174611, 330),
+    }
+    assert {n: bernoulli(n) for n in want} == want
+    assert (bernoulli(0), bernoulli(1), bernoulli(3), bernoulli(21)) == (1, F(-1, 2), 0, 0)
+    with pytest.raises(ValueError):
+        bernoulli(-1)
+
+
+def _parent_sums(s: F, budgets):
+    """The index sum over all_strings as the engine took it before the
+    Euler–Maclaurin close: the terms n <= min(budget, _element_stop(s)) on
+    the accumulator, then the integral test at the next index. One pass; an
+    enclosure per budget, in ascending order."""
+    stop = _element_stop(s)
+    acc = _IntervalAcc()
+    add = _root_terms(s) if s.denominator > 1 else None
+    n = 0
+    for budget in budgets:
+        while n < min(budget, stop):
+            n += 1
+            if add is None:
+                acc.add_inverse(n ** s.numerator)
+            else:
+                add(acc, n)
+        b = pow_bounds(F(n + 1), 1 - s, _TERM_PREC)
+        yield Enclosure(acc.lo + b.lo / (s - 1), acc.hi + b.hi / (n + 1) + b.hi / (s - 1))
+
+
+def _far_bracket(s: F, prec: int, n: int = 256) -> Enclosure:
+    """zeta(s) as the terms below n plus the same Euler–Maclaurin bracket
+    taken at n. A term m^-s is a root at prec bits for a prime m and the
+    product of the terms of p and m/p otherwise."""
+    los, his = [F(1), F(1)], [F(1), F(1)]
+    for m in range(2, n):
+        p = next(p for p in range(2, m + 1) if m % p == 0)
+        if p == m:
+            b = pow_bounds(F(m), -s, prec)
+            los.append(b.lo)
+            his.append(b.hi)
+        else:
+            los.append(los[p] * los[m // p])
+            his.append(his[p] * his[m // p])
+    c = zeta_tail_factor(s, n, _EM_TERMS)
+    b = pow_bounds(F(n), 1 - s, prec)
+    return Enclosure(sum(los[1:]) + c.lo * b.lo, sum(his[1:]) + c.hi * b.hi)
+
+
+def _nested(inner: Enclosure, outer: Enclosure) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+_BUDGETS = list(range(1, _EM_HEAD + 31)) + [10 ** 3, 10 ** 5]
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda b: st.integers(b + 1, 8 * b).map(lambda a: F(a, b))))
+def test_closed_sums_hold_the_truth_and_nest(s):
+    truth = _far_bracket(s, 2 * _TERM_PREC)
+    prev = None
+    for budget, parent in zip(_BUDGETS, _parent_sums(s, _BUDGETS)):
+        enc = riemann_zeta(s, budget)
+        assert _nested(truth, enc), (s, budget)
+        assert _nested(enc, parent), (s, budget)
+        if budget <= _EM_HEAD:
+            assert enc == parent, (s, budget)
+        if prev is not None:
+            assert _nested(enc, prev), (s, budget)
+        prev = enc
+    assert weighted_domain_sum(_ALL, s, 10 ** 5, "zeta").stop == "grid"
+
+
+@pytest.mark.parametrize("s", [F(1001, 1000), F(3, 2), F(2), F(7, 3), F(40)], ids=str)
+def test_closed_sum_agrees_with_the_bracket_at_256(s):
+    rep = weighted_domain_sum(_ALL, s, 10 ** 5, "zeta")
+    assert (rep.consumed, rep.stop) == (_EM_HEAD, "grid")
+    enc = rep.enclosure
+    assert _nested(_far_bracket(s, 180), enc)
+    assert enc.width < F(1, 1 << 150)
+
+
+@pytest.mark.parametrize("s", [F(45), F(91, 2), F(60)], ids=str)
+def test_past_the_closing_point_the_sum_is_unchanged(s):
+    # the integral test stops the sum within _EM_HEAD terms from s = 40.8 on
+    stop = _element_stop(s)
+    assert stop <= _EM_HEAD
+    budgets = list(range(1, stop + 5)) + [10 ** 6]
+    for budget, parent in zip(budgets, _parent_sums(s, budgets)):
+        assert riemann_zeta(s, budget) == parent, (s, budget)

@@ -15,7 +15,7 @@ from tuatara.machines import (
     domain_stream,
     weighted_domain_sum,
 )
-from tuatara.numerics import pow_bounds
+from tuatara.numerics import Enclosure, pow_bounds
 from tuatara.spectral import (
     dyadic_weight_sum,
     kappa,
@@ -80,19 +80,24 @@ def test_prime_product_euler_value():
     assert domain_stream(pp).total_upper(F(2), "zeta") == F(3, 2)
 
 
+def _inside(e, lo, hi):
+    return F(lo) <= e.lo and e.hi <= F(hi)
+
+
 def test_riemann_zeta_values():
+    # 20-digit brackets of zeta(2), zeta(3), zeta(4) and zeta(3/2)
     z2 = riemann_zeta(F(2), 10**4)
-    assert z2.contains(F("1.6449340668482264"))
+    assert _inside(z2, "1.64493406684822643647", "1.64493406684822643648")
     assert z2.width < F(1, 10**4)
     z3 = riemann_zeta(F(3), 10**4)
-    assert z3.contains(F("1.2020569031595943"))
+    assert _inside(z3, "1.20205690315959428539", "1.20205690315959428540")
     z4 = riemann_zeta(F(4), 10**4)
-    assert z4.contains(F("1.0823232337111382"))
+    assert _inside(z4, "1.08232323371113819151", "1.08232323371113819152")
     # the three enclosures are pairwise disjoint and ordered
     assert z2.lo > z3.hi > z4.hi
     assert z3.lo > z4.hi
     z32 = riemann_zeta(F(3, 2), 10**4)
-    assert z32.contains(F("2.612375348685488"))
+    assert _inside(z32, "2.61237534868548834334", "2.61237534868548834335")
     assert z32.width < F(1, 10**4)
 
 
@@ -120,14 +125,16 @@ def _parent_riemann_zeta(s: F, budget: int):
 
 def test_riemann_zeta_stops_below_the_grid():
     # the loop stopped at the first term below 2^-160 (n = 17 at s = 40, 16
-    # at s = 81/2); the engine takes 26 and 25 terms, up to where a further
-    # one could widen the enclosure, and every enclosure nests in the loop's
-    for s, stop in ((F(40), 26), (F(81, 2), 25)):
+    # at s = 81/2); a further term could widen the integral test's enclosure
+    # past 26 and 25 terms, so from a budget of 25 on the engine stops at 24
+    # and closes with the Euler-Maclaurin bracket; at s = 45 that point comes
+    # first, at 18 terms. Every enclosure nests in the loop's
+    for s, stop in ((F(40), 24), (F(81, 2), 24), (F(45), 18)):
         for budget in range(1, stop + 30):
             enc = riemann_zeta(s, budget)
             lo, hi = _parent_riemann_zeta(s, budget)
             assert lo <= enc.lo and enc.hi <= hi, (s, budget)
-        stopped = riemann_zeta(s, stop)
+        stopped = riemann_zeta(s, stop + 1)
         assert riemann_zeta(s, 10 ** 6) == stopped != riemann_zeta(s, stop - 1)
         assert weighted_domain_sum(_ALL, s, 10 ** 6, "zeta").consumed == stop
     # exact brackets of zeta(40): every term to 60 plus the integral tails
@@ -179,9 +186,11 @@ def test_kappa_natural_values():
     assert kn.width < F(1, 10**7)
     pp = Construction("prime_product", (FiniteTable(("", "0")),))
     knp = kappa_natural(pp, F(2), 10**4)
-    assert _brackets(knp, F("0.911890652762139"), F("0.911890652762140"))
-    kna = kappa_natural(Builtin("all_strings"), F(2), 10**4)
-    assert kna.contains(F(1))
+    # (3/2)/zeta(2) = 9/pi^2 = 0.91189065278103994...
+    assert _inside(knp, "0.911890652781039", "0.911890652781040")
+    for s in (F(2), F(3, 2)):
+        assert kappa_natural(_ALL, s, 10**4) == Enclosure.exact(F(1))
+        assert kappa(_ALL, s, 10**4) == Enclosure.exact(F(1))
 
 
 def test_dyadic_weight_sum():

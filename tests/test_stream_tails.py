@@ -289,7 +289,7 @@ def _ref_stream(spec):
 def _ref_sum(stream, s, budget, kind):
     """The per-element sum loop with the earlier upper bound:
     (lo, hi, consumed, exhausted, stop)."""
-    assert stream.element_tail(s, kind) is None
+    assert stream.element_tail(s, kind, budget) is None
     stream.limit_examined(budget)
     acc = _IntervalAcc()
     complete = [(-1, F(0))]

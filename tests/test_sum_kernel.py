@@ -208,7 +208,7 @@ def _nested(enc, lo, hi) -> bool:
 def _same_as_reference(spec, s, budget, kind):
     rep = weighted_domain_sum(spec, s, budget, kind)
     ref = _ref_sum(spec, s, budget, kind)
-    if domain_stream(spec).element_tail(F(s), kind) is None:
+    if domain_stream(spec).element_tail(F(s), kind, budget) is None:
         got = (rep.enclosure.lo, rep.enclosure.hi, rep.consumed, rep.exhausted)
         assert got == ref, (spec, s, budget, kind)
     else:
@@ -330,10 +330,13 @@ def test_stop_reasons():
     # geometric zeta terms pass below the grid past length 136
     grid = weighted_domain_sum(Builtin("geometric"), F(1), 10 ** 5, "zeta")
     assert (grid.stop, grid.consumed, grid.exhausted) == ("grid", 136, False)
-    # all_strings brackets its zeta tail at every string, and stops where a
-    # further term could widen the enclosure
+    # all_strings brackets its zeta tail at every string: past 24 terms it
+    # closes with the Euler-Maclaurin bracket, and where a further term could
+    # widen the enclosure first (at 18 terms for s = 45), it stops there
     grid = weighted_domain_sum(_ALL, F(40), 10 ** 5, "zeta")
-    assert (grid.stop, grid.consumed, grid.exhausted) == ("grid", 26, False)
+    assert (grid.stop, grid.consumed, grid.exhausted) == ("grid", 24, False)
+    grid = weighted_domain_sum(_ALL, F(45), 10 ** 5, "zeta")
+    assert (grid.stop, grid.consumed, grid.exhausted) == ("grid", 18, False)
     # one step halts only the program 0; the budget bounds the candidates
     cut = weighted_domain_sum(Builtin("iota", (), 1), F(1), 30, "omega")
     assert (cut.stop, cut.consumed, cut.exhausted) == ("cut", 1, False)
