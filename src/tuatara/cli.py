@@ -326,7 +326,8 @@ def _build_parser() -> _Parser:
         "--size-budget", type=count, default=iota_mod.DEFAULT_SIZE_BUDGET
     )
 
-    top = _Parser(prog="tuatara", parents=[common])
+    # options go after the subcommand, whose defaults would overwrite them
+    top = _Parser(prog="tuatara")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name: str, handler) -> _Parser:
@@ -354,7 +355,8 @@ def _build_parser() -> _Parser:
     p.add_argument("prefix_digits")
     p.add_argument("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
 
-    iota_p = add("iota", _cmd_iota)
+    iota_p = sub.add_parser("iota")
+    iota_p.set_defaults(handler=_cmd_iota)
     iota_sub = iota_p.add_subparsers(dest="iota_command", required=True, parser_class=_Parser)
 
     def add_iota(name: str) -> _Parser:

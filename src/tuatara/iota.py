@@ -26,6 +26,7 @@ from itertools import accumulate
 from math import comb
 from operator import indexOf
 
+from .binstr import validate_bits
 from .numerics import Enclosure
 
 DEFAULT_STEP_BUDGET = 10 ** 5
@@ -432,8 +433,7 @@ def encode_bits(w: str) -> str:
     bit (F for 0, T for 1) and the encoded tail. F is the longer bit
     spelling, so |encode(w)| <= (2 + |P| + |F|) * |w| + |F|.
     """
-    if any(c not in "01" for c in w):
-        raise ValueError(f"not a bit string: {w!r}")
+    validate_bits(w)
     c = iota_constants()
     out = c.F
     for bit in reversed(w):

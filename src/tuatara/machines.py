@@ -1,12 +1,12 @@
 """Machine domains as streams, and certified sums over them.
 
 A machine is described by its domain, a set of bit strings enumerated in
-length-lexicographic order. Two weight sums matter: the halting weight
-(omega kind) assigns 2^(-s |w|) to a domain string w, and the index weight
-(zeta kind) assigns n^(-s) where n is the integer corresponding to w. At
-s = 1 these are the halting probability and the natural halting sum; the
-classification vocabulary below is keyed to the unit threshold of the
-index sum.
+length-lexicographic order, which is ascending order of their indices n
+(the numerals 1w read in binary). Both weight sums read n alone: the halting
+weight (omega kind) assigns 2^(-s |w|), where |w| is n's bit length less
+one, and the index weight (zeta kind) assigns n^(-s). At s = 1 these are
+the halting probability and the natural halting sum; the classification
+vocabulary below is keyed to the unit threshold of the index sum.
 
 Enclosures returned here are certified: the true sum lies inside, whatever
 the budget. Lower bounds are partial sums rounded down, plus a tail bracket's
@@ -30,7 +30,7 @@ from math import ceil, comb, floor, gcd, lcm, log2
 from typing import Callable, Iterator
 
 from . import iota as iota_mod
-from .binstr import all_strings, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
+from .binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
 from .numerics import (
     Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds,
     zeta_tail_factor,
@@ -220,25 +220,22 @@ def validate_spec(spec: MachineSpec) -> None:
 # streams
 
 
-def _lenlex_key(w: str) -> tuple[int, str]:
-    return (len(w), w)
-
-
 class DomainStream:
     """Restartable length-lex enumeration with certified tail information.
 
-    tail_bound is the one upper-bound hook a stream implements; the bound on
-    the full sum, total_upper, is its value past length -1, or the majorant
-    over all strings where that is smaller.
+    indices() is the one enumeration hook a stream implements, in ascending
+    order; the strings are derived here. tail_bound is the one upper-bound
+    hook; the bound on the full sum, total_upper, is its value past length
+    -1, or the majorant over all strings where that is smaller.
     """
 
     exhaustible = False
 
-    def __iter__(self) -> Iterator[str]:
+    def indices(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def indices(self) -> Iterator[int]:
-        return (bin_inv(w) for w in self)
+    def __iter__(self) -> Iterator[str]:
+        return map(bin_of, self.indices())
 
     def limit_examined(self, limit: int) -> None:
         """Let each pass examine at most limit candidates, then raise StreamCut.
@@ -249,10 +246,11 @@ class DomainStream:
 
     def count_up_to_length(self, ell: int) -> int | None:
         """Exact number of domain strings of length <= ell, when countable;
-        an exhaustible stream counts its strings in length-lex order."""
+        an exhaustible stream counts its indices in ascending order."""
         if not self.exhaustible:
             return None
-        return sum(1 for _ in itertools.takewhile(lambda w: len(w) <= ell, self))
+        short = itertools.takewhile(lambda n: n.bit_length() <= ell + 1, self.indices())
+        return sum(1 for _ in short)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         """Upper bound on the weight of domain strings of length > ell, from
@@ -264,10 +262,6 @@ class DomainStream:
     def total_upper(self, s: Fraction, kind: str) -> Fraction | None:
         """Upper bound on the full weight sum: the tail past length -1."""
         return _tail_upper(self, -1, s, kind)
-
-    def lengths(self) -> Iterator[int]:
-        """The lengths of the strings, in order, for the omega kind's keys."""
-        return map(len, self)
 
     def element_tail(
         self, s: Fraction, kind: str, budget: int
@@ -303,13 +297,14 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     return head + pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
 
 
-def _strings_tail(strings, ell: int, s: Fraction, kind: str) -> Fraction:
-    """Upper bound on the weight of the given strings longer than ell; exact
+def _indices_tail(keys, ell: int, s: Fraction, kind: str) -> Fraction:
+    """Upper bound on the weight of the given indices of length > ell; exact
     at integer s."""
     acc = Fraction(0)
-    for w in strings:
-        if len(w) > ell:
-            acc += _weight_interval(len(w) if kind == "omega" else bin_inv(w), s, kind)[1]
+    for n in keys:
+        length = n.bit_length() - 1
+        if length > ell:
+            acc += _weight_interval(length if kind == "omega" else n, s, kind)[1]
     return acc
 
 
@@ -317,19 +312,16 @@ class _FiniteStream(DomainStream):
     exhaustible = True
 
     def __init__(self, table: FiniteTable):
-        self.strings = tuple(sorted(table.domain, key=_lenlex_key))
+        self.keys = sorted(map(bin_inv, table.domain))
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.strings)
+    def indices(self) -> Iterator[int]:
+        return iter(self.keys)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
-        return _strings_tail(self.strings, ell, s, kind)
+        return _indices_tail(self.keys, ell, s, kind)
 
 
 class _AllStringsStream(DomainStream):
-    def __iter__(self) -> Iterator[str]:
-        return all_strings()
-
     def indices(self) -> Iterator[int]:
         return itertools.count(1)
 
@@ -361,11 +353,14 @@ class _AllStringsStream(DomainStream):
 
 
 class _LukasiewiczStream(DomainStream):
-    def __iter__(self) -> Iterator[str]:
-        length = 1
-        while True:
+    """The one stream made from strings: words that the iota stream runs."""
+
+    def words(self) -> Iterator[str]:
+        for length in itertools.count(1, 2):
             yield from iota_mod.words_of_length(length)
-            length += 2
+
+    def indices(self) -> Iterator[int]:
+        return (int("1" + w, 2) for w in self.words())
 
     def count_up_to_length(self, ell: int) -> int:
         # C_m programs of length 2m+1, by C_{m+1} = C_m 2(2m+1)/(m+2)
@@ -400,15 +395,15 @@ class _IotaHaltingStream(DomainStream):
     def limit_examined(self, limit: int) -> None:
         self.examine_limit = limit
 
-    def __iter__(self) -> Iterator[str]:
-        for examined, w in enumerate(self._inner):
+    def indices(self) -> Iterator[int]:
+        for examined, w in enumerate(self._inner.words()):
             if len(w) > self.size_budget:
                 return  # w parses to a term of len(w) nodes, which reduce refuses
             if examined == self.examine_limit:
                 raise StreamCut
             r = iota_mod.run_program(w, self.step_budget, self.size_budget)
             if r.halted:
-                yield w
+                yield int("1" + w, 2)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         return self._inner.tail_bound(ell, s, kind)  # halting domain is a subset
@@ -416,15 +411,15 @@ class _IotaHaltingStream(DomainStream):
 
 class _GeometricStream(DomainStream):
     def __init__(self, spec: Builtin):
-        self.extras = tuple(sorted(spec.extras, key=_lenlex_key))
+        self.extras = sorted(map(bin_inv, spec.extras))
 
-    def __iter__(self) -> Iterator[str]:
-        base = ("0" * i + "1" for i in itertools.count(0))
-        return heapq.merge(self.extras, base, key=_lenlex_key)
+    def indices(self) -> Iterator[int]:
+        base = ((1 << i) + 1 for i in itertools.count(1))  # 0^(i-1) 1
+        return heapq.merge(self.extras, base)
 
     def count_up_to_length(self, ell: int) -> int:
         base = max(ell, 0)  # lengths 1..ell
-        return base + sum(1 for w in self.extras if len(w) <= ell)
+        return base + sum(1 for n in self.extras if n.bit_length() <= ell + 1)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         if s <= 0:
@@ -434,7 +429,7 @@ class _GeometricStream(DomainStream):
         if r >= 1:
             return None
         base = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
-        return base + _strings_tail(self.extras, ell, s, kind)
+        return base + _indices_tail(self.extras, ell, s, kind)
 
 
 def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
@@ -476,12 +471,6 @@ class _MultisetStream(DomainStream):
     def indices(self) -> Iterator[int]:
         return _multisets(self.parts)
 
-    def __iter__(self) -> Iterator[str]:
-        return map(bin_of, self.indices())
-
-    def lengths(self) -> Iterator[int]:
-        return (n.bit_length() - 1 for n in self.indices())
-
 
 # counting a product's strings up to length N takes them one by one, and the
 # cap is checked before each new length; past the cap (N = 68 for the product
@@ -493,18 +482,18 @@ PRODUCT_COUNT_CAP = 1 << 19
 class _ProductStream(_MultisetStream):
     """Concatenations p1..pn (n >= 0) with nondecreasing part indices.
 
-    The index of w p is bin_inv(w) 2^|p| + int(p, 2), so the nonempty parts
-    in length-lex order are the multiset parts (2^|p|, int(p, 2)). One string
+    The index of w p is bin_inv(w) 2^|p| + int(p, 2), so the nonempty part
+    of index n and length d is the multiset part (2^d, n - 2^d). One string
     per multiset of parts, so the weight sum telescopes into the product of
     per-part geometric series; deduplication of equal renderings can only
     shrink the true sum below that closed form.
     """
 
     def __init__(self, spec: Construction):
-        # an empty part adds nothing
-        usable = [p for p in sorted(spec.operands[0].domain, key=_lenlex_key) if p]
-        super().__init__([(1 << len(p), int(p, 2)) for p in usable])
-        self._lengths = [len(p) for p in usable]
+        # an empty part, of index 1, adds nothing
+        usable = [n for n in sorted(map(bin_inv, spec.operands[0].domain)) if n > 1]
+        self._lengths = [n.bit_length() - 1 for n in usable]
+        super().__init__([(1 << d, n - (1 << d)) for n, d in zip(usable, self._lengths)])
         # _counts[L]: multisets of length L; _heads[s][L]: lower bound on the
         # weight of the strings shorter than L
         self._counts = [1]
@@ -562,8 +551,11 @@ class _OperandStream(DomainStream):
 
 
 class _DoubleStream(_OperandStream):
-    def __iter__(self) -> Iterator[str]:
-        return (w + w for w in self.inner)
+    def indices(self) -> Iterator[int]:
+        # w of index n and length L gives ww of index n 2^L + n - 2^L
+        for n in self.inner.indices():
+            top = 1 << (n.bit_length() - 1)
+            yield n * top + n - top
 
     def count_up_to_length(self, ell: int) -> int | None:
         return self.inner.count_up_to_length(ell // 2)
@@ -576,25 +568,26 @@ class _DoubleStream(_OperandStream):
 
 
 class _TuataraOfStream(_OperandStream):
-    def __iter__(self) -> Iterator[str]:
+    def indices(self) -> Iterator[int]:
         # X(p) is p, then p 0^i for each position i (from 1) where p has a 1,
         # in order of length; waiting[L] holds the operands whose next member
         # has length L, and each operand arrives before p itself is due
-        waiting: dict[int, list[str]] = {}
-        it = iter(self.inner)
+        waiting: dict[int, list[int]] = {}
+        it = self.inner.indices()
         pending = next(it, None)
         length = 0
         while pending is not None or waiting:
-            while pending is not None and len(pending) <= length:
-                waiting.setdefault(len(pending), []).append(pending)
+            while pending is not None and pending.bit_length() - 1 <= length:
+                waiting.setdefault(pending.bit_length() - 1, []).append(pending)
                 pending = next(it, None)
             batch = set()
-            for p in waiting.pop(length, ()):
-                i = length - len(p)
-                batch.add(p + "0" * i)
-                j = p.find("1", i)  # the next member is p 0^(j+1)
-                if j >= 0:
-                    waiting.setdefault(len(p) + j + 1, []).append(p)
+            for n in waiting.pop(length, ()):
+                d = n.bit_length() - 1
+                i = length - d
+                batch.add(n << i)  # p 0^i
+                rest = n & ((1 << (d - i)) - 1)  # the positions of p past i
+                if rest:  # the next member's zeros reach rest's highest 1
+                    waiting.setdefault(2 * d + 1 - rest.bit_length(), []).append(n)
             yield from sorted(batch)
             length += 1
 
@@ -609,30 +602,30 @@ class _TuataraOfStream(_OperandStream):
         # omega: X(p) carries 2^-|p| (1 + sum of 2^-i over set bits),
         # which is below 2^(1-|p|)
         if self.exhaustible:
-            return sum((Fraction(bin_inv(p), 4 ** len(p)) for p in self.inner), Fraction(0))
+            keys = self.inner.indices()
+            return sum((Fraction(n, 4 ** (n.bit_length() - 1)) for n in keys), Fraction(0))
         inner_total = self.inner.total_upper(s, "omega")
         return None if inner_total is None else 2 * inner_total
 
 
-class _UniversalStream(DomainStream):
-    """Members behind the self-delimiting prefixes 0^j 1."""
-
-    exhaustible = True  # members are validated to be finite tables
+class _UniversalStream(_FiniteStream):
+    """Finite members behind the self-delimiting prefixes 0^J 1: the string
+    0^J 1 w has index 2^(J+1+|w|) + bin_inv(w)."""
 
     def __init__(self, spec: Construction):
         members = zip(_member_exponents(spec), spec.operands)
-        self.strings = sorted(
-            ("0" * j + "1" + w for j, op in members for w in op.domain), key=_lenlex_key
+        self.keys = sorted(
+            (1 << (j + 1 + len(w))) + bin_inv(w) for j, op in members for w in op.domain
         )
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.strings)
+    def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
+        # halting weights bound index weights, at one power of two each
+        return _indices_tail(self.keys, ell, s, "omega")
 
 
-# the members of universal_convergent sit behind prefixes 0^J 1 held in
-# memory; at the cap (a bound near 2^20 for a lone member) zeta, omega and
-# classify take about 0.2 s and 32 MB on a 2-core x86-64 host, and both
-# grow linearly in J
+# at the cap (a bound near 2^20 for a lone member) a zeta or omega sum takes
+# about 0.03 s and a 5 MB tracemalloc peak on a 2-core x86-64 host; the CLI
+# prints the hi of a sum stopped short, of about 1.3 million digits, in 1.5 s
 PREFIX_ZEROS_CAP = 1 << 22
 
 
@@ -651,8 +644,7 @@ def _member_exponents(spec: Construction) -> list[int] | range:
     for bound in spec.bounds:
         m_class = max(1, -((-bound.numerator) // bound.denominator))
         ranks[m_class] = ranks.get(m_class, 0) + 1
-        i = ranks[m_class]
-        out.append(2 ** i * (2 * m_class + 1) - 1)
+        out.append(j_pairing(ranks[m_class], m_class))
     return out
 
 
@@ -719,11 +711,14 @@ class SumReport:
 
     enclosure: Enclosure
     consumed: int
-    exhausted: bool
     # why the enumeration ended: "budget", "exhausted" (the stream ran
     # out), "grid" (terms below 2^-136, or a further term could no longer
     # narrow a bracketed tail) or "cut" (StreamCut)
     stop: str
+
+    @property
+    def exhausted(self) -> bool:
+        return self.stop == "exhausted"
 
 
 def _weight_interval(key: int, s: Fraction, kind: str) -> tuple[Fraction, Fraction]:
@@ -927,15 +922,14 @@ def weighted_domain_sum(
     a, b = s.numerator, s.denominator
     stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * b // a + 1
 
-    # the keys of _weight_interval: omega weights depend on the length alone,
-    # so the strings of one length are added as one run from run_start on;
-    # zeta weights depend on the index, which some streams yield without
-    # strings
+    # both kinds read indices: zeta weights depend on the index, omega
+    # weights on its length alone, so the strings of one length are added as
+    # one run from run_start on
     omega = kind == "omega"
-    src: Iterator[int] = stream.lengths() if omega else stream.indices()
+    src = stream.indices()
     k = a if b == 1 else 0
     add_root = None if omega or k else _root_terms(s)
-    next_key = 1 if omega else 2  # the least key of a length past current_len
+    next_key = 2  # the least index of a length past current_len
     run_start = 0
 
     while consumed < limit:
@@ -947,13 +941,13 @@ def weighted_domain_sum(
         if key is None:
             stop = "exhausted"
             break
-        if key >= next_key:  # lengths never fall in length-lex order
+        if key >= next_key:  # indices ascend, so lengths never fall
             if omega and consumed > run_start:
                 acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
                 run_start = consumed
-            current_len = key if omega else key.bit_length() - 1
+            current_len = key.bit_length() - 1
             complete.append((current_len - 1, acc.hi))
-            next_key = current_len + 1 if omega else 1 << (current_len + 1)
+            next_key = 1 << (current_len + 1)
             if stop_len is not None and current_len >= stop_len:
                 stop = "grid"
                 break
@@ -976,7 +970,7 @@ def weighted_domain_sum(
 
     lo = acc.lo
     if stop == "exhausted":
-        return SumReport(Enclosure(lo, acc.hi), consumed, True, stop)
+        return SumReport(Enclosure(lo, acc.hi), consumed, stop)
 
     # acc.hi rounds every term up and every tail is an upper bound, so each
     # candidate is sound as it stands; a larger budget passes every length
@@ -992,7 +986,7 @@ def weighted_domain_sum(
             tail = _tail_upper(stream, ell, s, kind)
             candidates.append(None if tail is None else hi_complete + tail)
     hi = min((c for c in candidates if c is not None), default=None)
-    return SumReport(Enclosure(lo, hi), consumed, False, stop)
+    return SumReport(Enclosure(lo, hi), consumed, stop)
 
 
 def omega_enclosure(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -1119,8 +1113,8 @@ def sanity_chain(spec: FiniteTable) -> ChainReport:
     if not isinstance(spec, FiniteTable):
         raise MachineSpecError("sanity_chain runs on finite tables")
     validate_spec(spec)
-    omega = _strings_tail(spec.domain, -1, Fraction(1), "omega")
-    zeta = _strings_tail(spec.domain, -1, Fraction(1), "zeta")
+    tail = _FiniteStream(spec).tail_bound
+    omega, zeta = tail(-1, Fraction(1), "omega"), tail(-1, Fraction(1), "zeta")
     holds = 1 >= omega >= zeta >= omega / 2 >= 0
     strict = 1 > omega > zeta > omega / 2 > 0
     return ChainReport(omega, zeta, holds, strict)

@@ -96,8 +96,8 @@ def test_classify_report(tmp_path, capsys):
 
 
 def test_uncertified_classify_says_why_on_one_line(tmp_path, capsys):
-    # one element of the convergent member leaves both sums unbounded above
-    f = _file(tmp_path, _convergent("3"))
+    # one element of tuatara_of(all_strings) leaves both sums unbounded above
+    f = _file(tmp_path, _ALL + "machine t\nkind construction\nconstruct tuatara_of a\n")
     code, out, err = _go(capsys, "classify", "--machine", f, "--budget", "1", "--format", "csv")
     assert code == EXIT_BUDGET and out.splitlines()[1].startswith("zeta,unknown,no,")
     assert err == (
@@ -355,6 +355,24 @@ def test_usage_and_input_errors(tmp_path, capsys):
     code, out, err = _go(capsys, "zeta", "--machine", bad)
     assert code == EXIT_COMPUTE
     assert err == "error: line 3: not a bit string: '012'\n"
+
+
+def test_options_before_a_subcommand_are_usage_errors(tmp_path, capsys):
+    # options go after the subcommand; before it they are refused, not
+    # silently replaced by the subcommand's defaults
+    f = _file(tmp_path, _FINITE)
+    for argv in (
+        ("--budget", "1", "zeta", "--machine", f),
+        ("--machine", f, "zeta"),
+        ("iota", "--budget", "3", "count", "5"),
+    ):
+        code, out, err = _go(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert "invalid choice" in err.splitlines()[-1], argv
+    # after the subcommand they apply
+    assert _go(capsys, "zeta", "--machine", f, "--budget", "1")[0] == EXIT_OK
+    code, out, err = _go(capsys, "iota", "count", "5", "--budget", "3")
+    assert code == EXIT_BUDGET and out == ""
 
 
 def test_negative_budgets_are_usage_errors(capsys):
@@ -635,6 +653,34 @@ def _convergent(bound: str) -> str:
         "machine a\nkind finite\ndomain 0\ndomain 1\n"
         f"machine u\nkind construction\nconstruct universal_convergent a\nbound {bound}\n"
     )
+
+
+def test_universal_sum_stopped_short_has_a_finite_hi(tmp_path, capsys):
+    # three strings 010, 0110 and 0011; two of them bound the third by its
+    # halting weight, so both sums are certified at or below 1
+    f = _file(
+        tmp_path,
+        _FINITE + "machine b\nkind finite\ndomain 1\n"
+        "machine u\nkind construction\nconstruct universal_tuatara a,b\n",
+    )
+    code, out, err = _go(capsys, "classify", "--machine", f, "--budget", "2", "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:] == [
+        "zeta,tuatara,yes,29/190,9/40,index sum certified <= 1 (upper bound 9/40)",
+        "omega,tuatara,yes,3/16,1/4,halting weight sum certified <= 1 (upper bound 1/4)",
+    ]
+
+
+def test_universal_sums_at_the_prefix_cap_end_quickly(tmp_path, capsys):
+    # a lone member of bound 2^20 - 1 sits behind 4,194,301 zeros; a sum that
+    # stops at budget 1 bounds the other string by its halting weight
+    f = _file(tmp_path, _convergent("1048575"))
+    for cmd in ("zeta", "classify"):
+        start = time.perf_counter()
+        code, out, err = _go(capsys, cmd, "--machine", f, "--budget", "1", "--format", "csv")
+        assert time.perf_counter() - start < 5, cmd
+        assert (code, err) == (EXIT_OK, ""), cmd
+        assert "inf" not in out, cmd
 
 
 def test_convergent_prefix_cap(tmp_path, capsys):

@@ -29,11 +29,14 @@ from tuatara.binstr import bin_inv  # noqa: E402
 from tuatara.machines import (  # noqa: E402
     Construction,
     FiniteTable,
-    _lenlex_key,
     domain_stream,
     weighted_domain_sum,
 )
 from tuatara.numerics import first_primes  # noqa: E402
+
+def _lenlex_key(w: str) -> tuple[int, str]:
+    return (len(w), w)
+
 
 _PARTS = st.sets(st.text(alphabet="01", max_size=4), max_size=6).map(tuple)
 _MAX_LEN = 9

@@ -12,6 +12,12 @@ weighted_domain_sum must give the same enclosure, endpoint for endpoint,
 the same consumed count, exhaustion and stop as that reference, and the
 streams must count and enumerate the same strings.
 
+The references stand alone: each keeps the string enumeration of the
+stream layer before streams yielded indices, with indices read off the
+strings, so they also check that every stream's indices and the strings
+derived from them are the ones it enumerated as strings. Universal
+machines had no tail then; their hi may only fall below the reference's.
+
 The product and prime_product references also keep the earlier
 enumerators: a product built a whole length at a time from one tier of
 strings per part, with a tail whose per-length heads counted those
@@ -26,18 +32,19 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from tuatara import machines
-from tuatara.binstr import bin_inv, bin_of
+from tuatara.binstr import all_strings, bin_inv, bin_of, is_prefix_free
+from tuatara.iota import run_program, words_of_length
 from tuatara.machines import (
     _STOP_BITS,
     Builtin,
     Construction,
     FiniteTable,
     _IntervalAcc,
-    _lenlex_key,
     _tail_upper,
     _weight_interval,
     domain_stream,
@@ -49,15 +56,41 @@ from tuatara.numerics import first_primes
 # the earlier stream layer
 
 
-class _OldTotal:
+def _lenlex_key(w):
+    return (len(w), w)
+
+
+class _RefStream:
+    """The earlier DomainStream base: streams enumerated strings, indices
+    came from them, and total_upper was the stream's own tail past -1."""
+
+    exhaustible = False
+
+    def indices(self):
+        return (bin_inv(w) for w in self)
+
+    def limit_examined(self, limit):
+        pass
+
+    def count_up_to_length(self, ell):
+        if not self.exhaustible:
+            return None
+        return sum(1 for _ in itertools.takewhile(lambda w: len(w) <= ell, self))
+
+    def tail_bound(self, ell, s, kind):
+        return None
+
     def total_upper(self, s, kind):
         return self.tail_bound(-1, s, kind)
 
 
-class _RefOperand:
+class _RefOperand(_RefStream):
     def __init__(self, spec):
         self.inner = _ref_stream(spec.operands[0])
         self.exhaustible = self.inner.exhaustible
+
+    def limit_examined(self, limit):
+        self.inner.limit_examined(limit)
 
 
 def _old_strings_tail(strings, ell, s, kind):
@@ -69,7 +102,15 @@ def _old_strings_tail(strings, ell, s, kind):
     return acc
 
 
-class _RefFinite(_OldTotal, machines._FiniteStream):
+class _RefFinite(_RefStream):
+    exhaustible = True
+
+    def __init__(self, table):
+        self.strings = tuple(sorted(table.domain, key=_lenlex_key))
+
+    def __iter__(self):
+        return iter(self.strings)
+
     def count_up_to_length(self, ell):
         return sum(1 for w in self.strings if len(w) <= ell)
 
@@ -77,7 +118,16 @@ class _RefFinite(_OldTotal, machines._FiniteStream):
         return _old_strings_tail(self.strings, ell, s, kind)
 
 
-class _RefAllStrings(machines._AllStringsStream):
+class _RefAllStrings(_RefStream):
+    def __iter__(self):
+        return all_strings()
+
+    def indices(self):
+        return itertools.count(1)
+
+    def count_up_to_length(self, ell):
+        return (1 << (ell + 1)) - 1 if ell >= 0 else 0
+
     def total_upper(self, s, kind):
         if kind != "omega" or s <= 1:
             return None
@@ -85,11 +135,60 @@ class _RefAllStrings(machines._AllStringsStream):
         return None if r >= 1 else 1 / (1 - r)
 
 
-class _RefLukasiewicz(_OldTotal, machines._LukasiewiczStream):
-    pass
+class _RefLukasiewicz(_RefStream):
+    def __iter__(self):
+        length = 1
+        while True:
+            yield from words_of_length(length)
+            length += 2
+
+    def count_up_to_length(self, ell):
+        total, c = 0, 1
+        for m in range((ell + 1) // 2):
+            total += c
+            c = c * 2 * (2 * m + 1) // (m + 2)
+        return total
+
+    def tail_bound(self, ell, s, kind):
+        n0 = max((ell + 1) // 2, 0)
+        if s == 1:
+            return F(comb(2 * n0, n0), 4 ** n0)
+        if s < 1:
+            return None
+        q = machines.pow2_bounds(2 * (1 - s), machines._TERM_PREC).hi
+        if q >= 1:
+            return None
+        scale = machines.pow2_bounds(s - 2, machines._TERM_PREC).hi
+        return scale * q ** (n0 + 1) / (1 - q)
 
 
-class _RefGeometric(_OldTotal, machines._GeometricStream):
+class _RefIota(_RefStream):
+    def __init__(self, spec):
+        self.step_budget = spec.step_budget
+        self.size_budget = spec.size_budget
+        self.examine_limit = None
+        self._inner = _RefLukasiewicz()
+
+    def limit_examined(self, limit):
+        self.examine_limit = limit
+
+    def __iter__(self):
+        for examined, w in enumerate(self._inner):
+            if len(w) > self.size_budget:
+                return
+            if examined == self.examine_limit:
+                raise machines.StreamCut
+            if run_program(w, self.step_budget, self.size_budget).halted:
+                yield w
+
+    def tail_bound(self, ell, s, kind):
+        return self._inner.tail_bound(ell, s, kind)
+
+
+class _RefGeometric(_RefStream):
+    def __init__(self, spec):
+        self.extras = tuple(sorted(spec.extras, key=_lenlex_key))
+
     def __iter__(self):
         extras = list(self.extras)
         pos = 0
@@ -99,6 +198,9 @@ class _RefGeometric(_OldTotal, machines._GeometricStream):
                 yield extras[pos]
                 pos += 1
             yield base
+
+    def count_up_to_length(self, ell):
+        return max(ell, 0) + sum(1 for w in self.extras if len(w) <= ell)
 
     def tail_bound(self, ell, s, kind):
         if s <= 0:
@@ -111,7 +213,7 @@ class _RefGeometric(_OldTotal, machines._GeometricStream):
         return acc + _old_strings_tail(self.extras, ell, s, kind)
 
 
-class _RefProduct(machines.DomainStream):
+class _RefProduct(_RefStream):
     def __init__(self, spec):
         self._usable = [p for p in sorted(spec.operands[0].domain, key=_lenlex_key) if p]
         self.exhaustible = not self._usable
@@ -167,12 +269,40 @@ class _RefProduct(machines.DomainStream):
         return max(total - heads[ell + 1], F(0))
 
 
-class _RefDouble(_RefOperand, machines._DoubleStream):
+class _RefDouble(_RefOperand):
+    def __iter__(self):
+        return (w + w for w in self.inner)
+
+    def count_up_to_length(self, ell):
+        return self.inner.count_up_to_length(ell // 2)
+
+    def tail_bound(self, ell, s, kind):
+        return _tail_upper(self.inner, ell // 2, 2 * s, "omega")
+
     def total_upper(self, s, kind):
         return self.inner.total_upper(2 * s, "omega")
 
 
-class _RefTuataraOf(_RefOperand, machines._TuataraOfStream):
+class _RefTuataraOf(_RefOperand):
+    def __iter__(self):
+        waiting = {}
+        it = iter(self.inner)
+        pending = next(it, None)
+        length = 0
+        while pending is not None or waiting:
+            while pending is not None and len(pending) <= length:
+                waiting.setdefault(len(pending), []).append(pending)
+                pending = next(it, None)
+            batch = set()
+            for p in waiting.pop(length, ()):
+                i = length - len(p)
+                batch.add(p + "0" * i)
+                j = p.find("1", i)
+                if j >= 0:
+                    waiting.setdefault(len(p) + j + 1, []).append(p)
+            yield from sorted(batch)
+            length += 1
+
     def count_up_to_length(self, ell):
         if not self.exhaustible:
             return None
@@ -195,10 +325,23 @@ class _RefTuataraOf(_RefOperand, machines._TuataraOfStream):
         return None if inner_total is None else 2 * inner_total
 
 
-class _RefUniversal(machines._UniversalStream):
+def _ref_exponents(spec):
+    if spec.kind == "universal_tuatara":
+        return list(range(1, len(spec.operands) + 1))
+    ranks, out = {}, []
+    for bound in spec.bounds:
+        m_class = max(1, -((-bound.numerator) // bound.denominator))
+        ranks[m_class] = ranks.get(m_class, 0) + 1
+        out.append(2 ** ranks[m_class] * (2 * m_class + 1) - 1)
+    return out
+
+
+class _RefUniversal(_RefStream):
+    exhaustible = True
+
     def __init__(self, spec):
         self.members = [_ref_stream(op) for op in spec.operands]
-        self.exponents = list(machines._member_exponents(spec))
+        self.exponents = _ref_exponents(spec)
 
     def _all(self):
         out = []
@@ -220,7 +363,7 @@ class _RefUniversal(machines._UniversalStream):
         return None
 
 
-class _RefPrimeProduct(machines.DomainStream):
+class _RefPrimeProduct(_RefStream):
     def __init__(self, spec):
         idx = sorted(bin_inv(w) for w in spec.operands[0].domain)
         primes = first_primes(idx[-1]) if idx else []
@@ -273,6 +416,7 @@ _REF_CONSTRUCTIONS = {
 _REF_BUILTINS = {
     "all_strings": lambda spec: _RefAllStrings(),
     "lukasiewicz": lambda spec: _RefLukasiewicz(),
+    "iota": _RefIota,
     "geometric": _RefGeometric,
 }
 
@@ -289,7 +433,6 @@ def _ref_stream(spec):
 def _ref_sum(stream, s, budget, kind):
     """The per-element sum loop with the earlier upper bound:
     (lo, hi, consumed, exhausted, stop)."""
-    assert stream.element_tail(s, kind, budget) is None
     stream.limit_examined(budget)
     acc = _IntervalAcc()
     complete = [(-1, F(0))]
@@ -330,17 +473,20 @@ def _ref_sum(stream, s, budget, kind):
 
 def _same_sums(spec, exponents, budgets, kinds=("omega", "zeta"), hi_nested=False):
     """Every sum equals the reference's; with hi_nested, every sum but hi,
-    which must lie at or below the reference's."""
+    which must lie at or below the reference's (where that is finite)."""
     for kind in kinds:
         for s in exponents:
             if kind == "zeta" and s < 1:
                 continue
             for budget in budgets:
+                # the reference loop has no bracketed tail
+                assert domain_stream(spec).element_tail(s, kind, budget) is None
                 rep = weighted_domain_sum(spec, s, budget, kind)
                 got = [rep.enclosure.lo, rep.enclosure.hi, rep.consumed, rep.exhausted, rep.stop]
                 want = list(_ref_sum(_ref_stream(spec), s, budget, kind))
-                if hi_nested and want[1] is not None and got[1] is not None:
-                    assert rep.enclosure.lo <= got[1] <= want[1], (kind, s, budget)
+                if hi_nested and got[1] is not None:
+                    assert rep.enclosure.lo <= got[1], (kind, s, budget)
+                    assert want[1] is None or got[1] <= want[1], (kind, s, budget)
                     got[1] = want[1]
                 assert got == want, (kind, s, budget)
 
@@ -436,7 +582,9 @@ def test_finite_domains_below_at_and_above_their_size(name):
     for ell in range(-1, len(strings[-1]) + 2):
         assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
     budgets = (0, 1, size // 2, size - 1, size, size + 1, 2 * size)
-    _same_sums(spec, (F(1), F(2), F(3, 2), F(7, 3)), budgets)
+    # a universal machine now bounds its tail by its halting weights
+    universal = name.startswith("universal")
+    _same_sums(spec, (F(1), F(2), F(3, 2), F(7, 3)), budgets, hi_nested=universal)
 
 
 def _min(*bounds):
@@ -465,13 +613,112 @@ def test_tails_and_totals(spec):
     new, ref = domain_stream(spec), _ref_stream(spec)
     same_tails = type(ref).tail_bound in (
         _RefFinite.tail_bound, _RefGeometric.tail_bound, _RefProduct.tail_bound,
-        machines._LukasiewiczStream.tail_bound, machines.DomainStream.tail_bound,
+        _RefLukasiewicz.tail_bound, _RefStream.tail_bound,
     )
+    universal = isinstance(ref, _RefUniversal)
     for kind in ("omega", "zeta"):
         for s in (F(1, 2), F(1), F(3, 2), F(2), F(7, 3)):
             if kind == "zeta" and s < 1:
                 continue
             want = _min(ref.total_upper(s, kind), _tail_upper(ref, -1, s, kind))
-            assert new.total_upper(s, kind) == want, (kind, s)
+            got = new.total_upper(s, kind)
+            if universal:
+                # the halting weights of the strings: at or above their
+                # weight sum, and at or below the earlier total
+                weights = (len(w) if kind == "omega" else bin_inv(w) for w in ref)
+                assert sum(_weight_interval(key, s, kind)[0] for key in weights) <= got
+                assert want is None or got <= want, (kind, s)
+                continue
+            assert got == want, (kind, s)
             for ell in range(-1, 9) if same_tails else ():
                 assert new.tail_bound(ell, s, kind) == ref.tail_bound(ell, s, kind)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: every stream yields indices, and its strings come from them
+
+
+def _same_enumeration(spec, count=200):
+    """The first count strings and indices, and the counts by length, are
+    the reference's."""
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    want = list(itertools.islice(ref, count))
+    assert list(itertools.islice(iter(new), count)) == want, spec
+    assert list(itertools.islice(new.indices(), count)) == [bin_inv(w) for w in want], spec
+    for ell in range(-1, 8):
+        assert new.count_up_to_length(ell) == ref.count_up_to_length(ell), (spec, ell)
+
+
+_GEOMETRIC = Builtin("geometric", ("11", "0101", "1111"))
+_ENUMERATED = [
+    _TABLES["with_empty"],
+    FiniteTable(("",)),
+    FiniteTable(()),
+    _GEOMETRIC,
+    Builtin("geometric", ("10", "0110")),
+    Construction("product", (FiniteTable(("0", "10", "110")),)),
+    Construction("product", (FiniteTable(("0", "00", "1", "01")),)),
+    Construction("product", (FiniteTable(("",)),)),
+    Construction("prime_product", (FiniteTable(("", "0", "1011")),)),
+    Construction("double", (_TABLES["with_empty"],)),
+    Construction("double", (_LUKA,)),
+    Construction("double", (Construction("prime_product", (FiniteTable(("0", "1")),)),)),
+    Construction("tuatara_of", (_PREFIX_FREE,)),
+    Construction("tuatara_of", (_LUKA,)),
+    Construction("tuatara_of", (_GEOMETRIC,)),
+    Construction("double", (Construction("tuatara_of", (Builtin("geometric", ("10",)),)),)),
+    _TABLES["universal_tuatara"],
+    _TABLES["universal_convergent"],
+    _LUKA,
+    Builtin("iota", step_budget=20, size_budget=13),
+    Builtin("iota", step_budget=3, size_budget=17),
+    Builtin("all_strings"),
+]
+
+
+@pytest.mark.parametrize("spec", _ENUMERATED, ids=lambda spec: type(domain_stream(spec)).__name__)
+def test_strings_and_indices_match_the_string_enumeration(spec):
+    _same_enumeration(spec)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_BITS = st.text(alphabet="01", max_size=6)
+_TABLE = st.sets(_BITS, max_size=8).map(lambda ws: FiniteTable(tuple(ws)))
+_PREFIX_FREE_TABLE = _TABLE.filter(lambda t: is_prefix_free(t.domain))
+_EXTRAS = st.sets(_BITS.filter(lambda w: not (w.endswith("1") and "1" not in w[:-1])), max_size=4)
+_OPERAND = st.one_of(
+    _PREFIX_FREE_TABLE,
+    st.just(_LUKA),
+    _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
+)
+_MEMBERS = st.lists(_TABLE, min_size=1, max_size=3).map(tuple)
+_SPECS = st.one_of(
+    _TABLE,
+    _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
+    st.sets(st.text(alphabet="01", max_size=4), max_size=5).map(
+        lambda ps: Construction("product", (FiniteTable(tuple(ps)),))
+    ),
+    _TABLE.map(lambda t: Construction("prime_product", (t,))),
+    _TABLE.map(lambda t: Construction("double", (t,))),
+    _OPERAND.map(lambda op: Construction("tuatara_of", (op,))),
+    _OPERAND.map(lambda op: Construction("double", (Construction("tuatara_of", (op,)),))),
+    _MEMBERS.map(lambda ms: Construction("universal_tuatara", ms)),
+    _MEMBERS.flatmap(
+        lambda ms: st.lists(
+            st.fractions(min_value=F(1, 8), max_value=20), min_size=len(ms), max_size=len(ms)
+        ).map(lambda bs: Construction("universal_convergent", ms, tuple(bs)))
+    ),
+    st.builds(
+        lambda steps, size: Builtin("iota", step_budget=steps, size_budget=size),
+        st.integers(1, 30),
+        st.integers(1, 13),
+    ),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(spec=_SPECS)
+def test_random_streams_match_the_string_enumeration(spec):
+    _same_enumeration(spec, 120)
