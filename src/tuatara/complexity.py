@@ -8,6 +8,7 @@ and size budgets baked into the machine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -73,13 +74,23 @@ class ExecutableMachine:
             raise ValueError("machine spec is not executable")
 
     def _run_iota(self, w: str) -> str | None:
-        # a program has one more 0 than 1s; text that is not plain bits goes to parse
-        if w.count("0") != w.count("1") + 1 and not w.strip("01"):
-            return None
-        try:
-            term = iota_mod.parse(w)
-        except iota_mod.ParseFailure:
-            return None
+        plain = not w.strip("01")
+        if plain and w.count("0") != w.count("1") + 1:
+            return None  # a program has one more 0 than 1s
+        if plain and len(w) < self._steps.bit_length():
+            # the tables up to length |w| hold fewer than 2^|w| <= steps
+            # programs, so building them costs no more than one run may take;
+            # no word with these counts lies past the last program 1^m 0^(m+1)
+            indices, n = iota_mod.program_indices(len(w)), int("1" + w, 2)
+            k = bisect_left(indices, n)
+            if indices[k] != n:
+                return None
+            term = iota_mod.program_terms(len(w))[k]
+        else:
+            try:  # text that is not plain bits, or a long word, goes to parse
+                term = iota_mod.parse(w)
+            except iota_mod.ParseFailure:
+                return None
         r = iota_mod.reduce(term, self._steps, self._sizes)
         if not r.halted:
             return None

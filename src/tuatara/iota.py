@@ -15,18 +15,26 @@ there.
 Valid programs of length 2n-1 are counted by the Catalan number C_{n-1},
 and the prefix code they form carries total weight
 sum_n C_{n-1} 2^-(2n-1) = 1, with the partial sum through n falling short
-of 1 by exactly binom(2n, n) 4^-n.
+of 1 by exactly binom(2n, n) 4^-n. The programs of each length are kept in
+one table keyed by index, int("1" + w, 2): the ascending indices, and on
+first request the parsed terms in the same order, each one cell over the
+cached terms of its two subprograms. A term is never mutated by reduction,
+so a cached term reduces in the same steps and sizes as a fresh parse.
 """
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, count, repeat
 from math import comb
 from operator import indexOf
+from typing import Iterator, Sequence
 
-from .binstr import validate_bits
+from .binstr import bin_of, validate_bits
 from .numerics import Enclosure
 
 DEFAULT_STEP_BUDGET = 10 ** 5
@@ -199,25 +207,64 @@ def count_programs(length: int) -> int:
     return comb(2 * (n - 1), n - 1) // n
 
 
-_WORD_CACHE: dict[int, tuple[str, ...]] = {1: ("0",)}
+# the program tables, one per odd length: the indices int("1" + w, 2) in
+# ascending order, and the parsed terms in the same order; an index of a
+# length below 64 fits an unsigned 64-bit entry, and no longer table fits in
+# memory (C_31 programs have 63 bits)
+_INDICES: dict[int, array] = {1: array("Q", (2,))}
+_TERMS: dict[int, tuple[Term, ...]] = {1: (IOTA,)}
+
+
+def program_indices(length: int) -> Sequence[int]:
+    """Ascending indices of the programs of the given bit length.
+
+    The program 1 a b has index ((ia + 2^(|a|+1)) << |b|) + ib - 2^|b| for
+    the indices ia and ib of a and b, so each length is built from shorter
+    tables by index arithmetic alone. Ascending index order is lex order.
+    The table returned is the cached one, to be read and not changed.
+    """
+    if length < 1 or length % 2 == 0:
+        return array("Q")
+    got = _INDICES.get(length)
+    if got is None:
+        got = _INDICES[length] = array("Q", sorted(
+            ((ia + (2 << na)) << nb) + ib - (1 << nb)
+            for na in range(1, length - 1, 2)
+            for nb in (length - 1 - na,)
+            for ia in program_indices(na)
+            for ib in program_indices(nb)
+        ))
+    return got
+
+
+def program_terms(length: int) -> tuple[Term, ...]:
+    """The terms of program_indices(length), in the same order, built on
+    first request: the term of 1 a b is one App over the cached terms of a
+    and b.
+
+    Programs form a prefix code, so no a is a prefix of another: the
+    programs sharing one a are contiguous in lex order, ordered by b, and
+    these blocks follow the a's compared on their bits left-aligned.
+    """
+    if length < 1 or length % 2 == 0:
+        return ()
+    got = _TERMS.get(length)
+    if got is None:
+        # per length of a, its programs as (bits left-aligned, |a|, k)
+        runs = (
+            zip(map(int.__lshift__, program_indices(na), repeat(length - na)), repeat(na), count())
+            for na in range(1, length - 1, 2)
+        )
+        out: list[Term] = []
+        for _, na, k in heapq.merge(*runs):
+            out += map(partial(App, program_terms(na)[k]), program_terms(length - 1 - na))
+        got = _TERMS[length] = tuple(out)
+    return got
 
 
 def words_of_length(length: int) -> tuple[str, ...]:
     """All valid programs of the given bit length, lexicographically sorted."""
-    if length < 1 or length % 2 == 0:
-        return ()
-    cached = _WORD_CACHE.get(length)
-    if cached is not None:
-        return cached
-    acc: list[str] = []
-    for left_len in range(1, length - 1, 2):
-        for a in words_of_length(left_len):
-            prefix = "1" + a
-            for b in words_of_length(length - 1 - left_len):
-                acc.append(prefix + b)
-    out = tuple(sorted(acc))
-    _WORD_CACHE[length] = out
-    return out
+    return tuple(map(bin_of, program_indices(length)))
 
 
 # ---------------------------------------------------------------------------

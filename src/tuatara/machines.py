@@ -22,6 +22,7 @@ budget never widens the enclosure of a sum it does not exhaust.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -84,6 +85,11 @@ class FiniteTable:
 
     domain: tuple[str, ...]
     outputs: tuple[str | None, ...] | None = None
+
+    @functools.cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The domain's indices bin_inv(w), ascending; computed once per table."""
+        return tuple(sorted(map(bin_inv, self.domain)))
 
     def output_for(self, w: str) -> str | None:
         if self.outputs is None:
@@ -312,7 +318,7 @@ class _FiniteStream(DomainStream):
     exhaustible = True
 
     def __init__(self, table: FiniteTable):
-        self.keys = sorted(map(bin_inv, table.domain))
+        self.keys = table.indices
 
     def indices(self) -> Iterator[int]:
         return iter(self.keys)
@@ -353,14 +359,12 @@ class _AllStringsStream(DomainStream):
 
 
 class _LukasiewiczStream(DomainStream):
-    """The one stream made from strings: words that the iota stream runs."""
-
-    def words(self) -> Iterator[str]:
-        for length in itertools.count(1, 2):
-            yield from iota_mod.words_of_length(length)
+    """The programs of the one-combinator calculus, read off the index
+    tables of iota; no string and no term is made."""
 
     def indices(self) -> Iterator[int]:
-        return (int("1" + w, 2) for w in self.words())
+        for length in itertools.count(1, 2):
+            yield from iota_mod.program_indices(length)
 
     def count_up_to_length(self, ell: int) -> int:
         # C_m programs of length 2m+1, by C_{m+1} = C_m 2(2m+1)/(m+2)
@@ -396,14 +400,17 @@ class _IotaHaltingStream(DomainStream):
         self.examine_limit = limit
 
     def indices(self) -> Iterator[int]:
-        for examined, w in enumerate(self._inner.words()):
-            if len(w) > self.size_budget:
-                return  # w parses to a term of len(w) nodes, which reduce refuses
-            if examined == self.examine_limit:
-                raise StreamCut
-            r = iota_mod.run_program(w, self.step_budget, self.size_budget)
-            if r.halted:
-                yield int("1" + w, 2)
+        examined = 0
+        for length in itertools.count(1, 2):
+            if length > self.size_budget:
+                return  # a term has as many nodes as its program bits: reduce refuses it
+            table = zip(iota_mod.program_indices(length), iota_mod.program_terms(length))
+            for n, term in table:
+                if examined == self.examine_limit:
+                    raise StreamCut
+                examined += 1
+                if iota_mod.reduce(term, self.step_budget, self.size_budget).halted:
+                    yield n
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         return self._inner.tail_bound(ell, s, kind)  # halting domain is a subset
@@ -491,7 +498,7 @@ class _ProductStream(_MultisetStream):
 
     def __init__(self, spec: Construction):
         # an empty part, of index 1, adds nothing
-        usable = [n for n in sorted(map(bin_inv, spec.operands[0].domain)) if n > 1]
+        usable = [n for n in spec.operands[0].indices if n > 1]
         self._lengths = [n.bit_length() - 1 for n in usable]
         super().__init__([(1 << d, n - (1 << d)) for n, d in zip(usable, self._lengths)])
         # _counts[L]: multisets of length L; _heads[s][L]: lower bound on the
@@ -657,7 +664,7 @@ class _PrimeProductStream(_MultisetStream):
     """The numbers that factor over the selected primes: part p is (p, 0)."""
 
     def __init__(self, spec: Construction):
-        idx = sorted(bin_inv(w) for w in spec.operands[0].domain)
+        idx = spec.operands[0].indices
         if idx and idx[-1] > PRIME_COUNT_CAP:
             raise ValueError(f"{idx[-1]} primes requested, past the cap of {PRIME_COUNT_CAP}")
         primes = first_primes(idx[-1]) if idx else []
@@ -1113,8 +1120,8 @@ def sanity_chain(spec: FiniteTable) -> ChainReport:
     if not isinstance(spec, FiniteTable):
         raise MachineSpecError("sanity_chain runs on finite tables")
     validate_spec(spec)
-    tail = _FiniteStream(spec).tail_bound
-    omega, zeta = tail(-1, Fraction(1), "omega"), tail(-1, Fraction(1), "zeta")
+    omega = _indices_tail(spec.indices, -1, Fraction(1), "omega")
+    zeta = _indices_tail(spec.indices, -1, Fraction(1), "zeta")
     holds = 1 >= omega >= zeta >= omega / 2 >= 0
     strict = 1 > omega > zeta > omega / 2 > 0
     return ChainReport(omega, zeta, holds, strict)

@@ -38,7 +38,7 @@ import pytest
 
 from tuatara import machines
 from tuatara.binstr import all_strings, bin_inv, bin_of, is_prefix_free
-from tuatara.iota import run_program, words_of_length
+from tuatara.iota import run_program
 from tuatara.machines import (
     _STOP_BITS,
     Builtin,
@@ -135,11 +135,26 @@ class _RefAllStrings(_RefStream):
         return None if r >= 1 else 1 / (1 - r)
 
 
+_LUKA_WORDS = {1: ("0",)}
+
+
+def _luka_words(length):
+    """The programs of one odd length, by the string recursion 1 a b, sorted."""
+    if length not in _LUKA_WORDS:
+        acc = []
+        for left_len in range(1, length - 1, 2):
+            for a in _luka_words(left_len):
+                for b in _luka_words(length - 1 - left_len):
+                    acc.append("1" + a + b)
+        _LUKA_WORDS[length] = tuple(sorted(acc))
+    return _LUKA_WORDS[length]
+
+
 class _RefLukasiewicz(_RefStream):
     def __iter__(self):
         length = 1
         while True:
-            yield from words_of_length(length)
+            yield from _luka_words(length)
             length += 2
 
     def count_up_to_length(self, ell):
