@@ -7,19 +7,36 @@ K x y -> x apply. Reduction is normal order (leftmost outermost) under
 explicit step and size budgets; running out of budget is an ordinary result,
 not an exception. One kernel applies the rules, reducing a term to weak
 head normal form: a stuck head atom and its unreduced arguments. It keeps
-the pending arguments on a stack and its step and size counts in locals,
-so a step builds at most one new cell. Full normalization head-reduces and
-then normalizes each argument; the list decoder needs only heads and stops
-there.
+the pending arguments on a stack and its step, size and peak size counts in
+locals, so a step builds at most one new cell. Full normalization
+head-reduces and then normalizes each argument; the list decoder needs only
+heads and stops there.
+
+The parser builds one shared cell per distinct subprogram (hash-consing),
+so a combinator spelling that a program repeats is a single object. The
+first time a shared cell reaches head position, the kernel head-reduces it
+alone, in a nested run on the budgets left, and the cell keeps what that
+run found: the stuck head and its arguments, the step count k, the size
+change d and the largest rise p above the cell's own size. Later visits
+jump over those k steps when the step budget has k steps to spare and the
+size budget room for the rise p; otherwise the cell is unwound like any
+other. This is exact: a cell that reduces alone in k steps takes the same
+k steps under any arguments, since normal order fires the head redex, and
+the arguments only add a constant to every size. So step counts, sizes,
+budget stops and their kinds are those of plain stepping, whatever the
+budgets, and no step runs that plain stepping would not run. Nested runs
+stop nesting at a fixed depth, past which a cell without facts is unwound.
 
 Valid programs of length 2n-1 are counted by the Catalan number C_{n-1},
 and the prefix code they form carries total weight
 sum_n C_{n-1} 2^-(2n-1) = 1, with the partial sum through n falling short
 of 1 by exactly binom(2n, n) 4^-n. The programs of each length are kept in
 one table keyed by index, int("1" + w, 2): the ascending indices, and on
-first request the parsed terms in the same order, each one cell over the
-cached terms of its two subprograms. A term is never mutated by reduction,
-so a cached term reduces in the same steps and sizes as a fresh parse.
+first request the parsed terms in the same order, each one plain cell over
+the cached terms of its two subprograms. A term is never rewritten by
+reduction, so a cached term reduces in the same steps and sizes as a fresh
+parse. Table cells are plain and keep no facts, which would last as long
+as the tables and grow with them.
 """
 
 from __future__ import annotations
@@ -81,6 +98,24 @@ class App:
             else:
                 out.append(u if isinstance(u, str) else u.name)
         return "".join(out)
+
+
+class Cell(App):
+    """Application cell built by parse, one per distinct subprogram.
+
+    facts is None until the kernel has head-reduced the cell alone, then
+    (head, stack, k, d, p): the stuck head, its arguments in stack order
+    (first on top), the steps taken, the size change and the peak rise.
+    """
+
+    __slots__ = ("facts",)
+
+    def __init__(self, f: "Term", x: "Term"):
+        # App.__init__ inlined: parse builds one cell per new subprogram
+        self.f = f
+        self.x = x
+        self.size = f.size + x.size + 1
+        self.facts = None
 
 
 Term = Atom | App
@@ -161,10 +196,20 @@ def parse(bits: str) -> Term:
     s = _clean(bits)
     _check(s)
     # build right to left: each '0' pushes a leaf, each '1' folds the top two
+    # into the one cell over that pair; the children are shared already, so
+    # the pair of objects names the subprogram
     stack: list[Term] = []
     push, pop = stack.append, stack.pop
+    cells: dict[tuple[Term, Term], Cell] = {}
     for c in reversed(s):
-        push(IOTA if c == "0" else App(pop(), pop()))
+        if c == "0":
+            push(IOTA)
+            continue
+        key = pop(), pop()
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = Cell(*key)
+        push(cell)
     return stack[0]
 
 
@@ -276,11 +321,13 @@ class ReduceResult:
     """Outcome of a budgeted normalization.
 
     status is "normal" with the normal form in `term`, or "steps" / "size"
-    naming the budget that ran out, with `term` unset.
+    naming the budget that ran out, with `term` unset. peak is the largest
+    size the term reached, the size that broke the size budget included.
     """
 
     status: str
     steps: int
+    peak: int
     term: Term | None = None
 
     @property
@@ -294,18 +341,23 @@ class _BudgetStop(Exception):
 
 
 class _Meter:
-    """Shared step and size accounting for one reduction session."""
+    """Shared step, size and peak size accounting for one reduction session."""
 
-    __slots__ = ("steps", "size", "step_budget", "size_budget")
+    __slots__ = ("steps", "size", "peak", "step_budget", "size_budget")
 
     def __init__(self, size: int, step_budget: int, size_budget: int):
         self.steps = 0
-        self.size = size
+        self.size = self.peak = size
         self.step_budget = step_budget
         self.size_budget = size_budget
 
 
-def _whnf(t: Term, meter: _Meter) -> tuple[Term, list[Term]]:
+# nested runs that record a shared cell's facts stop nesting at this depth;
+# a deeper cell without facts is stepped through like a plain cell
+_FACT_DEPTH = 40
+
+
+def _whnf(t: Term, meter: _Meter, depth: int = 0) -> tuple[Term, list[Term]]:
     """Normal-order head reduction: the stuck head atom and its arguments.
 
     The head is a probe mark, or a combinator applied to too few arguments
@@ -315,13 +367,20 @@ def _whnf(t: Term, meter: _Meter) -> tuple[Term, list[Term]]:
     and S x y z builds only the cell y z. Each step counts in locals and
     tests the step budget before the size budget; the counts go back to the
     meter on every exit.
+
+    The size budget is tested only when a step sets a new peak: the peak
+    starts at most at the budget, so a size above the budget is always a
+    new peak. A shared cell in head position jumps over the k steps of its
+    facts when they fit the budgets left, and otherwise is unwound as a
+    plain cell; facts not yet known are found first (see _cell_facts).
     """
     args: list[Term] = []
     push, pop = args.append, args.pop
     steps, size = meter.steps, meter.size
     step_budget, size_budget = meter.step_budget, meter.size_budget
+    peak = min(max(meter.peak, size), size_budget)
     while True:
-        while isinstance(t, App):
+        while type(t) is App:
             push(t.x)
             t = t.f
         if t is IOTA and args:
@@ -335,17 +394,60 @@ def _whnf(t: Term, meter: _Meter) -> tuple[Term, list[Term]]:
             t, y, z = pop(), pop(), pop()
             args += (App(y, z), z)
             delta = z.size - 1
+        elif type(t) is Cell:
+            facts = t.facts
+            if facts is None and depth < _FACT_DEPTH:
+                meter.steps, meter.size, meter.peak = steps, size, peak
+                facts = _cell_facts(t, meter, depth)
+            if facts and steps + facts[2] <= step_budget and size + facts[4] <= size_budget:
+                t, stack, k, d, p = facts
+                args += stack
+                steps += k
+                if size + p > peak:
+                    peak = size + p
+                size += d
+            else:
+                push(t.x)
+                t = t.f
+            continue
         else:
-            meter.steps, meter.size = steps, size
+            meter.steps, meter.size, meter.peak = steps, size, peak
             return t, args[::-1]
         steps += 1
         if steps > step_budget:
-            meter.steps, meter.size = steps, size
+            meter.steps, meter.size, meter.peak = steps, size, peak
             raise _BudgetStop("steps")
         size += delta
-        if size > size_budget:
-            meter.steps, meter.size = steps, size
-            raise _BudgetStop("size")
+        if size > peak:
+            peak = size
+            if size > size_budget:
+                meter.steps, meter.size, meter.peak = steps, size, peak
+                raise _BudgetStop("size")
+
+
+def _cell_facts(c: Cell, meter: _Meter, depth: int):
+    """Head-reduce the shared cell c alone and record its facts on it.
+
+    The meter holds the counts at the moment c reached head position inside
+    a term of size meter.size. The nested run gets the steps left and the
+    size budget less the rest of the term, so it stops exactly where plain
+    stepping through c would; such a stop is passed on with the meter set to
+    the counts plain stepping would show, and c keeps no facts. While the
+    run goes on, c itself is marked False so that the run steps through it.
+    """
+    rest = meter.size - c.size
+    sub = _Meter(c.size, meter.step_budget - meter.steps, meter.size_budget - rest)
+    c.facts = False
+    try:
+        head, args = _whnf(c, sub, depth + 1)
+    except _BudgetStop:
+        c.facts = None
+        meter.steps += sub.steps
+        meter.size = rest + sub.size
+        meter.peak = max(meter.peak, rest + sub.peak)
+        raise
+    c.facts = (head, tuple(reversed(args)), sub.steps, sub.size - c.size, sub.peak - c.size)
+    return c.facts
 
 
 def _normalize(root: Term, meter: _Meter) -> Term:
@@ -381,13 +483,13 @@ def reduce(
 ) -> ReduceResult:
     """Normalize t under budgets; exhaustion is reported, never raised."""
     if t.size > size_budget:
-        return ReduceResult("size", 0)
+        return ReduceResult("size", 0, t.size)
     meter = _Meter(t.size, step_budget, size_budget)
     try:
         nf = _normalize(t, meter)
     except _BudgetStop as stop:
-        return ReduceResult(stop.kind, meter.steps)
-    return ReduceResult("normal", meter.steps, nf)
+        return ReduceResult(stop.kind, meter.steps, meter.peak)
+    return ReduceResult("normal", meter.steps, meter.peak, nf)
 
 
 def run_program(
@@ -478,14 +580,14 @@ def encode_bits(w: str) -> str:
 
     The empty list is F; a cons cell applies the pairing combinator to the
     bit (F for 0, T for 1) and the encoded tail. F is the longer bit
-    spelling, so |encode(w)| <= (2 + |P| + |F|) * |w| + |F|.
+    spelling, so |encode(w)| <= (2 + |P| + |F|) * |w| + |F|. Spelled out,
+    the list is the pieces "11" + P + bit, one per bit of w, and then F,
+    so the output is one join, in time linear in |w|.
     """
     validate_bits(w)
     c = iota_constants()
-    out = c.F
-    for bit in reversed(w):
-        out = _app_bits(_app_bits(c.P, c.T if bit == "1" else c.F), out)
-    return out
+    piece = {"0": "11" + c.P + c.F, "1": "11" + c.P + c.T}
+    return "".join(map(piece.__getitem__, w)) + c.F
 
 
 def decode_bits(
@@ -504,6 +606,13 @@ def decode_bits(
     same; as the rest of the list and discarded parts are never normalized,
     an input on which full normalization exhausts the budget may decode
     here. step_budget caps the steps of all probes together.
+
+    The parsed list is built from shared cells, so the spellings of the
+    pairing combinator and of each boolean that every element repeats are
+    one cell each. Their head reductions are found on the first probe that
+    needs them and jumped over on every later one; the steps still count,
+    so the total, and where a budget stops the decode, are those of plain
+    stepping under every budget.
     """
     t = parse(bits)
     meter = _Meter(0, step_budget, size_budget)

@@ -341,6 +341,23 @@ def test_iota_commands(capsys):
     assert err == "error: complete program after 1 bit(s), trailing input\n"
 
 
+@pytest.mark.parametrize("comb", ["left", "right"])
+def test_iota_commands_on_deep_combs(capsys, comb):
+    # 60,000 nested applications: one facts run per level would pass any
+    # recursion limit, so runs past a fixed depth step plainly; these
+    # outputs are the plain kernel's
+    n = 60_000
+    if comb == "left":  # ((i i) i) ... i
+        bits, text = "1" * n + "0" * (n + 1), "(" * n + "i i)" + " i)" * (n - 1)
+    else:  # i (i (... (i i)))
+        bits, text = "10" * n + "0", "(i " * n + "i" + ")" * n
+    assert _go(capsys, "iota", "parse", bits) == (EXIT_OK, text + "\n", "")
+    assert _go(capsys, "iota", "run", bits) == (
+        EXIT_BUDGET, "", "no normal form: steps budget hit after 100001 step(s)\n")
+    assert _go(capsys, "iota", "decode", bits) == (
+        EXIT_BUDGET, "", "error: reduction steps budget exhausted mid-decode\n")
+
+
 def test_usage_and_input_errors(tmp_path, capsys):
     code, out, err = _go(capsys, "frobnicate")
     assert code == EXIT_USAGE and "invalid choice" in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -128,6 +129,30 @@ def test_encode_values():
         assert len(encode_bits(w)) <= 193 * len(w) + 7
     with pytest.raises(ValueError):
         encode_bits("02")
+
+
+def _fold_encode(w):
+    # the cons-by-cons fold the encoder's join spells out
+    c = iota_constants()
+    out = c.F
+    for bit in reversed(w):
+        out = "1" + ("1" + c.P + (c.T if bit == "1" else c.F)) + out
+    return out
+
+
+def test_encode_is_the_fold_and_linear():
+    rng = random.Random(3)
+    words = [bin(m)[3:] for m in range(1, 1 << 9)]
+    words += ["".join(rng.choice("01") for _ in range(rng.randint(9, 200))) for _ in range(40)]
+    for w in words:
+        assert encode_bits(w) == _fold_encode(w), w
+    # prepending to a growing string, as the fold does, is quadratic in |w|
+    w = "".join(rng.choice("01") for _ in range(60_000))
+    t0 = time.perf_counter()
+    out = encode_bits(w)
+    assert time.perf_counter() - t0 < 2.0
+    c = iota_constants()
+    assert len(out) == len(c.F) + sum(2 + len(c.P) + len(c.T if b == "1" else c.F) for b in w)
 
 
 def test_codec_roundtrip():

@@ -3,10 +3,12 @@
 The reference kernel kept here is the earlier spine form of `_whnf`: it
 walks a term down its application cells, builds the cells each rule's
 right-hand side names, and charges every step through its own copy of the
-meter's `spend`. The reference parser counts open subterms in a Python loop
-and then builds the term. The library's argument-stack kernel, its parser
-and the complexity search's program filter must agree with them on every
-head, argument, step count, size count, output and error.
+meter's `spend`, which also keeps the peak size. It knows nothing of shared
+cells and steps through them. The reference parser counts open subterms in
+a Python loop and then builds a plain term. The library's argument-stack
+kernel, with the jumps its shared cells allow, its parser and the
+complexity search's program filter must agree with them on every head,
+argument, step count, size count, peak size, output and error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from tuatara.iota import (  # noqa: E402
     IOTA,
     App,
     Atom,
+    Cell,
+    DecodeBudget,
     Incomplete,
     K,
     ParseFailure,
@@ -46,6 +50,7 @@ def _spend(meter: _Meter, delta: int) -> None:
     if meter.steps > meter.step_budget:
         raise _BudgetStop("steps")
     meter.size += delta
+    meter.peak = max(meter.peak, meter.size)
     if meter.size > meter.size_budget:
         raise _BudgetStop("size")
 
@@ -129,12 +134,16 @@ _TERM = _terms(st.sampled_from((IOTA, S, K) + _PROBES))
 
 
 def _whnf_outcome(kernel, t, steps, sizes, start):
+    # the peak is the largest size reached from a start within the size
+    # budget; from a start above it, the kernel keeps no peak to compare
     meter = _Meter(start, steps, sizes)
     try:
         head, args = kernel(t, meter)
     except _BudgetStop as stop:
-        return ("stop", stop.kind, meter.steps, meter.size)
-    return ("stuck", head, args, meter.steps, meter.size)
+        out = ("stop", stop.kind, meter.steps, meter.size)
+    else:
+        out = ("stuck", head, args, meter.steps, meter.size)
+    return out + ((meter.peak,) if start <= sizes else ())
 
 
 def _agree(t, steps, sizes, start):
@@ -157,7 +166,7 @@ def test_whnf_matches_the_spine_kernel(t, data):
     # first with room to spare, then under budgets drawn from 0 to past the
     # steps and size the term used
     free = _agree(t, 5000, 10 ** 6, t.size)
-    used_steps = free[-2] if free[0] == "stuck" else 5000
+    used_steps = free[3] if free[0] == "stuck" else 5000
     peak = data.draw(st.integers(0, t.size + 3 * used_steps + 8), label="size budget")
     steps = data.draw(st.integers(0, used_steps + 2), label="step budget")
     _agree(t, steps, peak, t.size)
@@ -185,9 +194,9 @@ _PROGRAM = _terms(st.just(IOTA), 40).map(iota.unparse)
 
 
 def _reduced(t, steps, sizes):
-    # a ReduceResult as status, steps and the normal form's text
+    # a ReduceResult as status, steps, peak size and the normal form's text
     r = iota.reduce(t, steps, sizes)
-    return r.status, r.steps, None if r.term is None else repr(r.term)
+    return r.status, r.steps, r.peak, None if r.term is None else repr(r.term)
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,3 +256,154 @@ def test_iota_machine_run_matches_on_short_strings(budgets):
     words = ["".join(p) for n in range(13) for p in itertools.product("01", repeat=n)]
     for w in words + list(_SAMPLES):
         assert _same(_outcome(machine.run, w), _outcome(_parent_run, machine, w)), w
+
+
+# ---------------------------------------------------------------------------
+# shared cells
+
+
+@st.composite
+def _dags(draw, max_cells=12):
+    # each new cell, shared or plain, joins two members of a growing pool, so
+    # one cell can sit in many places and reach head position many times
+    pool = [IOTA, S, K, *_PROBES]
+    for _ in range(draw(st.integers(1, max_cells))):
+        f, x = (pool[draw(st.integers(0, len(pool) - 1))] for _ in "fx")
+        pool.append(draw(st.sampled_from((Cell, Cell, App)))(f, x))
+    return pool[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_dags(), extra=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
+def test_shared_cells_match_the_spine_kernel_at_every_small_budget(t, extra, rnd):
+    # t sits in a term `extra` larger; facts found under one budget are
+    # reused under the next, in a random order, from sizes below the start
+    start = t.size + extra
+    free = _agree(t, 40, 10 ** 6, start)
+    used = free[3] if free[0] == "stuck" else 40
+    peak = free[-1]
+    sizes = set(range(max(0, start - 3), start + 3)) | set(range(peak - 2, peak + 2))
+    sizes |= set(range(start, peak, max(1, (peak - start) // 8)))
+    budgets = [(n, m) for n in range(used + 2) for m in sizes]
+    rnd.shuffle(budgets)
+    for n, m in budgets:
+        _agree(t, n, m, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_dags(), steps=st.integers(0, 200), sizes=st.integers(0, 400))
+def test_reduce_of_shared_cells_reports_the_spine_peak(t, steps, sizes):
+    # status, steps, peak and normal form, twice: the second run jumps over
+    # the cells whose facts the first one found
+    ref = _with_kernel(_spine_whnf, _reduced, t, steps, sizes)
+    for _ in range(2):
+        assert _same(_with_kernel(iota._whnf, _reduced, t, steps, sizes), ref)
+
+
+def test_deep_shared_cells_step_through_past_the_nesting_cap():
+    # combs nest one facts run per level until the cap, then step plainly
+    n = 3 * iota._FACT_DEPTH
+    for bits in ("1" * n + "0" * (n + 1), "10" * n + "0"):
+        for steps in range(0, 4 * n, 7):
+            for sizes in (10 ** 6, 2 * n + 1, 2 * n + 2):
+                t = iota.parse(bits)  # fresh cells, so facts are found under these budgets
+                assert not _differs(_reduced, t, steps, sizes), (bits[:4], steps, sizes)
+
+
+# a second pairing combinator and boolean pair, bracket-abstracted here the
+# way the benchmark's reference codec builds them, so lists spelled with
+# them share other cells than encode_bits output does
+
+
+def _free(var, t):
+    return t == var if not isinstance(t, tuple) else _free(var, t[0]) or _free(var, t[1])
+
+
+def _abstract(var, t):
+    if t == var:
+        return (("S", "K"), "K")
+    if not _free(var, t):
+        return ("K", t)
+    f, x = t
+    if x == var and not _free(var, f):
+        return f
+    return (("S", _abstract(var, f)), _abstract(var, x))
+
+
+def _spell(t):
+    if isinstance(t, tuple):
+        return "1" + _spell(t[0]) + _spell(t[1])
+    return {"K": "1010100", "S": "101010100"}[t]
+
+
+_PAIR2 = _abstract("x", _abstract("y", _abstract("z", (("z", "x"), "y"))))
+_TRUE2, _FALSE2 = ("K", (("S", "K"), "K")), "K"
+
+
+def _encode2(w):
+    t = _FALSE2
+    for bit in reversed(w):
+        t = ((_PAIR2, _TRUE2 if bit == "1" else _FALSE2), t)
+    return _spell(t)
+
+
+def _decode_totals(bits):
+    """The decoded bits, total steps and peak probe size under plain stepping."""
+    totals = {"peak": 0}
+
+    def spine_probe(t, meter):
+        meter.peak = meter.size
+        try:
+            return _spine_whnf(t, meter)
+        finally:
+            totals["steps"] = meter.steps
+            totals["peak"] = max(totals["peak"], meter.peak)
+
+    with mock.patch.object(iota, "_whnf", spine_probe):
+        out = iota.decode_bits(bits, 10 ** 7, 10 ** 7)
+    return out, totals["steps"], totals["peak"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.text(alphabet="01", max_size=10))
+def test_decode_of_a_second_pairing_matches_at_its_exact_budgets(w):
+    bits = _encode2(w)
+    out, steps, peak = _decode_totals(bits)
+    assert out == w
+    assert iota.decode_bits(bits, steps, peak) == w
+    with pytest.raises(DecodeBudget, match="steps"):
+        iota.decode_bits(bits, steps - 1, 10 ** 7)
+    for n in (steps - 1, steps, steps + 1):
+        for m in (peak - 1, peak, peak + 1, 10 ** 7):
+            assert not _differs(iota.decode_bits, bits, n, m), (n, m)
+
+
+def _subterms(t):
+    # every object of a term, each once
+    seen, todo = {}, [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            if isinstance(u, App):
+                todo += (u.f, u.x)
+    return list(seen.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(_PROGRAM, min_size=1, max_size=4), shape=st.lists(st.integers(0, 7), max_size=12))
+def test_parse_shares_one_cell_per_distinct_subprogram(parts, shape):
+    # programs joined under applications, drawn from a few parts so that
+    # subprograms repeat
+    bits = parts[0]
+    for k in shape:
+        part = parts[k % len(parts)]
+        bits = "1" + bits + part if k < 4 else "1" + part + bits
+    t, ref = iota.parse(bits), _two_pass_parse(bits)
+    cells = _subterms(t)
+    texts = [iota.unparse(u) for u in cells]
+    assert len(set(texts)) == len(texts)
+    assert all(type(u) is Cell for u in cells if isinstance(u, App))
+    assert repr(t) == repr(ref)
+    assert iota.unparse(t) == iota.unparse(ref) == bits
+    assert term_eq(t, ref)
