@@ -1,26 +1,27 @@
 """Budget-bounded complexity measures over executable machine specs.
 
 Every value returned here is an enumeration truth: the least witness among
-the first `budget` candidate inputs. For finite tables that is the exact
-complexity; for reducer-backed machines it is exact relative to the step
-and size budgets baked into the machine.
+the domain strings of index at most `budget`. For finite tables and
+universal compositions that is the exact complexity; for the iota machine
+it is exact relative to the step and size budgets baked into the machine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import takewhile
+from typing import Iterable, Iterator, Sequence
 
 from . import iota as iota_mod
-from .binstr import bin_of, is_prefix_free
+from .binstr import bin_inv, is_prefix_free
 from .machines import (
     Builtin,
     Construction,
     FiniteTable,
     MachineSpec,
     _member_exponents,
+    _prefixed_index,
 )
 
 
@@ -40,74 +41,57 @@ class ExecutableMachine:
     """A machine spec with a runnable input -> output map.
 
     Supported shapes: a finite table whose every domain string carries an
-    output, the iota builtin run through the reducer, and universal
-    compositions 0^i 1 x -> member_i(x) over executable members.
+    output and universal compositions 0^J 1 x -> member(x) over such tables,
+    each one map from domain index to output, and the iota builtin, which
+    reduces the programs of its index tables.
     """
 
     def __init__(self, spec: MachineSpec):
         self.spec = spec
-        self._run: Callable[[str], str | None]
-        if isinstance(spec, FiniteTable):
-            domain = tuple(spec.domain)
-            outs = spec.outputs
-            if (
-                outs is None
-                or len(tuple(outs)) != len(domain)
-                or any(o is None for o in outs)
-            ):
-                raise ValueError("finite table must map every domain string")
-            table = dict(zip(domain, outs))
-            self._run = table.get
-        elif isinstance(spec, Builtin) and spec.generator == "iota":
-            self._run = self._run_iota
+        self._table: dict[int, str] | None = None
+        if isinstance(spec, Builtin) and spec.generator == "iota":
             self._steps = spec.step_budget
             self._sizes = spec.size_budget
-        elif isinstance(spec, Construction) and spec.kind in (
-            "universal_tuatara",
-            "universal_convergent",
-        ):
-            members = tuple(ExecutableMachine(op) for op in spec.operands)
-            # prefix 0^j 1 routes to the member owning exponent j
-            self._slots = dict(zip(_member_exponents(spec), members))
-            self._run = self._run_universal
+            return
+        if isinstance(spec, FiniteTable):
+            outs = spec.outputs
+            if outs is None or len(outs) != len(spec.domain) or None in outs:
+                raise ValueError("finite table must map every domain string")
+            self._table = dict(zip(map(bin_inv, spec.domain), outs))
+        elif isinstance(spec, Construction) and spec.kind.startswith("universal"):
+            if not all(isinstance(op, FiniteTable) for op in spec.operands):
+                raise ValueError(f"{spec.kind} members must be finite tables")
+            members = zip(_member_exponents(spec), map(ExecutableMachine, spec.operands))
+            self._table = {
+                _prefixed_index(j, n): out for j, m in members for n, out in m._table.items()
+            }
         else:
             raise ValueError("machine spec is not executable")
-
-    def _run_iota(self, w: str) -> str | None:
-        plain = not w.strip("01")
-        if plain and w.count("0") != w.count("1") + 1:
-            return None  # a program has one more 0 than 1s
-        if plain and len(w) < self._steps.bit_length():
-            # the tables up to length |w| hold fewer than 2^|w| <= steps
-            # programs, so building them costs no more than one run may take;
-            # no word with these counts lies past the last program 1^m 0^(m+1)
-            indices, n = iota_mod.program_indices(len(w)), int("1" + w, 2)
-            k = bisect_left(indices, n)
-            if indices[k] != n:
-                return None
-            term = iota_mod.program_terms(len(w))[k]
-        else:
-            try:  # text that is not plain bits, or a long word, goes to parse
-                term = iota_mod.parse(w)
-            except iota_mod.ParseFailure:
-                return None
-        r = iota_mod.reduce(term, self._steps, self._sizes)
-        if not r.halted:
-            return None
-        return iota_mod.unparse(r.term)
-
-    def _run_universal(self, w: str) -> str | None:
-        zeros = len(w) - len(w.lstrip("0"))
-        if zeros < 1 or zeros >= len(w) or w[zeros] != "1":
-            return None
-        member = self._slots.get(zeros)
-        if member is None:
-            return None
-        return member.run(w[zeros + 1 :])
+        self._keys = sorted(self._table)
 
     def run(self, w: str) -> str | None:
         """Output for input w, or None when w is outside the domain."""
-        return self._run(w)
+        if self._table is not None:
+            return None if w.strip("01") else self._table.get(bin_inv(w))
+        try:
+            term = iota_mod.parse(w)
+        except iota_mod.ParseFailure:
+            return None
+        r = iota_mod.reduce(term, self._steps, self._sizes)
+        return iota_mod.unparse(r.term) if r.halted else None
+
+    def outputs(self, budget: int) -> Iterator[tuple[int, str]]:
+        """(n, output) for each domain index n <= budget, in ascending order."""
+        if self._table is not None:
+            yield from ((n, self._table[n]) for n in takewhile(budget.__ge__, self._keys))
+            return
+        # a program has as many nodes as bits: reduce refuses one past the size budget
+        for n, term in iota_mod.programs(min(budget.bit_length() - 1, self._sizes)):
+            if n > budget:
+                return
+            r = iota_mod.reduce(term, self._steps, self._sizes)
+            if r.halted:
+                yield n, iota_mod.unparse(r.term)
 
     def domain_is_prefix_free(self) -> bool | None:
         """True/False for finite tables, None when not decidable here."""
@@ -119,15 +103,15 @@ class ExecutableMachine:
 def least_indices(
     machine: ExecutableMachine, targets: Iterable[str], budget: int
 ) -> dict[str, int]:
-    """Least n <= budget with machine(bin(n)) = x, for each target x hit.
+    """Least domain index n <= budget with machine(bin(n)) = x, for each
+    target x hit.
 
-    One pass over the candidates serves every target; it stops as soon as
-    each target has its witness.
+    One walk of the machine's domain serves every target; it stops as soon
+    as each target has its witness.
     """
     wanted = set(targets)
     found: dict[str, int] = {}
-    for n in range(1, budget + 1):
-        out = machine.run(bin_of(n))
+    for n, out in machine.outputs(budget):
         if out in wanted and out not in found:
             found[out] = n
             if len(found) == len(wanted):
@@ -137,11 +121,11 @@ def least_indices(
 
 def _length_of_index(n):
     # bin is length-monotone, so the least index is also a shortest input
-    return n if n is NO_WITNESS else len(bin_of(n))
+    return n if n is NO_WITNESS else n.bit_length() - 1
 
 
 def plain_k(machine: ExecutableMachine, x: str, budget: int):
-    """Least |w| with machine(w) = x among the first budget inputs."""
+    """Least |w| with machine(w) = x among domain strings of index <= budget."""
     return _length_of_index(least_indices(machine, (x,), budget).get(x, NO_WITNESS))
 
 
@@ -157,7 +141,7 @@ def program_size_h(machine: ExecutableMachine, x: str, budget: int):
 
 
 def nabla(machine: ExecutableMachine, x: str, budget: int):
-    """Least index n with machine(bin(n)) = x among the first budget inputs."""
+    """Least index n <= budget of a domain string w = bin(n) with machine(w) = x."""
     return least_indices(machine, (x,), budget).get(x, NO_WITNESS)
 
 

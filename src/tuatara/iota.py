@@ -52,7 +52,7 @@ from operator import indexOf
 from typing import Iterator, Sequence
 
 from .binstr import bin_of, validate_bits
-from .numerics import Enclosure
+from .numerics import Enclosure, catalan
 
 DEFAULT_STEP_BUDGET = 10 ** 5
 DEFAULT_SIZE_BUDGET = 10 ** 6
@@ -248,8 +248,7 @@ def count_programs(length: int) -> int:
     """Number of valid programs with exactly `length` bits."""
     if length < 1 or length % 2 == 0:
         return 0
-    n = (length + 1) // 2
-    return comb(2 * (n - 1), n - 1) // n
+    return catalan((length - 1) // 2)
 
 
 # the program tables, one per odd length: the indices int("1" + w, 2) in
@@ -305,6 +304,13 @@ def program_terms(length: int) -> tuple[Term, ...]:
             out += map(partial(App, program_terms(na)[k]), program_terms(length - 1 - na))
         got = _TERMS[length] = tuple(out)
     return got
+
+
+def programs(max_length: int) -> Iterator[tuple[int, Term]]:
+    """(index, term) for each program of at most max_length bits, in
+    ascending index order; each length's tables are built when reached."""
+    for length in range(1, max_length + 1, 2):
+        yield from zip(program_indices(length), program_terms(length))
 
 
 def words_of_length(length: int) -> tuple[str, ...]:
@@ -649,12 +655,18 @@ def decode_bits(
 # syntactic weight series
 
 
+def program_tail_weight(n: int) -> Fraction:
+    """The weight sum_{m>n} C_{m-1} 2^-(2m-1) of the programs longer than
+    2n-1 bits, binom(2n, n) 4^-n by the module's identity."""
+    return Fraction(comb(2 * n, n), 4 ** n)
+
+
 def iota_zeta_partial(n: int) -> Enclosure:
     """Enclosure of the total program-length weight from the first n sizes.
 
-    lo is sum_{m<=n} C_{m-1} 2^-(2m-1) = 1 - binom(2n, n) 4^-n by the
-    module's identity; the exact tail brings hi to 1, the full weight.
+    lo is sum_{m<=n} C_{m-1} 2^-(2m-1), the full weight 1 less the tail
+    past size n; the exact tail brings hi to 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Enclosure(1 - Fraction(comb(2 * n, n), 4 ** n), Fraction(1))
+    return Enclosure(1 - program_tail_weight(n), Fraction(1))

@@ -295,6 +295,46 @@ def test_deficiency_command(tmp_path, capsys):
     ]
 
 
+def _run_module(*argv, timeout=20):
+    src = str(Path(tuatara.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tuatara", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+_UNREACHED = "machine v\nkind finite\ndomain 0\ndomain 10\nmap 0 -> 0\nmap 10 -> 00\n"
+
+
+@pytest.mark.parametrize("text", [
+    _UNREACHED,
+    _UNREACHED + "machine u\nkind construction\nconstruct universal_tuatara v\n",
+], ids=["finite", "universal"])
+def test_missing_targets_end_with_the_domain(tmp_path, text):
+    # no output starts with 1: a search that walked every integer up to the
+    # budget would take days here, one that walks the domain ends at once
+    f = _file(tmp_path, text)
+    budget = str(10 ** 12)
+    proc = _run_module("nabla", "111", "--machine", f, "--budget", budget)
+    assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, "")
+    assert proc.stderr == "no witness within budget\n"
+    proc = _run_module(
+        "deficiency", "111", "--machine", f, "--kind", "plain", "--budget", budget,
+        "--format", "csv",
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    rows = proc.stdout.splitlines()[1:4]
+    assert [row.split(",")[:2] for row in rows] == [["1", "none"], ["2", "none"], ["3", "none"]]
+
+
+def test_iota_search_stops_at_its_witness(tmp_path):
+    # the iota machine's domain is infinite; the walk ends at the target
+    f = _file(tmp_path, _IOTA)
+    proc = _run_module("nabla", "1010100", "--machine", f, "--budget", str(10 ** 12))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "212\n", "")
+
+
 def test_iota_commands(capsys):
     code, out, err = _go(capsys, "iota", "parse", "11000")
     assert (code, out) == (EXIT_OK, "((i i) i)\n")
@@ -641,19 +681,11 @@ def test_denominator_1000_is_accepted(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    src = str(Path(tuatara.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     f = _file(tmp_path, _FINITE)
-    proc = subprocess.run(
-        [sys.executable, "-m", "tuatara", "zeta", "--machine", f, "--format", "csv"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_module("zeta", "--machine", f, "--format", "csv", timeout=60)
     assert proc.returncode == EXIT_OK and proc.stderr == ""
     assert proc.stdout.splitlines()[1] == "zeta,2/3,2/3,0.666666666666,exact,100000"
-    proc = subprocess.run(
-        [sys.executable, "-m", "tuatara", "zeta", "--machine", str(tmp_path / "missing.mt")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_module("zeta", "--machine", str(tmp_path / "missing.mt"), timeout=60)
     assert proc.returncode == EXIT_COMPUTE and proc.stderr.startswith("error: ")
 
 
