@@ -85,13 +85,8 @@ class ExecutableMachine:
         if self._table is not None:
             yield from ((n, self._table[n]) for n in takewhile(budget.__ge__, self._keys))
             return
-        # a program has as many nodes as bits: reduce refuses one past the size budget
-        for n, term in iota_mod.programs(min(budget.bit_length() - 1, self._sizes)):
-            if n > budget:
-                return
-            r = iota_mod.reduce(term, self._steps, self._sizes)
-            if r.halted:
-                yield n, iota_mod.unparse(r.term)
+        walk = iota_mod.halting_programs(self._steps, self._sizes, last=budget, forms=True)
+        yield from ((n, iota_mod.unparse(form)) for n, form in walk)
 
     def domain_is_prefix_free(self) -> bool | None:
         """True/False for finite tables, None when not decidable here."""

@@ -31,12 +31,17 @@ Valid programs of length 2n-1 are counted by the Catalan number C_{n-1},
 and the prefix code they form carries total weight
 sum_n C_{n-1} 2^-(2n-1) = 1, with the partial sum through n falling short
 of 1 by exactly binom(2n, n) 4^-n. The programs of each length are kept in
-one table keyed by index, int("1" + w, 2): the ascending indices, and on
-first request the parsed terms in the same order, each one plain cell over
-the cached terms of its two subprograms. A term is never rewritten by
-reduction, so a cached term reduces in the same steps and sizes as a fresh
-parse. Table cells are plain and keep no facts, which would last as long
-as the tables and grow with them.
+one table keyed by index, int("1" + w, 2): the ascending indices, and the
+parsed terms in the same order, built as walks reach them, each one plain
+cell (facts would last as long as the tables) over the cached terms of its
+two subprograms. A term is never rewritten by reduction, and reduce is a
+function of the term and the two budgets alone, so each program's outcome
+under a budget pair is kept once per process, exactly: one byte, halted or
+stopped, in the order of the table and as far as a walk has reached; 100 KB
+for the 100,000 programs a default sum examines, where normal forms would
+take tens of MB. The iota stream and the iota machine's searches read it
+through one walk, which reduces a program only to learn its outcome or, in
+a search, the normal form of a program that halts.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, count, repeat
-from math import comb
+from math import comb, inf
 from operator import indexOf
 from typing import Iterator, Sequence
 
@@ -256,7 +261,9 @@ def count_programs(length: int) -> int:
 # length below 64 fits an unsigned 64-bit entry, and no longer table fits in
 # memory (C_31 programs have 63 bits)
 _INDICES: dict[int, array] = {1: array("Q", (2,))}
-_TERMS: dict[int, tuple[Term, ...]] = {1: (IOTA,)}
+# the terms built so far, and (bits left-aligned, |a|, k) for each first
+# subprogram a whose block of terms is not built yet, in lex order
+_TERMS: dict[int, tuple[list[Term], Iterator[tuple[int, int, int]]]] = {1: ([IOTA], iter(()))}
 
 
 def program_indices(length: int) -> Sequence[int]:
@@ -281,36 +288,33 @@ def program_indices(length: int) -> Sequence[int]:
     return got
 
 
-def program_terms(length: int) -> tuple[Term, ...]:
-    """The terms of program_indices(length), in the same order, built on
-    first request: the term of 1 a b is one App over the cached terms of a
-    and b.
-
-    Programs form a prefix code, so no a is a prefix of another: the
-    programs sharing one a are contiguous in lex order, ordered by b, and
-    these blocks follow the a's compared on their bits left-aligned.
+def _terms(length: int, k: float) -> list[Term]:
+    """The cached terms of an odd length, built out until they hold term k
+    or all of them. Programs form a prefix code, so the programs 1 a b that
+    share a first subprogram a are contiguous in lex order, ordered by b; the
+    list grows by such blocks, the a's compared on their bits left-aligned.
     """
-    if length < 1 or length % 2 == 0:
-        return ()
-    got = _TERMS.get(length)
-    if got is None:
-        # per length of a, its programs as (bits left-aligned, |a|, k)
+    if length not in _TERMS:
         runs = (
             zip(map(int.__lshift__, program_indices(na), repeat(length - na)), repeat(na), count())
             for na in range(1, length - 1, 2)
         )
-        out: list[Term] = []
-        for _, na, k in heapq.merge(*runs):
-            out += map(partial(App, program_terms(na)[k]), program_terms(length - 1 - na))
-        got = _TERMS[length] = tuple(out)
-    return got
+        _TERMS[length] = [], heapq.merge(*runs)
+    terms, blocks = _TERMS[length]
+    if len(terms) <= k:
+        for _, na, j in blocks:
+            terms += map(partial(App, _terms(na, j)[j]), _terms(length - 1 - na, inf))
+            if len(terms) > k:
+                break
+    return terms
 
 
-def programs(max_length: int) -> Iterator[tuple[int, Term]]:
-    """(index, term) for each program of at most max_length bits, in
-    ascending index order; each length's tables are built when reached."""
-    for length in range(1, max_length + 1, 2):
-        yield from zip(program_indices(length), program_terms(length))
+def program_terms(length: int) -> tuple[Term, ...]:
+    """The terms of program_indices(length), in the same order; the term of
+    1 a b is one App over the cached terms of a and b."""
+    if length < 1 or length % 2 == 0:
+        return ()
+    return tuple(_terms(length, inf))
 
 
 def words_of_length(length: int) -> tuple[str, ...]:
@@ -505,6 +509,44 @@ def run_program(
 ) -> ReduceResult:
     """Parse and normalize program bits."""
     return reduce(parse(bits), step_budget, size_budget)
+
+
+class ExamineLimit(Exception):
+    """A walk examined its limit of programs with programs left."""
+
+
+# per (length, step budget, size budget), one byte per program in index
+# order, as far as a walk has reached: 1 if it halts, 0 if a budget stops it
+_HALTS: dict[tuple[int, int, int], bytearray] = {}
+
+
+def halting_programs(
+    step_budget: int, size_budget: int, limit: int | None = None, last: int | None = None,
+    forms: bool = False,
+) -> Iterator[tuple[int, Term | None]]:
+    """(index, normal form) for each program of index at most last that halts
+    under the budgets, in ascending order. A program is reduced only when
+    _HALTS lacks its outcome, or, with forms set, when it halts; otherwise
+    its form is None. Raises ExamineLimit before a program past the first
+    limit."""
+    examined = 0
+    # a program has as many nodes as bits: reduce refuses one past the size budget
+    top = size_budget if last is None else min(last.bit_length() - 1, size_budget)
+    for length in range(1, top + 1, 2):
+        known = _HALTS.setdefault((length, step_budget, size_budget), bytearray())
+        for k, n in enumerate(program_indices(length)):
+            if last is not None and n > last:
+                return
+            if examined == limit:
+                raise ExamineLimit
+            examined += 1
+            form = None
+            if k == len(known) or forms and known[k]:
+                r = reduce(_terms(length, k)[k], step_budget, size_budget)
+                known[k : k + 1] = (r.halted,)  # appended, or the same flag again
+                form = r.term
+            if known[k]:
+                yield n, form
 
 
 # ---------------------------------------------------------------------------

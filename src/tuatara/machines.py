@@ -59,9 +59,8 @@ class MachineSpecError(ValueError):
     """A machine description that fails validation."""
 
 
-class StreamCut(Exception):
-    """A stream examined its limit of candidates before finding the next
-    domain string; everything not yet yielded is still unknown."""
+# a filtering stream (iota's is the one) examined its limit of candidates
+StreamCut = iota_mod.ExamineLimit
 
 
 class BudgetExhausted(Exception):
@@ -400,14 +399,8 @@ class _IotaHaltingStream(DomainStream):
         self.examine_limit = limit
 
     def indices(self) -> Iterator[int]:
-        examined = 0
-        # a term has as many nodes as its program bits: reduce refuses longer ones
-        for n, term in iota_mod.programs(self.size_budget):
-            if examined == self.examine_limit:
-                raise StreamCut
-            examined += 1
-            if iota_mod.reduce(term, self.step_budget, self.size_budget).halted:
-                yield n
+        walk = iota_mod.halting_programs(self.step_budget, self.size_budget, self.examine_limit)
+        return (n for n, _ in walk)
 
     # the halting domain is a subset of the programs
     tail_bound = _LukasiewiczStream.tail_bound

@@ -42,6 +42,10 @@ from tuatara.iota import (  # noqa: E402
 )
 from tuatara.machines import Builtin  # noqa: E402
 
+# the kernel is replaced by the reference in some tests, so no outcome a
+# walk records may reach or leave the table across them
+pytestmark = pytest.mark.usefixtures("fresh_outcomes")
+
 _PROBES = (Atom("p"), Atom("q"))
 
 
