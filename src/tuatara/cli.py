@@ -80,6 +80,8 @@ class _Block:
 
 
 def _bits_token(token: str, line: int) -> str:
+    if not token.strip("01"):  # a run of 0s and 1s, the common case
+        return token
     try:
         return parse_bits(token)
     except ValueError as exc:
@@ -139,11 +141,12 @@ def parse_machine_file(
             last = spec
             block = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         key = tokens[0]
         if key == "machine":
             if len(tokens) != 2:

@@ -22,6 +22,7 @@ budget never widens the enclosure of a sum it does not exhaust.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -31,7 +32,7 @@ from math import ceil, floor, gcd, lcm, log2
 from typing import Callable, Iterator
 
 from . import iota as iota_mod
-from .binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
+from .binstr import all_bits, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
 from .numerics import (
     Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds,
     zeta_tail_factor,
@@ -87,8 +88,35 @@ class FiniteTable:
 
     @functools.cached_property
     def indices(self) -> tuple[int, ...]:
-        """The domain's indices bin_inv(w), ascending; computed once per table."""
-        return tuple(sorted(map(bin_inv, self.domain)))
+        """The domain's indices, the numerals 1w read in binary, ascending;
+        computed once per table, and only after the table passed
+        validate_spec, since int(x, 2) also reads strings such as "1_0" and
+        "10 " that are no bit strings."""
+        validate_spec(self)
+        return tuple(sorted(int("1" + w, 2) for w in self.domain))
+
+    @functools.cached_property
+    def _checked(self) -> bool:
+        """validate_spec's check of this table. A pass is remembered on the
+        table; a failure raises MachineSpecError and is checked again on the
+        next call."""
+        domain, outputs = self.domain, self.outputs
+        # one pass over all the strings; on a fault, the loops name the first
+        if not all_bits(domain) or len(set(domain)) < len(domain):
+            seen = set()
+            for w in domain:
+                validate_bits(w, MachineSpecError)
+                if w in seen:
+                    raise MachineSpecError(f"duplicate domain string {w!r}")
+                seen.add(w)
+        if outputs is not None:
+            if len(outputs) != len(domain):
+                raise MachineSpecError("outputs must parallel the domain")
+            if not all_bits(filter(None, outputs)):
+                for out in outputs:
+                    if out is not None:
+                        validate_bits(out, MachineSpecError)
+        return True
 
     def output_for(self, w: str) -> str | None:
         if self.outputs is None:
@@ -148,20 +176,13 @@ _CONSTRUCTIONS = {
 
 
 def validate_spec(spec: MachineSpec) -> None:
-    """Raise MachineSpecError unless the description is well formed."""
-    if isinstance(spec, FiniteTable):
-        seen = set()
-        for w in spec.domain:
-            validate_bits(w, MachineSpecError)
-            if w in seen:
-                raise MachineSpecError(f"duplicate domain string {w!r}")
-            seen.add(w)
-        if spec.outputs is not None:
-            if len(spec.outputs) != len(spec.domain):
-                raise MachineSpecError("outputs must parallel the domain")
-            for out in spec.outputs:
-                if out is not None:
-                    validate_bits(out, MachineSpecError)
+    """Raise MachineSpecError unless the description is well formed.
+
+    A finite table is checked once per table object: once it passes, later
+    calls on it, and on descriptions built from it, return without reading
+    its strings again.
+    """
+    if isinstance(spec, FiniteTable) and spec._checked:
         return
     if isinstance(spec, Builtin):
         if spec.generator not in _BUILTINS:
@@ -302,28 +323,36 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     return head + pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
 
 
-def _indices_tail(keys, ell: int, s: Fraction, kind: str) -> Fraction:
-    """Upper bound on the weight of the given indices of length > ell; exact
-    at integer s."""
-    acc = Fraction(0)
-    for n in keys:
-        length = n.bit_length() - 1
-        if length > ell:
-            acc += _weight_interval(length if kind == "omega" else n, s, kind)[1]
-    return acc
-
-
 class _FiniteStream(DomainStream):
+    """The given ascending indices. A tail is exact at integer s: the weight
+    of each length is summed once per (s, kind), and the tail past a length
+    is the suffix sum of those totals."""
+
     exhaustible = True
 
-    def __init__(self, table: FiniteTable):
-        self.keys = table.indices
+    def __init__(self, keys):
+        self.keys = keys
+        # (s, kind) -> (distinct lengths ascending, the weight of the keys of
+        # each length or longer, then 0)
+        self._tails: dict[tuple[Fraction, str], tuple[list[int], list[Fraction]]] = {}
 
     def indices(self) -> Iterator[int]:
         return iter(self.keys)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
-        return _indices_tail(self.keys, ell, s, kind)
+        if (s, kind) not in self._tails:
+            lengths, totals = [], []
+            for length, run in itertools.groupby(self.keys, lambda n: n.bit_length() - 1):
+                if kind == "omega":  # one weight per length
+                    total = sum(1 for _ in run) * _weight_interval(length, s, kind)[1]
+                else:
+                    total = sum((_weight_interval(n, s, kind)[1] for n in run), Fraction(0))
+                lengths.append(length)
+                totals.append(total)
+            tails = itertools.accumulate(reversed(totals), initial=Fraction(0))
+            self._tails[s, kind] = lengths, list(tails)[::-1]
+        lengths, tails = self._tails[s, kind]
+        return tails[bisect.bisect_right(lengths, ell)]
 
 
 class _AllStringsStream(DomainStream):
@@ -408,15 +437,15 @@ class _IotaHaltingStream(DomainStream):
 
 class _GeometricStream(DomainStream):
     def __init__(self, spec: Builtin):
-        self.extras = sorted(map(bin_inv, spec.extras))
+        self.extras = _FiniteStream(sorted(map(bin_inv, spec.extras)))
 
     def indices(self) -> Iterator[int]:
         base = ((1 << i) + 1 for i in itertools.count(1))  # 0^(i-1) 1
-        return heapq.merge(self.extras, base)
+        return heapq.merge(self.extras.keys, base)
 
     def count_up_to_length(self, ell: int) -> int:
         base = max(ell, 0)  # lengths 1..ell
-        return base + sum(1 for n in self.extras if n.bit_length() <= ell + 1)
+        return base + self.extras.count_up_to_length(ell)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         if s <= 0:
@@ -426,7 +455,7 @@ class _GeometricStream(DomainStream):
         if r >= 1:
             return None
         base = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
-        return base + _indices_tail(self.extras, ell, s, kind)
+        return base + self.extras.tail_bound(ell, s, kind)
 
 
 def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
@@ -615,11 +644,11 @@ class _UniversalStream(_FiniteStream):
 
     def __init__(self, spec: Construction):
         members = zip(_member_exponents(spec), spec.operands)
-        self.keys = sorted(_prefixed_index(j, n) for j, op in members for n in op.indices)
+        super().__init__(sorted(_prefixed_index(j, n) for j, op in members for n in op.indices))
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
         # halting weights bound index weights, at one power of two each
-        return _indices_tail(self.keys, ell, s, "omega")
+        return super().tail_bound(ell, s, "omega")
 
 
 # at the cap (a bound near 2^20 for a lone member) a zeta or omega sum takes
@@ -680,7 +709,7 @@ def domain_stream(spec: MachineSpec) -> DomainStream:
     """Build the enumeration stream for a validated machine description."""
     validate_spec(spec)
     if isinstance(spec, FiniteTable):
-        return _FiniteStream(spec)
+        return _FiniteStream(spec.indices)
     if isinstance(spec, Builtin):
         if spec.generator == "all_strings":
             return _AllStringsStream()
@@ -1111,9 +1140,9 @@ class ChainReport:
 def sanity_chain(spec: FiniteTable) -> ChainReport:
     if not isinstance(spec, FiniteTable):
         raise MachineSpecError("sanity_chain runs on finite tables")
-    validate_spec(spec)
-    omega = _indices_tail(spec.indices, -1, Fraction(1), "omega")
-    zeta = _indices_tail(spec.indices, -1, Fraction(1), "zeta")
+    stream = _FiniteStream(spec.indices)
+    omega = stream.tail_bound(-1, Fraction(1), "omega")
+    zeta = stream.tail_bound(-1, Fraction(1), "zeta")
     holds = 1 >= omega >= zeta >= omega / 2 >= 0
     strict = 1 > omega > zeta > omega / 2 > 0
     return ChainReport(omega, zeta, holds, strict)

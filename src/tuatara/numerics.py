@@ -394,13 +394,21 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
     return root_bounds(v ** a, b, prec)
 
 
+# a sum at s = a/b takes 2^(f/b) for each length's weight and tail, and f
+# repeats with period b in the length; a PrecisionLimit is never cached
+@functools.lru_cache(maxsize=256)
+def _pow2_root(f: int, b: int, prec: int) -> int:
+    """floor(2^prec 2^(f/b))."""
+    return _scaled_root(1 << f, 1, b, prec)
+
+
 def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
     """Interval around 2^e with relative width about 2^-prec; e any rational."""
     if e.denominator == 1:
         return Enclosure.exact(Fraction(2) ** e.numerator)
     # 2^e = 2^c 2^(f/b) with 0 < f < b, inside 2^c [s, s + 1] / 2^prec
     c, f = divmod(e.numerator, e.denominator)
-    s = _scaled_root(1 << f, 1, e.denominator, prec)
+    s = _pow2_root(f, e.denominator, prec)
     up, down = max(c - prec, 0), max(prec - c, 0)
     return Enclosure(Fraction(s << up, 1 << down), Fraction((s + 1) << up, 1 << down))
 

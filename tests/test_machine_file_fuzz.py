@@ -6,9 +6,12 @@ blocks of machine, kind, domain, map, generator, construct, bound and
 prefix_free lines, with wrong arities, unknown names and values, comments
 and blank lines mixed in, or the text of a valid machine with a few lines
 inserted, dropped or repeated. Each runs in-process through cli.run on omega, zeta or
-classify. Budgets stay at most 200 elements and --steps at most 50, bit
-strings at most 5 bits and bounds small or refused by the prefix cap, so
-every run is bounded; no subprocess is started.
+classify. The same texts, with comments, tabs, CRLF line ends and trailing
+spaces added, also run against a copy of the original line loop, which must
+give the same exit code, output and message. Budgets stay at most 200
+elements and --steps at most 50, bit strings at most 5 bits and bounds
+small or refused by the prefix cap, so every run is bounded; no subprocess
+is started.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from tuatara.binstr import render_bits
-from tuatara.cli import EXIT_BUDGET, EXIT_COMPUTE, parse_machine_file, run
-from tuatara.machines import Builtin, Construction, FiniteTable
+from tuatara import cli
+from tuatara.binstr import parse_bits, render_bits
+from tuatara.cli import EXIT_BUDGET, EXIT_COMPUTE, MachineFileError, parse_machine_file, run
+from tuatara.machines import Builtin, Construction, FiniteTable, validate_spec
+from tuatara.numerics import parse_rational
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -208,3 +214,163 @@ def test_any_machine_text_ends_in_an_exit_code_and_one_message(
     assert code in (0, 1, 2, 3)
     if code in (EXIT_COMPUTE, EXIT_BUDGET):
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# ---------------------------------------------------------------------------
+# the line loop against a plain copy of it
+
+
+def _reference_parse(text: str, step_budget: int, size_budget: int):
+    """parse_machine_file as first written: every line has its comment cut
+    and is stripped, and each bit token goes through parse_bits."""
+    known: dict = {}
+    block = None
+    last = None
+
+    def bits(token: str, line: int) -> str:
+        try:
+            return parse_bits(token)
+        except ValueError as exc:
+            raise MachineFileError(line, str(exc)) from None
+
+    def close() -> None:
+        nonlocal block, last
+        if block is not None:
+            spec = cli._finish_block(block, known, (step_budget, size_budget))
+            known[block.name] = spec
+            last = spec
+            block = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        key = tokens[0]
+        if key == "machine":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "machine needs exactly one name")
+            close()
+            if tokens[1] in known:
+                raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
+            block = cli._Block(tokens[1], lineno)
+            continue
+        if block is None:
+            raise MachineFileError(lineno, "directive before any machine line")
+        if key == "kind":
+            if len(tokens) != 2 or tokens[1] not in ("finite", "builtin", "construction"):
+                raise MachineFileError(lineno, "kind must be finite, builtin or construction")
+            if block.kind is not None:
+                raise MachineFileError(lineno, "duplicate kind line")
+            block.kind = tokens[1]
+        elif key == "domain":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "domain needs exactly one string")
+            w = bits(tokens[1], lineno)
+            if w in block.domain:
+                raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
+            block.domain[w] = None
+        elif key == "map":
+            if len(tokens) != 4 or tokens[2] != "->":
+                raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
+            src = bits(tokens[1], lineno)
+            dst = bits(tokens[3], lineno)
+            if src not in block.domain:
+                raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
+            if src in block.maps:
+                raise MachineFileError(lineno, f"duplicate map for {tokens[1]!r}")
+            block.maps[src] = dst
+        elif key == "generator":
+            if block.generator is not None:
+                raise MachineFileError(lineno, "duplicate generator line")
+            if len(tokens) < 2:
+                raise MachineFileError(lineno, "generator needs a name")
+            block.generator = tokens[1]
+            if tokens[1] == "geometric":
+                if len(tokens) > 3:
+                    raise MachineFileError(lineno, "geometric takes one extras list")
+                if len(tokens) == 3:
+                    block.extras = tuple(bits(t, lineno) for t in tokens[2].split(","))
+            elif len(tokens) != 2:
+                raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
+        elif key == "construct":
+            if block.construct is not None:
+                raise MachineFileError(lineno, "duplicate construct line")
+            if len(tokens) != 3:
+                raise MachineFileError(lineno, "construct syntax is: construct KIND NAMES")
+            block.construct = tokens[1]
+            block.operand_names = tokens[2].split(",")
+        elif key == "bound":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "bound needs one rational")
+            try:
+                block.bounds.append(parse_rational(tokens[1]))
+            except ValueError as exc:
+                raise MachineFileError(lineno, str(exc)) from None
+        elif key == "prefix_free":
+            if len(tokens) != 1:
+                raise MachineFileError(lineno, "prefix_free takes no arguments")
+            block.check_prefix_free = True
+        else:
+            raise MachineFileError(lineno, f"unknown directive {key!r}")
+    close()
+    if last is None:
+        raise MachineFileError(1, "no machine block found")
+    validate_spec(last)
+    return last
+
+
+_ODD_LINES = (
+    "domain", "domain 0 1 0", "domain eps", "domain 01#x", "domain 0#", "domain 0 # note",
+    "domain 0\t# tab", "domain 1_0", "domain 10\u00a0", "map 0 -> 1 # note", "map eps -> eps",
+    "#machine a", "# machine a", "#", "kind finite", "kind finite # again", "machine a#b",
+    "prefix_free #", "\t", " ",
+)
+
+
+@st.composite
+def _decorated_text(draw, steps: int, size: int) -> str:
+    """A text from _text, or a finite table's, with odd lines mixed in, and
+    with tabs or runs of blanks between tokens, blanks after them, comments
+    after them or at the line start, and LF or CRLF line ends."""
+    lines = draw(st.one_of(_text(steps, size), _finite().map(_write))).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+    out = []
+    for line in lines:
+        sep = draw(st.sampled_from((" ", " ", "\t", "  ", " \t ")))
+        line = sep.join(line.split(" "))
+        lead, trail = draw(st.sampled_from(("", "", " ", "\t"))), draw(st.sampled_from(
+            ("", "", " ", "\t ", " # note", "#", "\t#x y")))
+        if draw(st.integers(0, 39)) == 0:
+            line = "#" + line
+        out.append(lead + line + trail)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(out) + "\n"
+
+
+@settings(max_examples=200, deadline=20_000)
+@given(
+    data=st.data(),
+    command=st.sampled_from(("omega", "zeta", "classify", "sanity")),
+    budget=st.integers(0, 200),
+    steps=st.integers(0, 50),
+)
+def test_the_line_loop_answers_as_its_plain_copy(machine_path, data, command, budget, steps):
+    text = data.draw(_decorated_text(steps, 2000), label="text")
+    machine_path.write_bytes(text.encode("utf-8"))
+    argv = [command, "--machine", str(machine_path), "--budget", str(budget), "--steps", str(steps)]
+    if command == "sanity":
+        argv = argv[:3]
+    got = _run(argv)
+    with mock.patch.object(cli, "parse_machine_file", _reference_parse):
+        want = _run(argv)
+    assert got == want
+    # the file is read with universal newlines; the text itself keeps CRLF
+    assert _outcome(parse_machine_file, text, steps) == _outcome(_reference_parse, text, steps)
+
+
+def _outcome(parse, text: str, steps: int):
+    try:
+        return parse(text, steps, 2000)
+    except ValueError as exc:
+        return type(exc), str(exc)

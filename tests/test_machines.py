@@ -93,6 +93,76 @@ def test_validate_spec_rejects_bad_bits_as_spec_errors():
             validate_spec(spec)
 
 
+_BAD_TABLES = {
+    "bad bit": FiniteTable(("0", "012")),
+    "duplicate": FiniteTable(("10", "0", "10")),
+    "outputs too short": FiniteTable(("0", "10"), ("1",)),
+    "bad output": FiniteTable(("0", "10"), ("1", "2")),
+    # int(x, 2) reads both as numerals, so the indices must not come first
+    "underscore": FiniteTable(("1_0",)),
+    "trailing space": FiniteTable(("10 ",)),
+    "empty with bad output": FiniteTable((), ("x",)),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_TABLES))
+def test_a_bad_table_fails_its_check_on_every_call(name):
+    table = _BAD_TABLES[name]
+    calls = [
+        lambda: validate_spec(table),
+        lambda: table.indices,
+        lambda: zeta_enclosure(table),
+        lambda: omega_enclosure(table),
+        lambda: weighted_domain_sum(table, F(3, 2), 10, "zeta"),
+        lambda: classify(table),
+        lambda: sanity_chain(table),
+        lambda: domain_stream(Construction("universal_tuatara", (FiniteTable(("0",)), table))),
+    ]
+    for _ in range(2):  # a failed check is not remembered
+        for call in calls:
+            with pytest.raises(MachineSpecError):
+                call()
+
+
+def test_a_checked_table_reads_its_strings_no_more(monkeypatch):
+    rng = random.Random(23)
+    domain = tuple({bin_of(rng.randrange(1, 1 << 12)) for _ in range(200)})
+    outputs = tuple(bin_of(rng.randrange(1, 64)) for _ in domain)
+    table = FiniteTable(domain, outputs)
+    validate_spec(table)
+
+    from tuatara import binstr, machines
+
+    calls = []
+    counted = binstr.validate_bits
+
+    def counting(*args):
+        calls.append(args[0])
+        return counted(*args)
+
+    monkeypatch.setattr(binstr, "validate_bits", counting)
+    monkeypatch.setattr(machines, "validate_bits", counting)
+    member = Construction("universal_tuatara", (table,))
+    sums = [
+        zeta_enclosure(table),
+        omega_enclosure(table),
+        weighted_domain_sum(table, F(3, 2), 50, "zeta").enclosure,
+        weighted_domain_sum(member, F(1), 50, "omega").enclosure,
+        classify(table).zeta.enclosure,
+        classify(member).omega.enclosure,
+    ]
+    chain = sanity_chain(table)
+    validate_spec(table)
+    assert calls == []
+    # the remembered check changes no answer, nor the table's equality
+    monkeypatch.undo()
+    fresh = FiniteTable(domain, outputs)
+    assert (fresh, hash(fresh)) == (table, hash(table))
+    assert sums[2] == weighted_domain_sum(fresh, F(3, 2), 50, "zeta").enclosure
+    assert chain == sanity_chain(FiniteTable(domain))
+    assert sums[0].lo == sums[0].hi == sum(F(1, n) for n in map(bin_inv, domain))
+
+
 def test_finite_table_output_for():
     t = FiniteTable(("0", "10"), ("1", None))
     assert t.output_for("0") == "1"

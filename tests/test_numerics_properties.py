@@ -174,8 +174,9 @@ def test_root_operands_past_the_cap_are_refused():
     b = ROOT_BITS_CAP // 164 + 1
     with pytest.raises(PrecisionLimit):
         pow_bounds(F(3), F(-(b + 1), b), 160)
-    with pytest.raises(PrecisionLimit):
-        pow2_bounds(F(-1, ROOT_BITS_CAP // 160 + 1), 160)
+    for _ in range(2):  # pow2_bounds keeps its roots, never a refusal
+        with pytest.raises(PrecisionLimit):
+            pow2_bounds(F(-1, ROOT_BITS_CAP // 160 + 1), 160)
     with pytest.raises(PrecisionLimit):
         root_bounds(F(2), ROOT_BITS_CAP + 1, 1)
     # the same denominator is accepted at a lower precision
