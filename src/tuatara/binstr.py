@@ -23,13 +23,6 @@ def validate_bits(w: str, error: type[ValueError] = ValueError) -> str:
     return w
 
 
-def all_bits(strings: Iterable[str]) -> bool:
-    """True when every string consists only of 0s and 1s, read in one pass:
-    any other character, a lone surrogate too, encodes to some byte other
-    than those of 0 and 1."""
-    return not "".join(strings).encode("utf-8", "surrogatepass").translate(None, b"01")
-
-
 def render_bits(w: str) -> str:
     return w if w else EPS
 

@@ -32,7 +32,7 @@ from math import ceil, floor, gcd, lcm, log2
 from typing import Callable, Iterator
 
 from . import iota as iota_mod
-from .binstr import all_bits, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
+from .binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
 from .numerics import (
     Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds,
     zeta_tail_factor,
@@ -100,22 +100,18 @@ class FiniteTable:
         """validate_spec's check of this table. A pass is remembered on the
         table; a failure raises MachineSpecError and is checked again on the
         next call."""
-        domain, outputs = self.domain, self.outputs
-        # one pass over all the strings; on a fault, the loops name the first
-        if not all_bits(domain) or len(set(domain)) < len(domain):
-            seen = set()
-            for w in domain:
-                validate_bits(w, MachineSpecError)
-                if w in seen:
-                    raise MachineSpecError(f"duplicate domain string {w!r}")
-                seen.add(w)
-        if outputs is not None:
-            if len(outputs) != len(domain):
+        seen = set()
+        for w in self.domain:
+            validate_bits(w, MachineSpecError)
+            if w in seen:
+                raise MachineSpecError(f"duplicate domain string {w!r}")
+            seen.add(w)
+        if self.outputs is not None:
+            if len(self.outputs) != len(self.domain):
                 raise MachineSpecError("outputs must parallel the domain")
-            if not all_bits(filter(None, outputs)):
-                for out in outputs:
-                    if out is not None:
-                        validate_bits(out, MachineSpecError)
+            for out in self.outputs:
+                if out is not None:
+                    validate_bits(out, MachineSpecError)
         return True
 
     def output_for(self, w: str) -> str | None:
