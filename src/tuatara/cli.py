@@ -34,7 +34,6 @@ from .machines import (
     Construction,
     FiniteTable,
     MachineSpec,
-    MachineSpecError,
     classify,
     density_statistic,
     fresh_index,
@@ -50,6 +49,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_BUDGET = 3
+
+DIGITS_CAP = 1 << 20  # most binary digits --digits may ask for
 
 
 class MachineFileError(ValueError):
@@ -310,6 +311,210 @@ def _machine_from(args) -> MachineSpec:
         return parse_machine_file(fh.read(), args.steps, args.size_budget)
 
 
+def _machine(args) -> ExecutableMachine:
+    return ExecutableMachine(_machine_from(args))
+
+
+def _oracle(args) -> ComplexityOracle:
+    return ComplexityOracle(args.kind.replace("-", "_"), _machine(args))
+
+
+def _parse_s(args, default: str | None = None) -> Fraction:
+    text = args.s if args.s is not None else default
+    if text is None:
+        raise ValueError("this command needs -s RATIONAL")
+    return parse_rational(text)
+
+
+class _Refused(Exception):
+    """A budget ran out before an answer; the message is the whole stderr line."""
+
+
+def _within_budget(args, what: str, n: int) -> None:
+    if n > args.budget:
+        raise _Refused(f"error: {what} {n} is past --budget {args.budget}")
+
+
+# ---------------------------------------------------------------------------
+# subcommand bodies
+
+
+def _cmd_total(args, total) -> None:
+    _enclosure_report(args.command, total(_machine_from(args), args.budget), args)
+
+
+def _cmd_sum_s(args, total) -> None:
+    s = _parse_s(args)
+    label = f"{args.command.removesuffix('-s')}[s={s}]"
+    _enclosure_report(label, total(_machine_from(args), s, args.budget), args)
+
+
+def _cmd_classify(args) -> None:
+    outcome = classify(_machine_from(args), args.budget)
+    rows = []
+    for label, v in (("zeta", outcome.zeta), ("omega", outcome.omega)):
+        rows.append(
+            [
+                label,
+                v.kind,
+                "yes" if v.certified else "no",
+                _frac(v.enclosure.lo),
+                _frac(v.enclosure.hi),
+                v.witness,
+            ]
+        )
+    _emit(["sum", "verdict", "certified", "lo", "hi", "notes"], rows, args.format)
+    unsettled = [v.witness for v in (outcome.zeta, outcome.omega) if not v.certified]
+    if unsettled:
+        raise _Refused(f"error: {'; '.join(unsettled)}")
+
+
+def _cmd_deficiency(args) -> None:
+    oracle = _oracle(args)
+    report = deficiency(parse_bits(args.prefix_digits), _parse_s(args, "1"), oracle, args.budget)
+    rows = []
+    for r in report.rows:
+        c = "none" if r.complexity is NO_WITNESS else str(r.complexity)
+        slack = "" if r.slack is None else str(r.slack)
+        rows.append([str(r.m), c, str(r.threshold), slack])
+    _emit(["m", "complexity", "threshold", "slack"], rows, args.format)
+    print(f"worst_slack={'none' if report.worst_slack is None else report.worst_slack}")
+    if report.nabla_rows:
+        _emit(
+            ["n", "index", "statistic"],
+            [[str(r.n), str(r.index), str(r.statistic)] for r in report.nabla_rows],
+            args.format,
+        )
+
+
+def _cmd_egyptian(args) -> None:
+    q = parse_rational(args.q)
+    # the budget caps greedy denominator bits; unbudgeted runs can outgrow memory
+    denoms = egyptian_floor(q, args.floor, bit_budget=args.budget)
+    print(" + ".join(f"1/{d}" for d in denoms))
+
+
+def _cmd_kraft(args) -> None:
+    _within_budget(args, "kraft length", max(args.lengths))
+    words = kraft_chaitin(args.lengths)
+    rows = [
+        [str(i + 1), str(n), render_bits(w)]
+        for i, (n, w) in enumerate(zip(args.lengths, words))
+    ]
+    _emit(["index", "length", "word"], rows, args.format)
+
+
+def _cmd_grid(args) -> None:
+    rows = [
+        [str(t.d), str(t.row), str(t.col), str(t.term)]
+        for t in grid_walk(args.ms, args.budget)
+    ]
+    _emit(["diagonal", "row", "col", "term"], rows, args.format)
+
+
+def _cmd_density(args) -> None:
+    value = density_statistic(_machine_from(args), args.n)
+    e = Enclosure.exact(value)
+    _emit(
+        ["n", "value", "decimal"],
+        [[str(args.n), _frac(value), _decimal_common(e)]],
+        args.format,
+    )
+
+
+def _cmd_sanity(args) -> None:
+    spec = _machine_from(args)
+    if not isinstance(spec, FiniteTable):
+        raise ValueError("sanity needs a finite table machine")
+    rep = sanity_chain(spec)
+    _emit(
+        ["quantity", "value"],
+        [
+            ["omega", _frac(rep.omega)],
+            ["zeta", _frac(rep.zeta)],
+            ["chain_holds", "yes" if rep.holds else "no"],
+            ["strict", "yes" if rep.strict else "no"],
+        ],
+        args.format,
+    )
+
+
+def _print_witness(value) -> None:
+    if value is NO_WITNESS:
+        raise _Refused("no witness within budget")
+    print(value)
+
+
+def _cmd_iota_run(args) -> None:
+    r = iota_mod.run_program(parse_bits(args.bits), args.steps, args.size_budget)
+    if not r.halted:
+        raise _Refused(f"no normal form: {r.status} budget hit after {r.steps} step(s)")
+    print(iota_mod.unparse(r.term))
+
+
+def _cmd_iota_count(args) -> None:
+    if args.length < 0:
+        raise ValueError("length must be >= 0")
+    _within_budget(args, "iota count", args.length)
+    print(frac_text(iota_mod.count_programs(args.length)))
+
+
+def _cmd_iota_zeta(args) -> None:
+    _within_budget(args, "iota zeta", args.n)
+    _enclosure_report(f"iota-zeta[{args.n}]", iota_mod.iota_zeta_partial(args.n), args)
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_BITS = (_arg("bits"),)
+_KIND = _arg("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
+
+# every subcommand, in the order usage lists them ("iota X" is X under iota):
+# its handler and the arguments it takes besides the common options; the
+# lambdas look library functions up when called, so wrappers installed on this
+# module after import still see every call
+_COMMANDS = {
+    "zeta": (lambda a: _cmd_total(a, zeta_enclosure), ()),
+    "omega": (lambda a: _cmd_total(a, omega_enclosure), ()),
+    "classify": (_cmd_classify, ()),
+    "zeta-s": (lambda a: _cmd_sum_s(a, zeta_s), ()),
+    "omega-s": (lambda a: _cmd_sum_s(a, omega_s), ()),
+    "kappa": (lambda a: _cmd_sum_s(a, kappa), ()),
+    "kappa-natural": (lambda a: _cmd_sum_s(a, kappa_natural), ()),
+    "egyptian": (_cmd_egyptian, (_arg("q"), _arg("--floor", type=int, default=2))),
+    "kraft": (_cmd_kraft, (_arg("lengths", type=int, nargs="+"),)),
+    "grid": (_cmd_grid, (_arg("ms", type=int, nargs="+"),)),
+    "fresh-index": (
+        lambda a: print(render_bits(fresh_index(_machine_from(a), parse_bits(a.y), a.budget))),
+        (_arg("y"),),
+    ),
+    "density": (_cmd_density, (_arg("n", type=int),)),
+    "sanity": (_cmd_sanity, ()),
+    "nabla": (
+        lambda a: _print_witness(nabla(_machine(a), parse_bits(a.x), a.budget)),
+        (_arg("x"),),
+    ),
+    "complexity": (
+        lambda a: _print_witness(_oracle(a).value(parse_bits(a.x), a.budget)),
+        (_arg("x"), _KIND),
+    ),
+    "deficiency": (_cmd_deficiency, (_arg("prefix_digits"), _KIND)),
+    "iota parse": (lambda a: print(repr(iota_mod.parse(parse_bits(a.bits)))), _BITS),
+    "iota run": (_cmd_iota_run, _BITS),
+    "iota encode": (lambda a: print(iota_mod.encode_bits(parse_bits(a.bits))), _BITS),
+    "iota decode": (
+        lambda a: print(
+            render_bits(iota_mod.decode_bits(parse_bits(a.bits), a.steps, a.size_budget))
+        ),
+        _BITS,
+    ),
+    "iota count": (_cmd_iota_count, (_arg("length", type=int),)),
+    "iota zeta": (_cmd_iota_zeta, (_arg("n", type=int),)),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     def count(text: str) -> int:
@@ -331,245 +536,18 @@ def _build_parser() -> _Parser:
 
     # options go after the subcommand, whose defaults would overwrite them
     top = _Parser(prog="tuatara")
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name: str, handler) -> _Parser:
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(handler=handler)
-        return p
-
-    for name in _SUMS:
-        add(name, _cmd_sum)
-        if name == "omega":  # classify keeps its place in the usage listing
-            add("classify", _cmd_classify)
-    p = add("egyptian", _cmd_egyptian)
-    p.add_argument("q")
-    p.add_argument("--floor", type=int, default=2)
-    add("kraft", _cmd_kraft).add_argument("lengths", type=int, nargs="+")
-    add("grid", _cmd_grid).add_argument("ms", type=int, nargs="+")
-    add("fresh-index", _cmd_fresh_index).add_argument("y")
-    add("density", _cmd_density).add_argument("n", type=int)
-    add("sanity", _cmd_sanity)
-    add("nabla", _cmd_nabla).add_argument("x")
-    p = add("complexity", _cmd_complexity)
-    p.add_argument("x")
-    p.add_argument("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
-    p = add("deficiency", _cmd_deficiency)
-    p.add_argument("prefix_digits")
-    p.add_argument("--kind", choices=("plain", "prefix", "nabla-log"), default="plain")
-
-    iota_p = sub.add_parser("iota")
-    iota_p.set_defaults(handler=_cmd_iota)
-    iota_sub = iota_p.add_subparsers(dest="iota_command", required=True, parser_class=_Parser)
-
-    def add_iota(name: str) -> _Parser:
-        return iota_sub.add_parser(name, parents=[common])
-
-    add_iota("parse").add_argument("bits")
-    add_iota("run").add_argument("bits")
-    add_iota("encode").add_argument("bits")
-    add_iota("decode").add_argument("bits")
-    add_iota("count").add_argument("length", type=int)
-    add_iota("zeta").add_argument("n", type=int)
-    return top
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies
-
-
-def _cmd_iota(args) -> int:
-    cmd = args.iota_command
-    if cmd == "parse":
-        print(repr(iota_mod.parse(parse_bits(args.bits))))
-        return EXIT_OK
-    if cmd == "run":
-        r = iota_mod.run_program(parse_bits(args.bits), args.steps, args.size_budget)
-        if not r.halted:
-            print(
-                f"no normal form: {r.status} budget hit after {r.steps} step(s)",
-                file=sys.stderr,
+    subs = {"": top.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for name, (handler, arguments) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(group).add_subparsers(
+                dest=f"{group}_command", required=True, parser_class=_Parser
             )
-            return EXIT_BUDGET
-        print(iota_mod.unparse(r.term))
-        return EXIT_OK
-    if cmd == "encode":
-        print(iota_mod.encode_bits(parse_bits(args.bits)))
-        return EXIT_OK
-    if cmd == "decode":
-        out = iota_mod.decode_bits(parse_bits(args.bits), args.steps, args.size_budget)
-        print(render_bits(out))
-        return EXIT_OK
-    n = args.length if cmd == "count" else args.n
-    if cmd == "count" and n < 0:
-        raise ValueError("length must be >= 0")
-    if n > args.budget:
-        print(f"error: iota {cmd} {n} is past --budget {args.budget}", file=sys.stderr)
-        return EXIT_BUDGET
-    if cmd == "count":
-        print(frac_text(iota_mod.count_programs(n)))
-        return EXIT_OK
-    e = iota_mod.iota_zeta_partial(n)
-    _enclosure_report(f"iota-zeta[{n}]", e, args)
-    return EXIT_OK
-
-
-def _parse_s(args, default: str | None = None) -> Fraction:
-    text = args.s if args.s is not None else default
-    if text is None:
-        raise ValueError("this command needs -s RATIONAL")
-    return parse_rational(text)
-
-
-# each sum command and its enclosure of (machine, s, budget); the lambdas look
-# the library functions up when called, so wrappers installed on this module
-# after import still see every call
-_SUMS = {
-    "zeta": lambda spec, s, budget: zeta_enclosure(spec, budget),
-    "omega": lambda spec, s, budget: omega_enclosure(spec, budget),
-    "zeta-s": lambda spec, s, budget: zeta_s(spec, s, budget),
-    "omega-s": lambda spec, s, budget: omega_s(spec, s, budget),
-    "kappa": lambda spec, s, budget: kappa(spec, s, budget),
-    "kappa-natural": lambda spec, s, budget: kappa_natural(spec, s, budget),
-}
-
-
-def _cmd_sum(args) -> int:
-    name = args.command
-    s = None if name in ("zeta", "omega") else _parse_s(args)
-    label = name if s is None else f"{name.removesuffix('-s')}[s={s}]"
-    _enclosure_report(label, _SUMS[name](_machine_from(args), s, args.budget), args)
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
-    outcome = classify(_machine_from(args), args.budget)
-    rows = []
-    for label, v in (("zeta", outcome.zeta), ("omega", outcome.omega)):
-        rows.append(
-            [
-                label,
-                v.kind,
-                "yes" if v.certified else "no",
-                _frac(v.enclosure.lo),
-                _frac(v.enclosure.hi),
-                v.witness,
-            ]
-        )
-    _emit(["sum", "verdict", "certified", "lo", "hi", "notes"], rows, args.format)
-    unsettled = [v.witness for v in (outcome.zeta, outcome.omega) if not v.certified]
-    if unsettled:
-        print(f"error: {'; '.join(unsettled)}", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
-
-
-def _cmd_deficiency(args) -> int:
-    machine = ExecutableMachine(_machine_from(args))
-    kind = args.kind.replace("-", "_")
-    oracle = ComplexityOracle(kind, machine)
-    report = deficiency(
-        parse_bits(args.prefix_digits), _parse_s(args, "1"), oracle, args.budget
-    )
-    rows = []
-    for r in report.rows:
-        c = "none" if r.complexity is NO_WITNESS else str(r.complexity)
-        slack = "" if r.slack is None else str(r.slack)
-        rows.append([str(r.m), c, str(r.threshold), slack])
-    _emit(["m", "complexity", "threshold", "slack"], rows, args.format)
-    print(f"worst_slack={'none' if report.worst_slack is None else report.worst_slack}")
-    if report.nabla_rows:
-        _emit(
-            ["n", "index", "statistic"],
-            [[str(r.n), str(r.index), str(r.statistic)] for r in report.nabla_rows],
-            args.format,
-        )
-    return EXIT_OK
-
-
-def _cmd_egyptian(args) -> int:
-    q = parse_rational(args.q)
-    # the budget caps greedy denominator bits; unbudgeted runs can outgrow memory
-    denoms = egyptian_floor(q, args.floor, bit_budget=args.budget)
-    print(" + ".join(f"1/{d}" for d in denoms))
-    return EXIT_OK
-
-
-def _cmd_kraft(args) -> int:
-    longest = max(args.lengths)
-    if longest > args.budget:
-        print(f"error: kraft length {longest} is past --budget {args.budget}", file=sys.stderr)
-        return EXIT_BUDGET
-    words = kraft_chaitin(args.lengths)
-    rows = [
-        [str(i + 1), str(n), render_bits(w)]
-        for i, (n, w) in enumerate(zip(args.lengths, words))
-    ]
-    _emit(["index", "length", "word"], rows, args.format)
-    return EXIT_OK
-
-
-def _cmd_grid(args) -> int:
-    rows = [
-        [str(t.d), str(t.row), str(t.col), str(t.term)]
-        for t in grid_walk(args.ms, args.budget)
-    ]
-    _emit(["diagonal", "row", "col", "term"], rows, args.format)
-    return EXIT_OK
-
-
-def _cmd_fresh_index(args) -> int:
-    result = fresh_index(_machine_from(args), parse_bits(args.y), args.budget)
-    print(render_bits(result))
-    return EXIT_OK
-
-
-def _cmd_density(args) -> int:
-    value = density_statistic(_machine_from(args), args.n)
-    e = Enclosure.exact(value)
-    _emit(
-        ["n", "value", "decimal"],
-        [[str(args.n), _frac(value), _decimal_common(e)]],
-        args.format,
-    )
-    return EXIT_OK
-
-
-def _cmd_sanity(args) -> int:
-    spec = _machine_from(args)
-    if not isinstance(spec, FiniteTable):
-        raise ValueError("sanity needs a finite table machine")
-    rep = sanity_chain(spec)
-    _emit(
-        ["quantity", "value"],
-        [
-            ["omega", _frac(rep.omega)],
-            ["zeta", _frac(rep.zeta)],
-            ["chain_holds", "yes" if rep.holds else "no"],
-            ["strict", "yes" if rep.strict else "no"],
-        ],
-        args.format,
-    )
-    return EXIT_OK
-
-
-def _print_witness(value) -> int:
-    if value is NO_WITNESS:
-        print("no witness within budget", file=sys.stderr)
-        return EXIT_BUDGET
-    print(value)
-    return EXIT_OK
-
-
-def _cmd_nabla(args) -> int:
-    machine = ExecutableMachine(_machine_from(args))
-    return _print_witness(nabla(machine, parse_bits(args.x), args.budget))
-
-
-def _cmd_complexity(args) -> int:
-    machine = ExecutableMachine(_machine_from(args))
-    oracle = ComplexityOracle(args.kind.replace("-", "_"), machine)
-    return _print_witness(oracle.value(parse_bits(args.x), args.budget))
+        p = subs[group].add_parser(leaf, parents=[common])
+        p.set_defaults(handler=handler)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+    return top
 
 
 def run(argv: list[str]) -> int:
@@ -578,34 +556,31 @@ def run(argv: list[str]) -> int:
     The argument parser is built on the first call and reused by every later
     call in the process: parsing starts each call from a fresh namespace, and
     usage errors and --help look sys.stderr and sys.stdout up when they write,
-    so redirected streams still see their output.
+    so redirected streams still see their output. Handlers return nothing;
+    every refusal reaches this function as an exception, and the clauses
+    below are the whole map from exceptions to exit codes.
     """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.digits is not None and not 0 <= args.digits <= DIGITS_CAP:
+            raise ValueError(f"--digits must lie between 0 and {DIGITS_CAP}")
+        args.handler(args)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
         return EXIT_BUDGET
     except iota_mod.DecodeBudget as exc:
         print(f"error: reduction {exc} budget exhausted mid-decode", file=sys.stderr)
         return EXIT_BUDGET
-    except (ExpansionOverflow, PrecisionLimit) as exc:
+    except (BudgetExhausted, ExpansionOverflow, PrecisionLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        MachineFileError,
-        MachineSpecError,
-        KraftViolation,
-        iota_mod.ParseFailure,
-        iota_mod.MalformedList,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (KraftViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    return EXIT_OK
 
 
 def entry() -> None:

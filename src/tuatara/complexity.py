@@ -22,6 +22,7 @@ from .machines import (
     MachineSpec,
     _member_exponents,
     _prefixed_index,
+    validate_spec,
 )
 
 
@@ -47,6 +48,7 @@ class ExecutableMachine:
     """
 
     def __init__(self, spec: MachineSpec):
+        validate_spec(spec)  # a table already checked is not read again
         self.spec = spec
         self._table: dict[int, str] | None = None
         if isinstance(spec, Builtin) and spec.generator == "iota":

@@ -545,18 +545,13 @@ def digits(e: Enclosure, n: int) -> DigitResult:
         raise ValueError("digits requires a bounded enclosure")
     if e.lo < 0 or e.hi > 1:
         raise ValueError("digits requires an enclosure inside [0, 1]")
-    out = 0
-    determined = 0
-    for k in range(1, n + 1):
-        scale = 1 << k
-        if e.lo == 0:
-            j = 0
-        else:
-            # cell containing lo is (j/2^k, (j+1)/2^k] with j = ceil(lo 2^k) - 1
-            j = -((-e.lo.numerator * scale) // e.lo.denominator) - 1
-        if e.hi > Fraction(j + 1, scale):
-            break
-        out = j
-        determined = k
-    text = format(out, f"0{determined}b") if determined else ""
+    # the cell of x at depth n is ceil(x 2^n) - 1 (0 for x = 0); cells nest, so
+    # its depth-k cell is that index shifted right by n - k, and lo and hi
+    # share their cells down to the depth of the highest bit where they differ
+    scale = 1 << n
+    j, h = (
+        -((-x.numerator * scale) // x.denominator) - 1 if x else 0 for x in (e.lo, e.hi)
+    )
+    determined = n - (j ^ h).bit_length()
+    text = format(j >> (n - determined), f"0{determined}b") if determined else ""
     return DigitResult(text, determined)

@@ -89,14 +89,22 @@ def pnt_check(upper: int) -> list[int]:
     """Indices i in (5, upper] where i*ln(i) >= p_i could not be ruled out.
 
     Comparisons use certified rational bounds on ln; the expected result
-    is an empty list.
+    is an empty list. ln is increasing, so one upper bound on ln(a), with a
+    the next multiple of 64 at or above i, rules out every i of that block
+    with i*ln_hi(a) < p_i; only the rest get bounds of their own.
     """
     if upper < 6:
         raise ValueError("upper must be >= 6")
     primes = first_primes(upper)
     violations = []
+    top = 0
     for i in range(6, upper + 1):
         p_i = primes[i - 1]
+        if i > top:
+            top = -(-i // 64) * 64
+            ln_top = ln_bounds(Fraction(top), 32).hi
+        if i * ln_top < p_i:
+            continue
         prec = 32
         while True:
             b = ln_bounds(Fraction(i), prec)

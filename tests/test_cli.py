@@ -16,6 +16,7 @@ import pytest
 import tuatara
 from tuatara import cli
 from tuatara.cli import (
+    DIGITS_CAP,
     EXIT_BUDGET,
     EXIT_COMPUTE,
     EXIT_OK,
@@ -413,6 +414,74 @@ def test_usage_and_input_errors(tmp_path, capsys):
     assert code == EXIT_COMPUTE
     assert err == "error: line 3: not a bit string: '012'\n"
 
+
+_CLASSIFY_TABLE = (
+    "sum    verdict  certified  lo  hi   notes\n"
+    "zeta   unknown  no         1   inf  index sum not separated from the unit "
+    "threshold at this budget\n"
+    "omega  unknown  no         1   inf  halting weight sum not separated from the "
+    "unit threshold at this budget\n"
+)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # every way a budget ends a command: exit 3 and one line on stderr
+    ("iota run 100 --steps 0", EXIT_BUDGET, "",
+     "no normal form: steps budget hit after 1 step(s)\n"),
+    ("iota count 5 --budget 4", EXIT_BUDGET, "", "error: iota count 5 is past --budget 4\n"),
+    ("iota zeta 5 --budget 4", EXIT_BUDGET, "", "error: iota zeta 5 is past --budget 4\n"),
+    ("kraft 1 5 --budget 4", EXIT_BUDGET, "", "error: kraft length 5 is past --budget 4\n"),
+    ("classify --machine tof.mt --budget 1", EXIT_BUDGET, _CLASSIFY_TABLE,
+     "error: index sum not separated from the unit threshold at this budget; "
+     "halting weight sum not separated from the unit threshold at this budget\n"),
+    ("nabla 111 --machine mapped.mt", EXIT_BUDGET, "", "no witness within budget\n"),
+    ("complexity 111 --machine mapped.mt --kind prefix", EXIT_BUDGET, "",
+     "no witness within budget\n"),
+    ("iota decode 0 --steps 0", EXIT_BUDGET, "",
+     "error: reduction steps budget exhausted mid-decode\n"),
+    ("fresh-index 1 --machine v.mt --budget 1", EXIT_BUDGET, "",
+     "error: budget exhausted after 1 stream element(s): partial sum 1/2\n"),
+    ("egyptian 5/3 --floor 28", EXIT_BUDGET, "",
+     "error: greedy denominator exceeded 100000 bits\n"),
+    ("zeta-s -s 3199/1599 --machine v.mt", EXIT_BUDGET, "",
+     "error: a 1599-th root needs 262236 operand bits, over 262144\n"),
+    # one case for each class of compute error: exit 2
+    ("zeta --machine bad-line.mt", EXIT_COMPUTE, "", "error: line 3: not a bit string: '2'\n"),
+    ("zeta --machine bad-spec.mt", EXIT_COMPUTE, "", "error: unknown generator 'nope'\n"),
+    ("kraft 1 1 1", EXIT_COMPUTE, "",
+     "error: request 3 (length 1) exceeds the remaining code space\n"),
+    ("iota parse 1", EXIT_COMPUTE, "", "error: input ended with 2 subterm(s) still open\n"),
+    ("iota decode 0", EXIT_COMPUTE, "", "error: list element is not a boolean\n"),
+    ("egyptian 0", EXIT_COMPUTE, "", "error: q must be positive\n"),
+    ("zeta --machine missing.mt", EXIT_COMPUTE, "",
+     "error: [Errno 2] No such file or directory: 'missing.mt'\n"),
+])
+def test_refusals_end_in_their_exit_code_and_one_line(
+    tmp_path, monkeypatch, capsys, argv, code, out, err
+):
+    for name, text in {
+        "v.mt": _FINITE,
+        "mapped.mt": _MAPPED,
+        "tof.mt": _ALL + "machine t\nkind construction\nconstruct tuatara_of a\n",
+        "bad-line.mt": "machine a\nkind finite\ndomain 2\n",
+        "bad-spec.mt": "machine a\nkind builtin\ngenerator nope\n",
+    }.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert _go(capsys, *argv.split()) == (code, out, err)
+
+
+def test_digit_counts_are_checked_before_any_sum(tmp_path, capsys):
+    f = _file(tmp_path, _FINITE)
+    refusal = f"error: --digits must lie between 0 and {DIGITS_CAP}\n"
+    for count in (-1, DIGITS_CAP + 1, 10 ** 9):
+        assert _go(capsys, "zeta", "--machine", f, "--digits", str(count)) == (
+            EXIT_COMPUTE, "", refusal)
+    # the cap itself is accepted: 2/3 is 0.1010... in binary
+    code, out, err = _go(capsys, "zeta", "--machine", f, "--digits", str(DIGITS_CAP))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == (
+        f"digits=0.{'10' * (DIGITS_CAP // 2)} determined={DIGITS_CAP}")
 
 def test_options_before_a_subcommand_are_usage_errors(tmp_path, capsys):
     # options go after the subcommand; before it they are refused, not

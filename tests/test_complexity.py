@@ -21,7 +21,7 @@ from tuatara.complexity import (
     universality_factor,
 )
 from tuatara.iota import run_program, unparse
-from tuatara.machines import Builtin, Construction, FiniteTable
+from tuatara.machines import Builtin, Construction, FiniteTable, MachineSpecError
 
 _POOL = identity_table([bin_of(n) for n in range(1, 32)])
 
@@ -69,6 +69,17 @@ def test_executable_guards():
         ExecutableMachine(Builtin("all_strings"))
     with pytest.raises(ValueError):
         ExecutableMachine(Construction("double", (FiniteTable(("0",), ("0",)),)))
+
+
+def test_executable_specs_are_validated():
+    # a repeated domain string would keep only its last output
+    with pytest.raises(MachineSpecError):
+        ExecutableMachine(FiniteTable(("0", "0"), ("1", "11")))
+    # a bound this large needs a prefix past the cap; its key would be
+    # tens of millions of bits long
+    pair = FiniteTable(("0", "1"), ("0", "1"))
+    with pytest.raises(MachineSpecError):
+        ExecutableMachine(Construction("universal_convergent", (pair,), (F(10**7),)))
 
 
 def test_iota_executable():

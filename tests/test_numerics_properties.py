@@ -5,6 +5,10 @@ answer with `r**k <= n < (r+1)**k`. A reference kept here runs Newton from
 a power of two and builds the rational powers through Fraction roots and
 reciprocals; every endpoint of `root_bounds`, `pow_bounds` and
 `pow2_bounds` must equal the reference's exactly.
+
+`digits` reads its certified binary digits off two cell indices at the
+deepest level; a copy of the depth-by-depth loop it replaced is kept here,
+and both must agree on every enclosure.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tuatara.numerics import (  # noqa: E402
     ROOT_BITS_CAP,
+    DigitResult,
     Enclosure,
     PrecisionLimit,
     _ikroot,
+    digits,
     pow2_bounds,
     pow_bounds,
     root_bounds,
@@ -181,3 +187,36 @@ def test_root_operands_past_the_cap_are_refused():
         root_bounds(F(2), ROOT_BITS_CAP + 1, 1)
     # the same denominator is accepted at a lower precision
     assert pow_bounds(F(3), F(-(b + 1), b), 60).lo > 0
+
+
+def _ref_digits(e: Enclosure, n: int) -> DigitResult:
+    out = 0
+    determined = 0
+    for k in range(1, n + 1):
+        scale = 1 << k
+        if e.lo == 0:
+            j = 0
+        else:
+            # cell containing lo is (j/2^k, (j+1)/2^k] with j = ceil(lo 2^k) - 1
+            j = -((-e.lo.numerator * scale) // e.lo.denominator) - 1
+        if e.hi > F(j + 1, scale):
+            break
+        out = j
+        determined = k
+    text = format(out, f"0{determined}b") if determined else ""
+    return DigitResult(text, determined)
+
+
+# points of [0, 1], dyadic ones and the endpoints among them
+_unit_points = st.one_of(
+    st.sampled_from((F(0), F(1))),
+    st.builds(lambda a, k: F(a % (2 ** k + 1), 2 ** k), st.integers(0), st.integers(0, 64)),
+    st.fractions(min_value=0, max_value=1, max_denominator=2 ** 70),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_unit_points, _unit_points, st.integers(0, 80))
+def test_digits_matches_depth_loop(a, b, n):
+    for e in (Enclosure(min(a, b), max(a, b)), Enclosure.exact(a)):
+        assert digits(e, n) == _ref_digits(e, n)

@@ -15,7 +15,8 @@ from tuatara.machines import (
     domain_stream,
     weighted_domain_sum,
 )
-from tuatara.numerics import Enclosure, pow_bounds
+from tuatara import spectral
+from tuatara.numerics import Enclosure, first_primes, pow_bounds
 from tuatara.spectral import (
     dyadic_weight_sum,
     kappa,
@@ -207,3 +208,12 @@ def test_pnt_check():
     assert pnt_check(100) == []
     with pytest.raises(ValueError):
         pnt_check(5)
+
+
+def test_pnt_check_reports_a_prime_below_the_bound(monkeypatch):
+    # 100 ln 100 = 460.517... and 128 ln 128 = 621.06...: both pushed below,
+    # one inside a block of 64 and one at a block's top
+    primes = first_primes(300)
+    primes[99], primes[127] = 460, 621
+    monkeypatch.setattr(spectral, "first_primes", lambda n: primes[:n])
+    assert pnt_check(300) == [100, 128]
