@@ -45,9 +45,12 @@ DEFAULT_BUDGET = 10 ** 5
 # must stay below _BUDGET_CAP
 _ACC_BITS = 192
 _ACC_ONE = 1 << _ACC_BITS
+# the m for which 1/m lies on the grid: the divisors of 2^_ACC_BITS
+_GRID_DIVISORS = frozenset(1 << j for j in range(_ACC_BITS + 1))
 _BUDGET_CAP = 1 << 40
 _TERM_PREC = 160  # bits of the roots behind non-integer weights and tails
 _STOP_BITS = 136  # a sparse stream stops where its terms pass below 2^-_STOP_BITS
+_BLOCK = 1 << 12  # the most indices a sum holds at once
 # the index sum over all strings takes at most _EM_HEAD terms wherever
 # _element_stop(s) > _EM_HEAD (s below about 40.8) and closes with _EM_TERMS
 # Bernoulli corrections, whose remainder leaves a bracket of about one grid
@@ -298,20 +301,37 @@ class DomainStream:
 def _tail_upper(stream: DomainStream, ell: int, s: Fraction, kind: str) -> Fraction | None:
     """The smaller of the stream's tail bound past length ell and the
     majorant over all strings longer than ell, or None if neither exists."""
-    bounds = (stream.tail_bound(ell, s, kind), _universal_tail(ell, s, kind))
+    bounds = (stream.tail_bound(ell, s, kind), _universal_tail(stream, ell, s, kind))
     return min((b for b in bounds if b is not None), default=None)
 
 
-def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
+def _once(stream, key, make: Callable[[], object]):
+    """The stream's constant under key, such as a tail's ratio at one s:
+    made on its first use and kept among the stream's own attributes, so it
+    is made once per stream and released with it."""
+    memo = vars(stream).setdefault("_constants", {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _series_factor(r: Fraction) -> Fraction | None:
+    """1/(1 - r), the sum of r^k over k >= 0, or None where that diverges."""
+    return None if r >= 1 else 1 / (1 - r)
+
+
+def _universal_tail(stream, ell: int, s: Fraction, kind: str) -> Fraction | None:
     """Tail majorant valid for every domain: all strings longer than ell."""
     if s <= 1:
         return None
     if kind == "omega":
         # sum over k >= ell+1 of 2^k 2^(-s k) = r^(ell+1)/(1-r), r = 2^(1-s)
-        lo_k = max(ell + 1, 0)
-        r = pow2_bounds(1 - s, _TERM_PREC).hi
-        first = pow2_bounds((1 - s) * lo_k, _TERM_PREC).hi
-        return None if r >= 1 else first / (1 - r)
+        factor = _once(
+            stream, ("universal", s), lambda: _series_factor(pow2_bounds(1 - s, _TERM_PREC).hi)
+        )
+        if factor is None:
+            return None
+        return pow2_bounds((1 - s) * max(ell + 1, 0), _TERM_PREC).hi * factor
     # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1;
     # below length 0 the empty string adds its index 1 and weight 1
     n_min = (1 << (max(ell, 0) + 1)) - 1
@@ -328,27 +348,38 @@ class _FiniteStream(DomainStream):
 
     def __init__(self, keys):
         self.keys = keys
-        # (s, kind) -> (distinct lengths ascending, the weight of the keys of
-        # each length or longer, then 0)
-        self._tails: dict[tuple[Fraction, str], tuple[list[int], list[Fraction]]] = {}
 
     def indices(self) -> Iterator[int]:
         return iter(self.keys)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
-        if (s, kind) not in self._tails:
-            lengths, totals = [], []
-            for length, run in itertools.groupby(self.keys, lambda n: n.bit_length() - 1):
-                if kind == "omega":  # one weight per length
-                    total = sum(1 for _ in run) * _weight_interval(length, s, kind)[1]
-                else:
-                    total = sum((_weight_interval(n, s, kind)[1] for n in run), Fraction(0))
-                lengths.append(length)
-                totals.append(total)
-            tails = itertools.accumulate(reversed(totals), initial=Fraction(0))
-            self._tails[s, kind] = lengths, list(tails)[::-1]
-        lengths, tails = self._tails[s, kind]
+        lengths, tails = _once(self, (s, kind), lambda: self._tails(s, kind))
         return tails[bisect.bisect_right(lengths, ell)]
+
+    def _tails(self, s: Fraction, kind: str) -> tuple[list[int], list[Fraction]]:
+        """The distinct lengths ascending, and the weight of the keys of each
+        length or longer, then 0."""
+        lengths, totals = [], []
+        for length, run in itertools.groupby(self.keys, lambda n: n.bit_length() - 1):
+            if kind == "omega":  # one weight per length
+                total = sum(1 for _ in run) * _weight_interval(length, s, kind)[1]
+            else:
+                total = _pairwise_sum([_weight_interval(n, s, kind)[1] for n in run])
+            lengths.append(length)
+            totals.append(total)
+        tails = itertools.accumulate(reversed(totals), initial=Fraction(0))
+        return lengths, list(tails)[::-1]
+
+
+def _pairwise_sum(terms: list[Fraction]) -> Fraction:
+    """The exact sum of terms, added in pairs, then pairs of those sums, and
+    so on. A running total carries the denominators of all the terms added
+    so far into every later addition, which makes a long sum of unlike
+    denominators quadratic; here each addition meets two sums of as many
+    terms each."""
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0] if terms else Fraction(0)
 
 
 class _AllStringsStream(DomainStream):
@@ -447,10 +478,11 @@ class _GeometricStream(DomainStream):
         if s <= 0:
             return None
         i0 = max(ell, 0)  # base strings 0^i 1 with i >= i0 have length > ell
-        r = pow2_bounds(-s, _TERM_PREC).hi
-        if r >= 1:
+        # 1/(1 - r) with r = 2^-s, once per s
+        factor = _once(self, s, lambda: _series_factor(pow2_bounds(-s, _TERM_PREC).hi))
+        if factor is None:
             return None
-        base = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi / (1 - r)
+        base = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi * factor
         return base + self.extras.tail_bound(ell, s, kind)
 
 
@@ -494,10 +526,12 @@ class _MultisetStream(DomainStream):
         return _multisets(self.parts)
 
 
-# counting a product's strings up to length N takes them one by one, and the
-# cap is checked before each new length; past the cap (N = 68 for the product
-# of {0, 10, 110, 1110, 11110, 11111}) that takes about 1.6 s on a 2-core
-# x86-64 host
+# a product of a prefix code counts its strings by length from the multiset
+# counts; one of other parts counts them one by one, and stops once they pass
+# the cap before length N. Either refuses where the strings up to a length
+# below N pass the cap (N = 68 for the product of {0, 10, 110, 1110, 11110,
+# 11111}); one by one, reaching the cap takes about 1.6 s on a 2-core x86-64
+# host
 PRODUCT_COUNT_CAP = 1 << 19
 
 
@@ -521,44 +555,69 @@ class _ProductStream(_MultisetStream):
         self._counts = [1]
         self._heads: dict[Fraction, list[Fraction]] = {}
 
+    def _counts_to(self, ell: int) -> list[int]:
+        """The multisets of parts by length, up to at least ell: the
+        coefficients of prod_p 1/(1 - x^|p|), which bound the distinct
+        strings of each length from above, and equal them for a prefix code."""
+        if len(self._counts) <= ell:
+            counts = self._counts = [1] + [0] * (2 * ell + 1)
+            for d in self._lengths:
+                for l in range(d, len(counts)):
+                    counts[l] += counts[l - d]
+        return self._counts
+
     def count_up_to_length(self, ell: int) -> int:
-        total, length = 0, 0
+        if is_prefix_free(bin_of(m + a) for m, a in self.parts):
+            # counted to twice the length each round, so that few lengths
+            # past the cap are counted, whose counts can be long integers
+            reach = 1
+            while True:
+                counts = self._counts_to(min(reach, ell))[: ell + 1]
+                total = 0
+                for length, count in enumerate(counts):
+                    total += count
+                    if total > PRODUCT_COUNT_CAP and length < ell:
+                        raise ValueError(
+                            f"{total} product strings up to length {length}, past the cap"
+                            f" of {PRODUCT_COUNT_CAP}"
+                        )
+                if len(counts) > ell:
+                    return total
+                reach *= 2
+        total = 0
         for n in self.indices():
-            if n.bit_length() - 1 > length:
-                if total > PRODUCT_COUNT_CAP and length < ell:
-                    raise ValueError(
-                        f"{total} product strings up to length {length}, past the cap"
-                        f" of {PRODUCT_COUNT_CAP}"
-                    )
-                length = n.bit_length() - 1
+            length = n.bit_length() - 1
             if length > ell:
                 break
             total += 1
+            if total > PRODUCT_COUNT_CAP and length < ell:
+                raise ValueError(
+                    f"more than {PRODUCT_COUNT_CAP} product strings up to length {length}"
+                )
         return total
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # the closed form prod_p 1/(1 - 2^(-s |p|)) less the weight of the
         # multisets up to length ell; index weights sit below halting
         # weights, so the omega kind serves both kinds
-        total = Fraction(1)
-        for d in self._lengths:
-            x = _weight_interval(d, s, "omega")[1]
-            if x >= 1:
-                return None
-            total *= 1 / (1 - x)
-        counts = self._counts
-        if len(counts) <= ell:
-            # multisets by length, the coefficients of prod_p 1/(1 - x^|p|),
-            # bound the distinct strings of each length from above
-            counts = self._counts = [1] + [0] * (2 * ell + 1)
-            for d in self._lengths:
-                for l in range(d, len(counts)):
-                    counts[l] += counts[l - d]
+        total = _once(self, s, lambda: self._closed_form(s))
+        if total is None:
+            return None
+        counts = self._counts_to(ell)
         heads = self._heads.setdefault(s, [Fraction(0)])
         while len(heads) <= ell + 1:
             l = len(heads) - 1
             heads.append(heads[l] + counts[l] * _weight_interval(l, s, "omega")[0])
         return max(total - heads[ell + 1], Fraction(0))
+
+    def _closed_form(self, s: Fraction) -> Fraction | None:
+        total = Fraction(1)
+        for d in self._lengths:
+            factor = _series_factor(_weight_interval(d, s, "omega")[1])
+            if factor is None:
+                return None
+            total *= factor
+        return total
 
 
 class _OperandStream(DomainStream):
@@ -739,6 +798,14 @@ class SumReport:
     # out), "grid" (terms below 2^-136, or a further term could no longer
     # narrow a bracketed tail) or "cut" (StreamCut)
     stop: str
+    # the bound that gave hi: "exhausted" (the sum itself), "total" (the
+    # bound on the full sum), a completed length L (the sum up to L plus the
+    # tail past it) or "bracket" (the sum plus a bracketed tail); None when
+    # hi is infinite
+    upper: str | int | None
+    # the terms added before the accumulator left exact mode, the one that
+    # took it past the guard included; None if it never did
+    exact_terms: int | None
 
     @property
     def exhausted(self) -> bool:
@@ -787,8 +854,10 @@ class _IntervalAcc:
       time until the sum leaves exact mode. The unreduced ld only makes
       that test stricter, and a run split into single copies has the same
       sum.
-    - add_inverse(m) adds the exact term 1/m, as the zeta kind does at
-      integer s; on the grid it is one integer divmod of 2^_ACC_BITS by m.
+    - add_inverse(m) adds the exact term 1/m; on the grid it is one integer
+      divmod of 2^_ACC_BITS by m. add_inverses(keys, k) adds 1/n^k for a
+      block of keys, as the zeta kind does at integer s; on the grid that
+      is one floor division per key, summed in one pass.
     - add_ratio(num, d_lo, d_hi) adds num/d_lo <= t <= num/d_hi, as the zeta
       kind does at non-integer s; exact mode takes the integers unreduced.
 
@@ -811,10 +880,14 @@ class _IntervalAcc:
         self.hd = 1
         self.lo_i = 0
         self.hi_i = 0
+        self.exact_terms = 0
 
-    def _add_exact(self, num: int, den: int, h_num: int | None = None, h_den: int = 1) -> None:
-        """Add num/den to the lower sum and h_num/h_den (num/den when h_num
-        is None) to the upper sum."""
+    def _add_exact(
+        self, num: int, den: int, h_num: int | None = None, h_den: int = 1, terms: int = 1
+    ) -> None:
+        """Add num/den, the sum of terms terms, to the lower sum and
+        h_num/h_den (num/den when h_num is None) to the upper sum."""
+        self.exact_terms += terms
         if self.hn is None and h_num is not None:
             self.hn, self.hd = self.ln, self.ld
         if self.hn is not None:
@@ -842,7 +915,7 @@ class _IntervalAcc:
             if lcm(self.ld, t_lo.denominator).bit_length() <= self._GUARD_BITS:
                 n = count
             h_num = None if t_hi is t_lo else n * t_hi.numerator
-            self._add_exact(n * t_lo.numerator, t_lo.denominator, h_num, t_hi.denominator)
+            self._add_exact(n * t_lo.numerator, t_lo.denominator, h_num, t_hi.denominator, n)
             count -= n
         if count:
             self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
@@ -855,6 +928,22 @@ class _IntervalAcc:
         q, r = divmod(_ACC_ONE, m)
         self.lo_i += q
         self.hi_i += q + (r != 0)
+
+    def add_inverses(self, keys: list[int], k: int) -> None:
+        """Add 1/n^k for each n in keys: one exact add per key while exact,
+        then, on the grid, one pass of floor divisions over the keys; a
+        term's ceiling is one more than its floor unless it is on the grid."""
+        i = 0
+        while self.exact and i < len(keys):
+            self._add_exact(1, keys[i] ** k)
+            i += 1
+        if i < len(keys):
+            ms = keys[i:] if i else keys
+            if k > 1:
+                ms = [n ** k for n in ms]
+            lo = sum(map(_ACC_ONE.__floordiv__, ms))
+            self.lo_i += lo
+            self.hi_i += lo + len(ms) - sum(map(_GRID_DIVISORS.__contains__, ms))
 
     def add_ratio(self, num: int, d_lo: int, d_hi: int) -> None:
         if self.exact:
@@ -911,106 +1000,173 @@ def _element_stop(s: Fraction) -> int:
     return a
 
 
-def weighted_domain_sum(
-    spec: MachineSpec, s: Fraction, budget: int, kind: str
-) -> SumReport:
-    """Certified enclosure of the omega or zeta kind weight sum at exponent s."""
-    if kind not in ("omega", "zeta"):
-        raise ValueError("kind must be 'omega' or 'zeta'")
-    s = Fraction(s)
-    if kind == "omega" and s <= 0:
-        raise ValueError("omega sums need s > 0")
-    if kind == "zeta" and s < 1:
-        raise ValueError("zeta sums need s >= 1")
+class _Sum:
+    """One (kind, s) request of weighted_domain_sums: its accumulator, the
+    lengths it completed, how many strings it took and why it stopped."""
+
+    def __init__(self, stream: DomainStream, kind: str, s: Fraction, budget: int):
+        self.kind, self.s = kind, s
+        self.acc = _IntervalAcc()
+        # (ell, upper sum over the strings of length <= ell) for every length
+        # ell >= 0 the enumeration has completed; past length -1, the tail is
+        # the stream's total_upper
+        self.complete: list[tuple[int, Fraction]] = []
+        self.consumed = 0
+        self.stop = "budget"
+        # omega weights depend on the length alone, so the strings of one
+        # length are added as one run, of run strings of length length
+        self.length, self.run = 0, 0
+        # a stream that brackets its tail at every string stops at the limit
+        # it sets, where its bracket closes the sum; other sparse streams
+        # reach terms below 2^-_STOP_BITS long before the budget, from
+        # stop_len on, and the tail bound over the completed lengths covers
+        # the rest
+        closing = stream.element_tail(s, kind, budget)
+        self.limit, self.tail_at = (budget, None) if closing is None else closing
+        a, b = s.numerator, s.denominator
+        self.stop_len = None if stream.exhaustible or self.tail_at else _STOP_BITS * b // a + 1
+        self.k = a if b == 1 else 0
+        self.add_root = None if kind == "omega" or self.k else _root_terms(s)
+
+    def _add_run(self) -> None:
+        if self.run:
+            self.acc.add(*_weight_interval(self.length, self.s, "omega"), self.run)
+            self.run = 0
+
+    def reach(self, length: int) -> bool:
+        """Note that every string shorter than length was read; False when
+        the sum stops on the grid there."""
+        self._add_run()
+        self.length = length
+        if length:
+            self.complete.append((length - 1, self.acc.hi))
+            if self.stop_len is not None and length >= self.stop_len:
+                self.stop = "grid"
+                return False
+        return True
+
+    def take(self, block: list[int]) -> bool:
+        """Add the leading keys of block, all of the length last reached, up
+        to the limit; False once the limit is reached."""
+        if len(block) > self.limit - self.consumed:
+            block = block[: self.limit - self.consumed]
+        if block:
+            if self.kind == "omega":
+                self.run += len(block)
+            elif self.k:
+                self.acc.add_inverses(block, self.k)
+            else:
+                for key in block:
+                    self.add_root(self.acc, key)
+            self.consumed += len(block)
+        return self.consumed < self.limit
+
+    def report(self, stream: DomainStream) -> SumReport:
+        self._add_run()
+        acc, s, kind = self.acc, self.s, self.kind
+        lo = acc.lo
+        exact_terms = None if acc.exact else acc.exact_terms
+        if self.stop == "exhausted":
+            return SumReport(
+                Enclosure(lo, acc.hi), self.consumed, self.stop, "exhausted", exact_terms
+            )
+        # acc.hi rounds every term up and every tail is an upper bound, so
+        # each candidate is sound as it stands; a larger budget passes every
+        # length a smaller one did, so the least of them cannot rise with the
+        # budget. A bracketed tail narrows with each string up to limit instead
+        candidates = [("total", stream.total_upper(s, kind))]
+        if self.tail_at is not None:
+            tail = self.tail_at(self.consumed)
+            lo += tail.lo
+            candidates.append(("bracket", acc.hi + tail.hi))
+        else:
+            for ell, hi_complete in self.complete:
+                tail = _tail_upper(stream, ell, s, kind)
+                candidates.append((ell, None if tail is None else hi_complete + tail))
+        upper, hi = min(
+            ((name, c) for name, c in candidates if c is not None),
+            key=lambda nc: nc[1],
+            default=(None, None),
+        )
+        return SumReport(Enclosure(lo, hi), self.consumed, self.stop, upper, exact_terms)
+
+
+def weighted_domain_sums(
+    spec: MachineSpec, requests: list[tuple[str, Fraction]], budget: int
+) -> list[SumReport]:
+    """Certified enclosures of several (kind, s) weight sums, each equal to
+    its own weighted_domain_sum, from one enumeration of the domain.
+
+    The indices are read a length at a time. Each request first notes the
+    new length, where it may stop on the grid; then the length's strings are
+    pulled, in blocks of at most _BLOCK, up to the most that a request still
+    running can take, so the stream yields exactly what the longest of the
+    separate sums would pull.
+    """
+    checked = []
+    for kind, s in requests:
+        if kind not in ("omega", "zeta"):
+            raise ValueError("kind must be 'omega' or 'zeta'")
+        s = Fraction(s)
+        if kind == "omega" and s <= 0:
+            raise ValueError("omega sums need s > 0")
+        if kind == "zeta" and s < 1:
+            raise ValueError("zeta sums need s >= 1")
+        checked.append((kind, s))
     if budget < 0 or budget >= _BUDGET_CAP:
         raise ValueError("budget out of range")
     stream = domain_stream(spec)
     # the budget also bounds the candidates a filtering stream examines, so
     # a domain that turns out sparse cannot stall the search
     stream.limit_examined(budget)
+    sums = [_Sum(stream, kind, s, budget) for kind, s in checked]
 
-    acc = _IntervalAcc()
-    # (ell, upper sum over the strings of length <= ell) for every length
-    # ell >= 0 the enumeration has completed; past length -1, the tail is
-    # the stream's total_upper
-    complete: list[tuple[int, Fraction]] = []
-    current_len = 0
-    consumed = 0
-    stop = "budget"
-    # a stream that brackets its tail at every string stops at the limit it
-    # sets, where its bracket closes the sum; other sparse streams reach
-    # terms below 2^-_STOP_BITS long before the budget, from stop_len on,
-    # and the tail bound over the completed lengths covers the rest
-    closing = stream.element_tail(s, kind, budget)
-    limit, tail_at = (budget, None) if closing is None else closing
-    a, b = s.numerator, s.denominator
-    stop_len = None if stream.exhaustible or tail_at else _STOP_BITS * b // a + 1
-
-    # both kinds read indices: zeta weights depend on the index, omega
-    # weights on its length alone, so the strings of one length are added as
-    # one run from run_start on
-    omega = kind == "omega"
-    src = stream.indices()
-    k = a if b == 1 else 0
-    add_root = None if omega or k else _root_terms(s)
-    next_key = 2  # the least index of a length past current_len
-    run_start = 0
-
-    while consumed < limit:
-        try:
-            key = next(src, None)
-        except StreamCut:
-            stop = "cut"  # not exhausted: the tail bound covers what was not yielded
-            break
-        if key is None:
-            stop = "exhausted"
-            break
-        if key >= next_key:  # indices ascend, so lengths never fall
-            if omega and consumed > run_start:
-                acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
-                run_start = consumed
-            current_len = key.bit_length() - 1
-            complete.append((current_len - 1, acc.hi))
-            next_key = 1 << (current_len + 1)
-            if stop_len is not None and current_len >= stop_len:
-                stop = "grid"
+    live = [r for r in sums if r.consumed < r.limit]
+    groups = itertools.groupby(stream.indices(), int.bit_length)
+    group, block = iter(()), []
+    try:
+        for bits, group in groups if live else ():  # at budget 0 nothing is pulled
+            live = [r for r in live if r.reach(bits - 1)]
+            while live:
+                want = min(max(r.limit - r.consumed for r in live), _BLOCK)
+                # extend keeps the strings yielded before a StreamCut
+                block.extend(itertools.islice(group, want))
+                live = [r for r in live if r.take(block)]
+                if len(block) < want:  # the length ran out
+                    break
+                block = []
+            block = []
+            if not live:
                 break
-        if not omega:
-            if k:
-                acc.add_inverse(key ** k)
-            else:
-                add_root(acc, key)
-        consumed += 1
-    else:
-        # short of the budget, limit is the bracketed stop; at the budget,
-        # probe one more element only when the stream is known finite, to
-        # detect exhaustion at the boundary
-        if consumed < budget:
-            stop = "grid"
-        elif stream.exhaustible and next(src, None) is None:
-            stop = "exhausted"
-    if omega and consumed > run_start:
-        acc.add(*_weight_interval(current_len, s, kind), consumed - run_start)
+        else:
+            for r in live:
+                r.stop = "exhausted"
+    except StreamCut:
+        # not exhausted: the tail bound covers what was not yielded
+        for r in live:
+            if r.take(block):
+                r.stop = "cut"
+    probe = None
+    for r in sums:
+        if r.consumed == r.limit:
+            # short of the budget, limit is the bracketed stop; at the
+            # budget, probe one more element only when the stream is known
+            # finite, to detect exhaustion at the boundary
+            if r.limit < budget:
+                r.stop = "grid"
+            elif stream.exhaustible:
+                if probe is None:
+                    probe = next(group, None) is None and next(groups, None) is None
+                if probe:
+                    r.stop = "exhausted"
+    return [r.report(stream) for r in sums]
 
-    lo = acc.lo
-    if stop == "exhausted":
-        return SumReport(Enclosure(lo, acc.hi), consumed, stop)
 
-    # acc.hi rounds every term up and every tail is an upper bound, so each
-    # candidate is sound as it stands; a larger budget passes every length
-    # a smaller one did, so the least of them cannot rise with the budget.
-    # A bracketed tail narrows with each string up to limit instead
-    candidates = [stream.total_upper(s, kind)]
-    if tail_at is not None:
-        tail = tail_at(consumed)
-        lo += tail.lo
-        candidates.append(acc.hi + tail.hi)
-    else:
-        for ell, hi_complete in complete:
-            tail = _tail_upper(stream, ell, s, kind)
-            candidates.append(None if tail is None else hi_complete + tail)
-    hi = min((c for c in candidates if c is not None), default=None)
-    return SumReport(Enclosure(lo, hi), consumed, stop)
+def weighted_domain_sum(
+    spec: MachineSpec, s: Fraction, budget: int, kind: str
+) -> SumReport:
+    """Certified enclosure of the omega or zeta kind weight sum at exponent s."""
+    return weighted_domain_sums(spec, [(kind, s)], budget)[0]
 
 
 def omega_enclosure(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Enclosure:
@@ -1091,9 +1247,9 @@ def classify(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Classification:
     Divergence is only ever certified analytically: the full binary tree is
     the one machine here whose index sum is a tail of the harmonic series.
     """
+    zeta_rep, omega_rep = weighted_domain_sums(spec, [("zeta", 1), ("omega", 1)], budget)
+    zeta_enc, omega_enc = zeta_rep.enclosure, omega_rep.enclosure
     if _is_all_strings(spec):
-        zeta_enc = weighted_domain_sum(spec, Fraction(1), budget, "zeta").enclosure
-        omega_enc = weighted_domain_sum(spec, Fraction(1), budget, "omega").enclosure
         return Classification(
             zeta=Verdict(
                 "divergent",
@@ -1108,8 +1264,8 @@ def classify(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Classification:
                 "each length k contributes a full unit 2^k 2^-k",
             ),
         )
-    zeta_v = _threshold_verdict(zeta_enclosure(spec, budget), "index")
-    omega_v = _threshold_verdict(omega_enclosure(spec, budget), "halting weight")
+    zeta_v = _threshold_verdict(zeta_enc, "index")
+    omega_v = _threshold_verdict(omega_enc, "halting weight")
     # finiteness agreement: a certified-finite index sum comes with a
     # certified-finite halting weight sum and conversely
     if zeta_v.certified and omega_v.certified and (

@@ -16,11 +16,19 @@ operation. It is also the reference for zeta terms at non-integer s, which
 the engine adds from the integers of one root and, past exact mode, adds
 with no root at all once a key is far enough below the grid: they must
 equal _weight_interval's Fractions added to it.
+
+weighted_domain_sums serves several (kind, s) requests from one
+enumeration, read a length at a time: every request must equal its own
+weighted_domain_sum call and the reference, and the stream must yield
+exactly the strings the longest separate sum pulls.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+import weakref
 from fractions import Fraction as F
 from itertools import islice
 from math import lcm, prod
@@ -37,9 +45,12 @@ from tuatara.machines import (
     _IntervalAcc,
     _root_terms,
     _tail_upper,
+    _pairwise_sum,
     _weight_interval,
+    classify,
     domain_stream,
     weighted_domain_sum,
+    weighted_domain_sums,
 )
 
 
@@ -402,6 +413,271 @@ def test_terms_below_the_grid_take_no_root(monkeypatch):
         _same_as_reference(spec, s, 100, "zeta")
 
 
+# mixed kinds at integer and rational s, two of them repeated
+_MIXED = [
+    ("zeta", F(1)), ("omega", F(1)), ("zeta", F(3, 2)), ("omega", F(7, 3)),
+    ("zeta", F(3)), ("omega", F(1)),
+]
+
+
+def _one_pass_matches(spec, requests, budget):
+    """Each report of one weighted_domain_sums call equals its own
+    weighted_domain_sum call, which matches the reference."""
+    got = weighted_domain_sums(spec, requests, budget)
+    assert len(got) == len(requests)
+    for (kind, s), rep in zip(requests, got):
+        assert rep == _same_as_reference(spec, s, budget, kind), (spec, kind, s, budget)
+    return got
+
+
+def _counting_pulls(monkeypatch, cut_after=None):
+    """Make domain_stream record the indices its streams yield, and let each
+    pass raise StreamCut after cut_after of them when that is given."""
+    pulls = []
+    make = machines.domain_stream
+
+    def counted(spec):
+        stream = make(spec)
+        inner = stream.indices
+
+        def indices():
+            for i, n in enumerate(inner()):
+                if i == cut_after:
+                    raise machines.StreamCut("cut for the test")
+                pulls.append(n)
+                yield n
+
+        stream.indices = indices
+        return stream
+
+    monkeypatch.setattr(machines, "domain_stream", counted)
+    monkeypatch.setitem(globals(), "domain_stream", counted)  # the reference's too
+    return pulls
+
+
+def test_one_pass_equals_separate_sums_on_every_stream():
+    for name, spec in STREAMS.items():
+        for budget in (0, 1, 7, 300, 2500):
+            _one_pass_matches(spec, _MIXED, budget)
+
+
+def test_one_pass_pulls_what_the_longest_separate_sum_pulls(monkeypatch):
+    pulls = _counting_pulls(monkeypatch)
+    for name, spec in STREAMS.items():
+        for budget in (0, 5, 400, 3000):
+            alone = []
+            for kind, s in _MIXED:
+                pulls.clear()
+                if domain_stream(spec).element_tail(s, kind, budget) is None:
+                    _ref_sum(spec, s, budget, kind)  # one string at a time
+                    alone.append(len(pulls))
+                else:  # a bracketed sum pulls the strings it takes
+                    alone.append(weighted_domain_sum(spec, s, budget, kind).consumed)
+            pulls.clear()
+            weighted_domain_sums(spec, _MIXED, budget)
+            assert len(pulls) == max(alone), (name, budget)
+
+
+def test_long_lengths_are_pulled_in_blocks(monkeypatch):
+    # lengths 13 and 14 hold 8,192 and 16,384 indices, more than a block
+    pulls = _counting_pulls(monkeypatch)
+    for budget in (4096, 12293, 20000):
+        pulls.clear()
+        _ref_sum(_ALL, F(1), budget, "omega")
+        alone = len(pulls)
+        requests = [("omega", F(1)), ("zeta", F(2)), ("zeta", F(1))]
+        pulls.clear()
+        weighted_domain_sums(_ALL, requests, budget)
+        assert len(pulls) == alone == budget
+        _one_pass_matches(_ALL, requests, budget)
+    monkeypatch.undo()
+    # a sum holds one block of indices at a time, not a whole length
+    tracemalloc.start()
+    try:
+        weighted_domain_sums(_ALL, [("omega", F(1)), ("zeta", F(1))], 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
+
+
+def test_a_grid_stop_pulls_one_string_of_the_stop_length(monkeypatch):
+    pulls = _counting_pulls(monkeypatch)
+    # geometric zeta terms pass below the grid at length 137 for s = 1 and
+    # at 69 for s = 2
+    spec = Builtin("geometric")
+    for requests in ([("zeta", F(1))], [("zeta", F(2))], [("zeta", F(2)), ("zeta", F(1))]):
+        pulls.clear()
+        reps = weighted_domain_sums(spec, requests, 10 ** 5)
+        stop_len = max(_STOP_BITS // s.numerator + 1 for _, s in requests)
+        assert all(rep.stop == "grid" for rep in reps)
+        assert max(rep.consumed for rep in reps) == len(pulls) - 1
+        assert [n.bit_length() - 1 >= stop_len for n in pulls].count(True) == 1
+        assert pulls[-1].bit_length() - 1 == stop_len
+
+
+def test_a_cut_inside_a_length_keeps_the_strings_before_it(monkeypatch):
+    # lengths 3 and 4 hold the indices 8..15 and 16..31; the cut comes
+    # after 10 or 20 of them, in the middle of a length
+    for cut_after in (10, 20):
+        _counting_pulls(monkeypatch, cut_after)
+        for spec in (_ALL, _LUKA):
+            for budget in (cut_after - 1, cut_after, cut_after + 1, 1000):
+                reps = _one_pass_matches(spec, _MIXED, budget)
+                for rep in reps:
+                    want = "cut" if budget > cut_after else "budget"
+                    if rep.stop != "grid":  # all_strings brackets zeta at s > 1
+                        assert (rep.stop, rep.consumed) == (want, min(budget, cut_after))
+        monkeypatch.undo()
+
+
+def test_exhaustion_exactly_at_the_budget():
+    for spec in (_PREFIX_FREE, STREAMS["finite"], STREAMS["universal_tuatara"]):
+        size = len(spec.indices) if isinstance(spec, FiniteTable) else 7
+        for budget, stop in ((size - 1, "budget"), (size, "exhausted"), (size + 1, "exhausted")):
+            reps = _one_pass_matches(spec, _MIXED, budget)
+            assert {(rep.stop, rep.consumed) for rep in reps} == {(stop, min(size, budget))}
+
+
+def test_classify_takes_both_sums_from_one_pass(monkeypatch):
+    streams = []
+    make = machines.domain_stream
+    monkeypatch.setattr(machines, "domain_stream", lambda spec: streams.append(1) or make(spec))
+    for name, spec in STREAMS.items():
+        for budget in (0, 3, 600):
+            with monkeypatch.context() as m:
+                m.setattr(machines, "weighted_domain_sums", lambda spec, requests, budget: [
+                    weighted_domain_sums(spec, [request], budget)[0] for request in requests
+                ])
+                streams.clear()
+                separate = classify(spec, budget)
+            built = len(streams)  # operands build streams of their own
+            streams.clear()
+            assert classify(spec, budget) == separate, (name, budget)
+            assert 2 * len(streams) == built
+
+
+def test_reports_name_the_winning_upper_bound():
+    for name, spec in STREAMS.items():
+        stream = domain_stream(spec)
+        for kind, s in _MIXED:
+            rep = weighted_domain_sum(spec, s, 2000, kind)
+            hi = rep.enclosure.hi
+            if rep.upper == "exhausted":
+                assert rep.exhausted
+            elif rep.upper == "total":
+                assert hi == stream.total_upper(s, kind)
+            elif rep.upper == "bracket":
+                assert name == "all_strings" and kind == "zeta"
+            elif rep.upper is None:
+                assert hi is None
+            else:
+                # the strings up to the completed length, rounded up one by
+                # one, plus the tail past it
+                acc = _IntervalAcc()
+                for n in islice(stream.indices(), rep.consumed):
+                    length = n.bit_length() - 1
+                    if length <= rep.upper:
+                        acc.add(*_weight_interval(n if kind == "zeta" else length, s, kind))
+                assert hi == acc.hi + _tail_upper(stream, rep.upper, s, kind), (name, kind, s)
+                assert stream.total_upper(s, kind) is None or hi < stream.total_upper(s, kind)
+    assert weighted_domain_sum(_ALL, F(2), 10 ** 5, "zeta").upper == "bracket"
+    assert weighted_domain_sum(Builtin("geometric"), F(1), 10 ** 5, "zeta").upper == 100
+    assert weighted_domain_sum(Builtin("lukasiewicz"), F(1), 100, "omega").upper == "total"
+
+
+def test_reports_say_where_the_accumulator_left_exact_mode():
+    # the lower sum of 1/1 + ... + 1/n leaves exact mode at n = 2,833
+    for budget, terms in ((2832, None), (2833, 2833), (10 ** 4, 2833)):
+        assert weighted_domain_sum(_ALL, F(1), budget, "zeta").exact_terms == terms
+    # every omega weight at s = 1 is a power of two
+    assert weighted_domain_sum(_ALL, F(1), 10 ** 4, "omega").exact_terms is None
+    # the first 4,100-bit term takes the omega sum past the guard at once
+    long_words = tuple(format(n, "b")[1:] for n in range(1 << 4100, (1 << 4100) + 6))
+    rep = weighted_domain_sum(FiniteTable(("0", "1", "01") + long_words), F(1), 100, "omega")
+    assert rep.exact_terms == 4
+
+
+def test_tail_memos_go_with_their_stream():
+    for spec in (_ALL, _LUKA, *(STREAMS[k] for k in ("geometric", "product", "double", "finite"))):
+        stream = domain_stream(spec)
+        for s in (F(2), F(7, 3)):
+            for ell in (-1, 0, 5):
+                for kind in ("omega", "zeta"):
+                    _tail_upper(stream, ell, s, kind)
+        assert vars(stream)["_constants"]
+        gone = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert gone() is None, spec
+    # nor does a sum keep its stream
+    made = []
+    make = machines.domain_stream
+
+    def kept(spec):
+        stream = make(spec)
+        made.append(weakref.ref(stream))
+        return stream
+
+    machines.domain_stream, restore = kept, make
+    try:
+        for spec in (STREAMS["geometric"], STREAMS["product"]):
+            weighted_domain_sums(spec, _MIXED, 500)
+    finally:
+        machines.domain_stream = restore
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
+def test_product_density_counts_a_prefix_code_by_length():
+    rng = random.Random(60)
+    # 60 nine-bit parts: 635,376 strings up to length 36, past the cap
+    parts = tuple(format(i, "09b") for i in rng.sample(range(512), 60))
+    stream = domain_stream(Construction("product", (FiniteTable(parts),)))
+    with pytest.raises(ValueError, match="635376 product strings up to length 36"):
+        stream.count_up_to_length(40)
+    assert stream.count_up_to_length(18) == 1 + 60 + 60 * 61 // 2
+    # the counts equal the strings one by one, for a prefix code
+    for code in (("0", "10", "11"), ("1", "01", "000", "001"), ("",  "0", "1")):
+        stream = domain_stream(Construction("product", (FiniteTable(code),)))
+        for ell in range(12):
+            want = sum(1 for _ in machines.itertools.takewhile(
+                lambda n: n.bit_length() - 1 <= ell, stream.indices()))
+            assert stream.count_up_to_length(ell) == want
+    # parts that are not a prefix code are counted one by one, and refused
+    # inside the length where they pass the cap
+    loose = domain_stream(Construction("product", (FiniteTable(parts + ("0",)),)))
+    with pytest.raises(ValueError, match=f"more than {machines.PRODUCT_COUNT_CAP} product"):
+        loose.count_up_to_length(40)
+
+
+def test_block_inverses_equal_single_inverses():
+    # 2^64 cubed is the grid unit itself, and 2^65 cubed lies past it
+    rng = random.Random(3)
+    keys = [1, 2, 3, 4, 5, 1 << 63, 1 << 64, 1 << 65, (1 << 64) + 1]
+    keys += sorted(rng.randint(1, 1 << 70) for _ in range(40))
+    for k in (1, 2, 3, 4):
+        # exact throughout, on the grid from the start, and leaving exact
+        # mode inside the block
+        for before in ((), (3 ** 2600,), range(1, 2820)):
+            block, single = _IntervalAcc(), _IntervalAcc()
+            for m in before:
+                block.add_inverse(m)
+                single.add_inverse(m)
+            block.add_inverses(keys, k)
+            for n in keys:
+                single.add_inverse(n ** k)
+            got = (block.lo, block.hi, block.exact, block.exact_terms)
+            assert got == (single.lo, single.hi, single.exact, single.exact_terms), (k, len(before))
+
+
+def test_pairwise_sums_equal_running_sums():
+    rng = random.Random(19)
+    for size in (0, 1, 2, 3, 7, 64, 301):
+        terms = [F(rng.randint(1, 9), rng.randint(1, 1 << 40)) for _ in range(size)]
+        assert _pairwise_sum(list(terms)) == sum(terms, F(0))
+
+
 try:
     from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
@@ -471,6 +747,40 @@ if given is not None:
     )
     def test_random_tables_match_the_reference(words, kind, s, budget):
         _same_as_reference(FiniteTable(tuple(words)), s, budget, kind)
+
+    _requests = st.lists(
+        st.tuples(st.sampled_from(("omega", "zeta")), st.sampled_from(EXPONENTS)),
+        min_size=1,
+        max_size=4,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(STREAMS)), _requests, st.integers(0, 3000))
+    def test_every_request_of_one_pass_matches_its_own_sum(name, requests, budget):
+        _one_pass_matches(STREAMS[name], requests, budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_words, _requests, st.integers(0, 80))
+    def test_one_pass_over_random_tables_matches_separate_sums(words, requests, budget):
+        _one_pass_matches(FiniteTable(tuple(words)), requests, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 1 << 20), max_size=80, unique=True),
+        st.sampled_from(EXPONENTS),
+    )
+    def test_table_tails_equal_running_sums(keys, s):
+        # the tail past each length, summed in pairs, is the Fraction the
+        # terms add up to one by one
+        stream = domain_stream(_table(keys))
+        for kind in ("omega", "zeta"):
+            for ell in range(-1, 21):
+                terms = (
+                    _weight_interval(n if kind == "zeta" else n.bit_length() - 1, s, kind)[1]
+                    for n in keys
+                    if n.bit_length() - 1 > ell
+                )
+                assert stream.tail_bound(ell, s, kind) == sum(terms, F(0)), (kind, ell)
 
     @st.composite
     def _root_case(draw):
