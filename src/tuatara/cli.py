@@ -524,7 +524,7 @@ def _build_parser() -> _Parser:
         return value
 
     common = _Parser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    common.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
     common.add_argument("--digits", type=int, default=None)
     common.add_argument("--format", choices=("table", "csv"), default="table")
     common.add_argument("--machine", default=None)

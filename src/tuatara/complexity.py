@@ -61,8 +61,6 @@ class ExecutableMachine:
                 raise ValueError("finite table must map every domain string")
             self._table = dict(zip(map(bin_inv, spec.domain), outs))
         elif isinstance(spec, Construction) and spec.kind.startswith("universal"):
-            if not all(isinstance(op, FiniteTable) for op in spec.operands):
-                raise ValueError(f"{spec.kind} members must be finite tables")
             members = zip(_member_exponents(spec), map(ExecutableMachine, spec.operands))
             self._table = {
                 _prefixed_index(j, n): out for j, m in members for n, out in m._table.items()

@@ -854,10 +854,9 @@ class _IntervalAcc:
       time until the sum leaves exact mode. The unreduced ld only makes
       that test stricter, and a run split into single copies has the same
       sum.
-    - add_inverse(m) adds the exact term 1/m; on the grid it is one integer
-      divmod of 2^_ACC_BITS by m. add_inverses(keys, k) adds 1/n^k for a
-      block of keys, as the zeta kind does at integer s; on the grid that
-      is one floor division per key, summed in one pass.
+    - add_inverses(keys, k) adds 1/n^k for a block of keys, as the zeta
+      kind does at integer s; on the grid that is one floor division per
+      key, summed in one pass.
     - add_ratio(num, d_lo, d_hi) adds num/d_lo <= t <= num/d_hi, as the zeta
       kind does at non-integer s; exact mode takes the integers unreduced.
 
@@ -920,14 +919,6 @@ class _IntervalAcc:
         if count:
             self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
             self.hi_i += count * -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
-
-    def add_inverse(self, m: int) -> None:
-        if self.exact:
-            self._add_exact(1, m)
-            return
-        q, r = divmod(_ACC_ONE, m)
-        self.lo_i += q
-        self.hi_i += q + (r != 0)
 
     def add_inverses(self, keys: list[int], k: int) -> None:
         """Add 1/n^k for each n in keys: one exact add per key while exact,
@@ -1354,8 +1345,6 @@ def density_statistic(spec: MachineSpec, n: int) -> Fraction:
         raise MachineSpecError("machine does not support counting by length")
     if count < 1:
         raise ValueError("no domain strings up to that length")
-    if count == 1:
-        return Fraction(0)
     enc = log2_bounds(Fraction(count), 64)
     return enc.midpoint() / n
 
@@ -1364,15 +1353,16 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
     """Smallest index outside the enumerated domain once the partial index
     sum strictly exceeds the rational 0.y.
 
-    The enumeration is ascending in the index order, so the seen set is
-    exact. The partial sum runs in the interval accumulator, and only when
-    its enclosure holds the threshold are the seen indices summed exactly.
+    The enumeration ascends in the index order, so the least index not yet
+    taken passes an index only when that index arrives. The partial sum runs
+    in the interval accumulator, and only when its enclosure holds the
+    threshold are the taken indices read again from the stream and summed
+    exactly.
     Raises BudgetExhausted when the threshold is not crossed within the
     budget.
     """
     threshold = rational_of_prefix(y)
     acc = _IntervalAcc()
-    seen: set[int] = set()
     smallest = 1
     consumed = 0
     stream = domain_stream(spec)
@@ -1383,13 +1373,12 @@ def fresh_index(spec: MachineSpec, y: str, budget: int = DEFAULT_BUDGET) -> str:
             if consumed >= budget:
                 break
             consumed += 1
-            acc.add_inverse(n)
-            seen.add(n)
-            while smallest in seen:
-                smallest += 1
+            acc.add_inverses((n,), 1)
+            smallest += n == smallest
             lo = acc.lo
             if lo <= threshold < acc.hi:  # the grid cannot decide
-                lo = sum(Fraction(1, m) for m in seen)
+                taken = itertools.islice(stream.indices(), consumed)
+                lo = _pairwise_sum([Fraction(1, m) for m in taken])
             if lo > threshold:
                 return bin_of(smallest)
         else:

@@ -502,7 +502,7 @@ def test_options_before_a_subcommand_are_usage_errors(tmp_path, capsys):
 
 
 def test_negative_budgets_are_usage_errors(capsys):
-    for flag in ("--steps", "--size-budget"):
+    for flag in ("--budget", "--steps", "--size-budget"):
         code, out, err = _go(capsys, "iota", "run", "0", flag, "-1")
         assert code == EXIT_USAGE and out == ""
         assert err.splitlines()[-1].endswith(f"argument {flag}: must be >= 0: -1")

@@ -56,7 +56,7 @@ def _parent_sums(s: F, budgets):
         while n < min(budget, stop):
             n += 1
             if add is None:
-                acc.add_inverse(n ** s.numerator)
+                acc.add_inverses((n,), s.numerator)
             else:
                 add(acc, n)
         b = pow_bounds(F(n + 1), 1 - s, _TERM_PREC)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -393,16 +394,27 @@ def test_fresh_index_matches_fraction_sums_on_random_machines():
     for _ in range(120):
         top = 1 << rng.randint(2, 12)
         pool = rng.sample(range(1, top), rng.randint(1, min(40, top - 1)))
+        boundary = FiniteTable(tuple(bin_of(n) for n in pool))
         machine = rng.choice(
             [
                 FiniteTable(tuple(bin_of(n) for n in pool)),
+                boundary,
                 Builtin("geometric", extras=tuple({bin_of(n)[:6] + "0" for n in pool[:3]})),
                 Builtin("lukasiewicz"),
                 Construction("tuatara_of", (FiniteTable(("1011", "00")),)),
+                Construction("product", (FiniteTable(("0", "10", "11")),)),
+                Construction("double", (Builtin("lukasiewicz"),)),
+                Construction("prime_product", (FiniteTable(("0", "101", "0110")),)),
+                # a finite domain at 2 steps and 10 nodes; at 10 steps and
+                # 20 nodes the search for more stops at the examine limit
+                Builtin("iota", step_budget=2, size_budget=10),
+                Builtin("iota", step_budget=10, size_budget=20),
             ]
         )
         y = "".join(rng.choice("01") for _ in range(rng.randint(0, 70)))
         budget = rng.randint(0, 60)
+        if machine is boundary:
+            budget = len(pool)  # the budget ends where the table does
         assert _fresh_outcome(machine, y, budget) == _fraction_fresh_index(machine, y, budget)
 
 
@@ -415,13 +427,26 @@ def test_fresh_index_sums_exactly_where_the_grid_cannot_decide():
     table = FiniteTable(tuple(bin_of(n) for n in indices))
     acc = _IntervalAcc()
     for n in indices[:2900]:
-        acc.add_inverse(n)
+        acc.add_inverses((n,), 1)
     exact = sum(F(1, n) for n in indices[:2900])
     below = exact.numerator * (1 << 200) // exact.denominator
     for numerator, want in ((below, ""), (below + 1, ("budget", 2900))):
         y = format(numerator, "0200b")
         assert acc.lo < rational_of_prefix(y) < acc.hi
         assert _fresh_outcome(table, y, 2900) == want == _fraction_fresh_index(table, y, 2900)
+
+
+def test_fresh_index_holds_no_record_of_the_indices_taken():
+    # the geometric index sum stays below 7/8; its 20,000 indices run to
+    # 20,000 bits each, about 25 MB if the search kept them
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhausted):
+            fresh_index(Builtin("geometric"), "111", 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sanity_chain():

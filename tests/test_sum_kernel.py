@@ -122,14 +122,15 @@ class _FractionAcc:
             self.lo_i += count * ((t_lo.numerator << _ACC_BITS) // t_lo.denominator)
             self.hi_i += count * -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
 
-    def add_inverse(self, m: int) -> None:
-        if self.exact:
-            t = F(1, m)
-            self._add_exact(t, t)
-            return
-        q, r = divmod(1 << _ACC_BITS, m)
-        self.lo_i += q
-        self.hi_i += q + (r != 0)
+    def add_inverses(self, keys, k: int) -> None:
+        for m in (n ** k for n in keys):
+            if self.exact:
+                t = F(1, m)
+                self._add_exact(t, t)
+                continue
+            q, r = divmod(1 << _ACC_BITS, m)
+            self.lo_i += q
+            self.hi_i += q + (r != 0)
 
     @property
     def lo(self) -> F:
@@ -149,7 +150,7 @@ def _replay(ops):
             if op[0] == "add":
                 a.add(*op[1:])
             else:
-                a.add_inverse(op[1])
+                a.add_inverses((op[1],), 1)
         assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact), op
     return acc
 
@@ -161,7 +162,7 @@ def _replay_roots(s: F, keys, grid: bool) -> None:
     acc, ref = _IntervalAcc(), _FractionAcc()
     if grid:
         for a in (acc, ref):
-            a.add_inverse(3 ** 2600)  # 4,121 bits
+            a.add_inverses((3 ** 2600,), 1)  # 4,121 bits
         assert not acc.exact
     add = _root_terms(s)
     for key in keys:
@@ -660,15 +661,15 @@ def test_block_inverses_equal_single_inverses():
         # exact throughout, on the grid from the start, and leaving exact
         # mode inside the block
         for before in ((), (3 ** 2600,), range(1, 2820)):
-            block, single = _IntervalAcc(), _IntervalAcc()
-            for m in before:
-                block.add_inverse(m)
-                single.add_inverse(m)
+            block, single = _IntervalAcc(), _FractionAcc()
+            block.add_inverses(before, 1)
             block.add_inverses(keys, k)
-            for n in keys:
-                single.add_inverse(n ** k)
+            exact_terms = 0
+            for m in [*before, *(n ** k for n in keys)]:
+                exact_terms += single.exact  # the term that leaves exact mode counts
+                single.add_inverses((m,), 1)
             got = (block.lo, block.hi, block.exact, block.exact_terms)
-            assert got == (single.lo, single.hi, single.exact, single.exact_terms), (k, len(before))
+            assert got == (single.lo, single.hi, single.exact, exact_terms), (k, len(before))
 
 
 def test_pairwise_sums_equal_running_sums():
