@@ -855,8 +855,13 @@ class _IntervalAcc:
       that test stricter, and a run split into single copies has the same
       sum.
     - add_inverses(keys, k) adds 1/n^k for a block of keys, as the zeta
-      kind does at integer s; on the grid that is one floor division per
-      key, summed in one pass.
+      kind does at integer s. Exact mode takes _EXACT_BLOCK keys with one
+      update when L, the least common multiple of ld and their
+      denominators, is within the guard: every partial sum's ld divides L,
+      so none passes it, and ln and ld come out as one add per key leaves
+      them. A block past the guard is halved, and a few keys go in one at
+      a time, so the switch to the grid comes at the same term. On the grid
+      it is one floor division per key, summed in one pass.
     - add_ratio(num, d_lo, d_hi) adds num/d_lo <= t <= num/d_hi, as the zeta
       kind does at non-integer s; exact mode takes the integers unreduced.
 
@@ -871,6 +876,7 @@ class _IntervalAcc:
     """
 
     _GUARD_BITS = 1 << 12
+    _EXACT_BLOCK = 32  # a block past the guard wastes its lcm work; 64 wastes more
 
     def __init__(self) -> None:
         self.exact = True
@@ -921,20 +927,39 @@ class _IntervalAcc:
             self.hi_i += count * -((-t_hi.numerator << _ACC_BITS) // t_hi.denominator)
 
     def add_inverses(self, keys: list[int], k: int) -> None:
-        """Add 1/n^k for each n in keys: one exact add per key while exact,
-        then, on the grid, one pass of floor divisions over the keys; a
-        term's ceiling is one more than its floor unless it is on the grid."""
+        """Add 1/n^k for each n in keys: _EXACT_BLOCK keys at a time while
+        exact, then, on the grid, one pass of floor divisions over the keys;
+        a term's ceiling is one more than its floor unless it is on the grid."""
+        ms = [n ** k for n in keys] if k > 1 else keys
         i = 0
-        while self.exact and i < len(keys):
-            self._add_exact(1, keys[i] ** k)
-            i += 1
-        if i < len(keys):
-            ms = keys[i:] if i else keys
-            if k > 1:
-                ms = [n ** k for n in ms]
+        while self.exact and i < len(ms):
+            i += self._add_units(ms[i : i + self._EXACT_BLOCK])
+        if i < len(ms):
+            ms = ms[i:] if i else ms
             lo = sum(map(_ACC_ONE.__floordiv__, ms))
             self.lo_i += lo
             self.hi_i += lo + len(ms) - sum(map(_GRID_DIVISORS.__contains__, ms))
+
+    def _add_units(self, ms: list[int]) -> int:
+        """Add 1/m for each m in ms while the sum stays exact, by the block
+        rule above; return how many went in. With the upper sum set apart
+        (hn), every key takes its own add."""
+        if len(ms) > 4 and self.hn is None:
+            b = lcm(*ms)
+            ld = lcm(self.ld, b)
+            if ld.bit_length() <= self._GUARD_BITS:
+                self.ln = self.ln * (ld // self.ld) + sum(map(b.__floordiv__, ms)) * (ld // b)
+                self.ld = ld
+                self.exact_terms += len(ms)
+                return len(ms)
+            h = len(ms) // 2
+            i = self._add_units(ms[:h])
+            return i + self._add_units(ms[h:]) if self.exact else i
+        i = 0
+        while self.exact and i < len(ms):
+            self._add_exact(1, ms[i])
+            i += 1
+        return i
 
     def add_ratio(self, num: int, d_lo: int, d_hi: int) -> None:
         if self.exact:

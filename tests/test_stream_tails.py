@@ -696,44 +696,48 @@ def test_strings_and_indices_match_the_string_enumeration(spec):
     _same_enumeration(spec)
 
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
 
-_BITS = st.text(alphabet="01", max_size=6)
-_TABLE = st.sets(_BITS, max_size=8).map(lambda ws: FiniteTable(tuple(ws)))
-_PREFIX_FREE_TABLE = _TABLE.filter(lambda t: is_prefix_free(t.domain))
-_EXTRAS = st.sets(_BITS.filter(lambda w: not (w.endswith("1") and "1" not in w[:-1])), max_size=4)
-_OPERAND = st.one_of(
-    _PREFIX_FREE_TABLE,
-    st.just(_LUKA),
-    _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
-)
-_MEMBERS = st.lists(_TABLE, min_size=1, max_size=3).map(tuple)
-_SPECS = st.one_of(
-    _TABLE,
-    _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
-    st.sets(st.text(alphabet="01", max_size=4), max_size=5).map(
-        lambda ps: Construction("product", (FiniteTable(tuple(ps)),))
-    ),
-    _TABLE.map(lambda t: Construction("prime_product", (t,))),
-    _TABLE.map(lambda t: Construction("double", (t,))),
-    _OPERAND.map(lambda op: Construction("tuatara_of", (op,))),
-    _OPERAND.map(lambda op: Construction("double", (Construction("tuatara_of", (op,)),))),
-    _MEMBERS.map(lambda ms: Construction("universal_tuatara", ms)),
-    _MEMBERS.flatmap(
-        lambda ms: st.lists(
-            st.fractions(min_value=F(1, 8), max_value=20), min_size=len(ms), max_size=len(ms)
-        ).map(lambda bs: Construction("universal_convergent", ms, tuple(bs)))
-    ),
-    st.builds(
-        lambda steps, size: Builtin("iota", step_budget=steps, size_budget=size),
-        st.integers(1, 30),
-        st.integers(1, 13),
-    ),
-)
+if given is not None:
+    _BITS = st.text(alphabet="01", max_size=6)
+    _TABLE = st.sets(_BITS, max_size=8).map(lambda ws: FiniteTable(tuple(ws)))
+    _PREFIX_FREE_TABLE = _TABLE.filter(lambda t: is_prefix_free(t.domain))
+    _EXTRAS = st.sets(
+        _BITS.filter(lambda w: not (w.endswith("1") and "1" not in w[:-1])), max_size=4
+    )
+    _OPERAND = st.one_of(
+        _PREFIX_FREE_TABLE,
+        st.just(_LUKA),
+        _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
+    )
+    _MEMBERS = st.lists(_TABLE, min_size=1, max_size=3).map(tuple)
+    _SPECS = st.one_of(
+        _TABLE,
+        _EXTRAS.map(lambda xs: Builtin("geometric", tuple(xs))),
+        st.sets(st.text(alphabet="01", max_size=4), max_size=5).map(
+            lambda ps: Construction("product", (FiniteTable(tuple(ps)),))
+        ),
+        _TABLE.map(lambda t: Construction("prime_product", (t,))),
+        _TABLE.map(lambda t: Construction("double", (t,))),
+        _OPERAND.map(lambda op: Construction("tuatara_of", (op,))),
+        _OPERAND.map(lambda op: Construction("double", (Construction("tuatara_of", (op,)),))),
+        _MEMBERS.map(lambda ms: Construction("universal_tuatara", ms)),
+        _MEMBERS.flatmap(
+            lambda ms: st.lists(
+                st.fractions(min_value=F(1, 8), max_value=20), min_size=len(ms), max_size=len(ms)
+            ).map(lambda bs: Construction("universal_convergent", ms, tuple(bs)))
+        ),
+        st.builds(
+            lambda steps, size: Builtin("iota", step_budget=steps, size_budget=size),
+            st.integers(1, 30),
+            st.integers(1, 13),
+        ),
+    )
 
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(spec=_SPECS)
-def test_random_streams_match_the_string_enumeration(spec):
-    _same_enumeration(spec, 120)
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_SPECS)
+    def test_random_streams_match_the_string_enumeration(spec):
+        _same_enumeration(spec, 120)

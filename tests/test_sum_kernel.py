@@ -30,7 +30,7 @@ import random
 import tracemalloc
 import weakref
 from fractions import Fraction as F
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm, prod
 
 import pytest
@@ -680,7 +680,7 @@ def test_pairwise_sums_equal_running_sums():
 
 
 try:
-    from hypothesis import assume, given, settings, strategies as st
+    from hypothesis import assume, example, given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
     given = None
 
@@ -718,9 +718,10 @@ if given is not None:
     # test above); and small ones that keep the sum exact
     _BIG = (3 ** 1300, 5 ** 900, (1 << 2000) + 1, 7 ** 700)
     _A = (1 << 4096) // 6 + 1
+    _multiples = st.integers(1, 12).map(lambda k: k * _A)
     _dens = st.one_of(
         st.integers(1, 60),
-        st.integers(1, 12).map(lambda k: k * _A),
+        _multiples,
         st.integers(0, 4200).map(lambda k: 1 << k),
         st.lists(st.sampled_from(_BIG), min_size=1, max_size=3).map(prod),
     )
@@ -738,6 +739,48 @@ if given is not None:
     @given(st.lists(_op(), max_size=12))
     def test_integer_exact_mode_matches_fraction_sums(ops):
         _replay(ops)
+
+    @st.composite
+    def _inverse_keys(draw):
+        """Up to 160 small keys, whose blocks stay within the guard, with up
+        to four keys from _dens among them. Where the small keys are 1 and
+        3, two multiples of _A can take a block's least common multiple
+        past the guard while the reduced sum stays within it, as in the
+        example below."""
+        small = draw(st.sampled_from((st.sampled_from((1, 3)), st.integers(1, 1 << 10))))
+        size = draw(st.integers(0, 160))
+        keys = draw(st.lists(small, min_size=size, max_size=size))
+        for _ in range(draw(st.integers(0, 4))):
+            keys.insert(draw(st.integers(0, len(keys))), draw(st.one_of(_dens, _multiples)))
+        return keys
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _inverse_keys(),
+        st.lists(st.integers(0, 90), max_size=6),
+        st.sampled_from((1, 2, 3)),
+        st.booleans(),
+    )
+    @example([1] * 40 + [3 * _A] + [3] * 9 + [6 * _A] + [1] * 80, [30], 1, False)
+    def test_inverse_blocks_match_single_fraction_adds(keys, cuts, k, apart):
+        # blocks of any size, past _EXACT_BLOCK too, cut at random; each is
+        # checked against one Fraction add per key; apart first sets the
+        # upper sum apart from the lower one
+        acc, ref = _IntervalAcc(), _FractionAcc()
+        exact_terms = start = 0
+        if apart:
+            for a in (acc, ref):
+                a.add(F(1, 3), F(1, 3) + F(1, 1 << 300))
+            exact_terms = 1
+        for stop in [*accumulate(cuts), len(keys)]:
+            block = keys[start:stop]
+            start = max(start, stop)
+            acc.add_inverses(block, k)
+            for n in block:
+                exact_terms += ref.exact  # the term that leaves exact mode counts
+                ref.add_inverses((n,), k)
+            got = (acc.lo, acc.hi, acc.exact, acc.exact_terms)
+            assert got == (ref.lo, ref.hi, ref.exact, exact_terms), (stop, k)
 
     @settings(max_examples=60, deadline=None)
     @given(
