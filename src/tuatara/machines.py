@@ -568,22 +568,17 @@ class _ProductStream(_MultisetStream):
 
     def count_up_to_length(self, ell: int) -> int:
         if is_prefix_free(bin_of(m + a) for m, a in self.parts):
-            # counted to twice the length each round, so that few lengths
-            # past the cap are counted, whose counts can be long integers
-            reach = 1
-            while True:
-                counts = self._counts_to(min(reach, ell))[: ell + 1]
-                total = 0
-                for length, count in enumerate(counts):
-                    total += count
-                    if total > PRODUCT_COUNT_CAP and length < ell:
-                        raise ValueError(
-                            f"{total} product strings up to length {length}, past the cap"
-                            f" of {PRODUCT_COUNT_CAP}"
-                        )
-                if len(counts) > ell:
-                    return total
-                reach *= 2
+            # _counts_to doubles its reach as the length passes it, so that
+            # few lengths past the cap are counted, whose counts can be long
+            total = 0
+            for length in range(ell + 1):
+                total += self._counts_to(length)[length]
+                if total > PRODUCT_COUNT_CAP and length < ell:
+                    raise ValueError(
+                        f"{total} product strings up to length {length}, past the cap"
+                        f" of {PRODUCT_COUNT_CAP}"
+                    )
+            return total
         total = 0
         for n in self.indices():
             length = n.bit_length() - 1

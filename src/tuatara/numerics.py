@@ -350,10 +350,14 @@ def _ikroot(n: int, k: int) -> int:
     return r
 
 
-def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
-    """floor(2^prec (num/den)^(1/k)), refusing operands past ROOT_BITS_CAP."""
+def _check_root_cap(k: int, prec: int) -> None:
     if k * prec > ROOT_BITS_CAP:
         raise PrecisionLimit(f"a {k}-th root needs {k * prec} operand bits, over {ROOT_BITS_CAP}")
+
+
+def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
+    """floor(2^prec (num/den)^(1/k)), refusing operands past ROOT_BITS_CAP."""
+    _check_root_cap(k, prec)
     # floor(x^(1/k)) == floor(floor(x)^(1/k)), so the quotient may be floored first
     return _ikroot((num << (k * prec)) // den, k)
 
@@ -398,8 +402,9 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
 # repeats with period b in the length; a PrecisionLimit is never cached
 @functools.lru_cache(maxsize=256)
 def _pow2_root(f: int, b: int, prec: int) -> int:
-    """floor(2^prec 2^(f/b))."""
-    return _scaled_root(1 << f, 1, b, prec)
+    """floor(2^prec 2^(f/b)), refused before 2^f is built, as f < b."""
+    _check_root_cap(b, prec)
+    return _ikroot(1 << (f + b * prec), b)
 
 
 def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:

@@ -225,6 +225,17 @@ def test_exponent_range_is_the_engines(tmp_path, capsys):
         assert (code, out, err) == (EXIT_COMPUTE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("omega-s", "-s", "1e-30"),
+    ("kappa", "-s", "1000000000000000000000000000001/1000000000000000000000000000000"),
+])
+def test_exponent_denominators_past_the_root_cap_are_refused(tmp_path, capsys, argv):
+    f = _file(tmp_path, "machine g\nkind builtin\ngenerator geometric\n")
+    code, out, err = _go(capsys, *argv, "--machine", f)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("error: a ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_kraft_lengths_past_budget(capsys):
     code, out, err = _go(capsys, "kraft", "1", "100000", "--format", "csv")
     assert code == EXIT_OK and out.splitlines()[2] == "2,100000,1" + "0" * 99999

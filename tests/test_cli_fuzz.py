@@ -22,9 +22,6 @@ import pytest
 from tuatara.cli import EXIT_BUDGET, EXIT_COMPUTE, run
 from tuatara.machines import DENSITY_LENGTH_CAP
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
 _COMMANDS = (
     "zeta", "omega", "zeta-s", "omega-s", "kappa", "kappa-natural", "classify",
     "egyptian", "kraft", "grid", "fresh-index", "density", "sanity", "nabla",
@@ -63,84 +60,6 @@ def machine_paths(tmp_path_factory):
     return [str(root / name) for name in _MACHINES] + [str(root / "missing.mt")]
 
 
-_int = st.integers(-2, 64).map(str)
-_rational = st.one_of(
-    st.builds(lambda a, b: f"{a}/{b}", st.integers(-3, 64), st.integers(0, 64)),
-    st.sampled_from(("1", "2", "3/2", "1.5", "0.25")),
-)
-_s = st.one_of(
-    st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64), st.integers(1, 64)), _rational
-)
-# past the budget or the cap; an n at or just below the density cap is left
-# out, as each such run takes seconds
-_length = st.one_of(_int, st.integers(-2, 3000).map(str), st.integers(-2, 10 ** 9).map(str))
-_density_n = st.one_of(_int, st.integers(DENSITY_LENGTH_CAP + 1, 10 ** 12).map(str))
-_bits = st.one_of(st.text("01", max_size=64), st.just("eps"))
-_kind = st.sampled_from(("plain", "prefix", "nabla-log"))
-# each command's arguments: positionals, then options it needs or takes
-_ARGUMENTS = {
-    "zeta": (),
-    "omega": (),
-    "classify": (),
-    "sanity": (),
-    "zeta-s": ("-s", _s),
-    "omega-s": ("-s", _s),
-    "kappa": ("-s", _s),
-    "kappa-natural": ("-s", _s),
-    "egyptian": (_rational, "--floor", _int),
-    "kraft": (_length, _length, _length),
-    "grid": (_int, _int),
-    "fresh-index": (_bits,),
-    "density": (_density_n,),
-    "nabla": (_bits,),
-    "complexity": (_bits, "--kind", _kind),
-    "deficiency": (_bits, "--kind", _kind, "-s", _s),
-    "iota parse": (_bits,),
-    "iota run": (_bits,),
-    "iota encode": (_bits,),
-    "iota decode": (_bits,),
-    "iota count": (_length,),
-    "iota zeta": (st.integers(-2, 3000).map(str),),
-}
-# options every command takes
-_COMMON = {
-    "--digits": _int,
-    "--format": st.sampled_from(("table", "csv")),
-    "--size-budget": st.integers(0, 2000).map(str),
-}
-
-
-@st.composite
-def _argv(draw, paths: list[str]) -> list[str]:
-    """A command with arguments of the right types, now and then a token
-    from anywhere in place of one of them or between them."""
-    # short bit strings only: a long one read as an integer argument would
-    # pass the bound of 64
-    anything = st.one_of(
-        st.sampled_from(_COMMANDS + _OPTIONS + _WORDS + _JUNK),
-        st.sampled_from(paths),
-        _int,
-        _rational,
-        st.text("01", max_size=2),
-    )
-
-    def token(typed):
-        return draw(anything if draw(st.integers(0, 9)) == 0 else typed)
-
-    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
-    argv = command.split()
-    for arg in _ARGUMENTS[command]:
-        argv.append(token(st.just(arg) if isinstance(arg, str) else arg))
-    argv += ["--machine", token(st.sampled_from(paths))]
-    for _ in range(draw(st.integers(0, 2))):
-        option = draw(st.sampled_from(sorted(_COMMON)))
-        argv += [option, token(_COMMON[option])]
-    if draw(st.integers(0, 4)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(anything))
-    budget, steps = draw(st.integers(0, 2000)), draw(st.integers(0, 1000))
-    return argv + ["--budget", str(budget), "--steps", str(steps)]
-
-
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -148,14 +67,104 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-# the deadline leaves room for the slowest commands within these bounds
-@settings(max_examples=300, deadline=60_000)
-@given(data=st.data())
-def test_any_argv_ends_in_an_exit_code_and_one_message(machine_paths, data):
-    argv = data.draw(_argv(machine_paths), label="argv")
-    result = _run(argv)
-    code, out, err = result
-    assert code in (0, 1, 2, 3)
-    if code in (EXIT_COMPUTE, EXIT_BUDGET):
-        assert err.count("\n") == 1 and err.endswith("\n"), err
-    assert _run(argv) == result
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+    _int = st.integers(-2, 64).map(str)
+
+    _rational = st.one_of(
+        st.builds(lambda a, b: f"{a}/{b}", st.integers(-3, 64), st.integers(0, 64)),
+        st.sampled_from(("1", "2", "3/2", "1.5", "0.25")),
+    )
+
+    _s = st.one_of(
+        st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64), st.integers(1, 64)), _rational
+    )
+
+    # past the budget or the cap; an n at or just below the density cap is left
+    # out, as each such run takes seconds
+    _length = st.one_of(_int, st.integers(-2, 3000).map(str), st.integers(-2, 10 ** 9).map(str))
+
+    _density_n = st.one_of(_int, st.integers(DENSITY_LENGTH_CAP + 1, 10 ** 12).map(str))
+
+    _bits = st.one_of(st.text("01", max_size=64), st.just("eps"))
+
+    _kind = st.sampled_from(("plain", "prefix", "nabla-log"))
+
+    # each command's arguments: positionals, then options it needs or takes
+    _ARGUMENTS = {
+        "zeta": (),
+        "omega": (),
+        "classify": (),
+        "sanity": (),
+        "zeta-s": ("-s", _s),
+        "omega-s": ("-s", _s),
+        "kappa": ("-s", _s),
+        "kappa-natural": ("-s", _s),
+        "egyptian": (_rational, "--floor", _int),
+        "kraft": (_length, _length, _length),
+        "grid": (_int, _int),
+        "fresh-index": (_bits,),
+        "density": (_density_n,),
+        "nabla": (_bits,),
+        "complexity": (_bits, "--kind", _kind),
+        "deficiency": (_bits, "--kind", _kind, "-s", _s),
+        "iota parse": (_bits,),
+        "iota run": (_bits,),
+        "iota encode": (_bits,),
+        "iota decode": (_bits,),
+        "iota count": (_length,),
+        "iota zeta": (st.integers(-2, 3000).map(str),),
+    }
+
+    # options every command takes
+    _COMMON = {
+        "--digits": _int,
+        "--format": st.sampled_from(("table", "csv")),
+        "--size-budget": st.integers(0, 2000).map(str),
+    }
+
+    @st.composite
+    def _argv(draw, paths: list[str]) -> list[str]:
+        """A command with arguments of the right types, now and then a token
+        from anywhere in place of one of them or between them."""
+        # short bit strings only: a long one read as an integer argument would
+        # pass the bound of 64
+        anything = st.one_of(
+            st.sampled_from(_COMMANDS + _OPTIONS + _WORDS + _JUNK),
+            st.sampled_from(paths),
+            _int,
+            _rational,
+            st.text("01", max_size=2),
+        )
+
+        def token(typed):
+            return draw(anything if draw(st.integers(0, 9)) == 0 else typed)
+
+        command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+        argv = command.split()
+        for arg in _ARGUMENTS[command]:
+            argv.append(token(st.just(arg) if isinstance(arg, str) else arg))
+        argv += ["--machine", token(st.sampled_from(paths))]
+        for _ in range(draw(st.integers(0, 2))):
+            option = draw(st.sampled_from(sorted(_COMMON)))
+            argv += [option, token(_COMMON[option])]
+        if draw(st.integers(0, 4)) == 0:
+            argv.insert(draw(st.integers(0, len(argv))), draw(anything))
+        budget, steps = draw(st.integers(0, 2000)), draw(st.integers(0, 1000))
+        return argv + ["--budget", str(budget), "--steps", str(steps)]
+
+    # the deadline leaves room for the slowest commands within these bounds
+    @settings(max_examples=300, deadline=60_000)
+    @given(data=st.data())
+    def test_any_argv_ends_in_an_exit_code_and_one_message(machine_paths, data):
+        argv = data.draw(_argv(machine_paths), label="argv")
+        result = _run(argv)
+        code, out, err = result
+        assert code in (0, 1, 2, 3)
+        if code in (EXIT_COMPUTE, EXIT_BUDGET):
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert _run(argv) == result

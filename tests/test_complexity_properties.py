@@ -7,13 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from tuatara import iota  # noqa: E402
-from tuatara.binstr import bin_of  # noqa: E402
-from tuatara.complexity import (  # noqa: E402
+from tuatara import iota
+from tuatara.binstr import bin_of
+from tuatara.complexity import (
     NO_WITNESS,
     ComplexityOracle,
     DeficiencyReport,
@@ -25,7 +21,7 @@ from tuatara.complexity import (  # noqa: E402
     liminf_proxy,
     nabla,
 )
-from tuatara.machines import Builtin, Construction, FiniteTable  # noqa: E402
+from tuatara.machines import Builtin, Construction, FiniteTable
 
 
 def _deficiency_by_prefix(digits, s, oracle, budget):
@@ -70,25 +66,6 @@ def _assert_single_pass_matches(digits, s, oracle, budget):
 
 
 _KINDS = ("plain", "prefix", "nabla_log")
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 40), st.text(alphabet="01", max_size=4)),
-        min_size=1,
-        max_size=12,
-        unique_by=lambda pair: pair[0],
-    ),
-    st.text(alphabet="01", min_size=1, max_size=5),
-    st.sampled_from(_KINDS),
-    st.sampled_from([1, 2, F(3, 2)]),
-    st.integers(0, 45),
-)
-def test_single_pass_matches_per_prefix_on_tables(pairs, digits, kind, s, budget):
-    domain = tuple(bin_of(n) for n, _ in pairs)
-    m = ExecutableMachine(FiniteTable(domain, tuple(out for _, out in pairs)))
-    _assert_single_pass_matches(digits, s, ComplexityOracle(kind, m), budget)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -166,64 +143,83 @@ def _assert_walks_agree(machine, run, targets, budget):
         assert machine.run(bin_of(n)) == run(bin_of(n))
 
 
-_BITS = st.text(alphabet="01", max_size=4)
-
-
-def _budgets(cap):
-    # 0 walks nothing and 1 only the empty string; most other draws fall
-    # inside a length
-    return st.one_of(st.sampled_from([0, 1, cap]), st.integers(2, cap))
-
-
-@st.composite
-def _tables(draw):
-    domain = draw(st.lists(_BITS, max_size=8, unique=True))
-    outs = draw(st.lists(_BITS, min_size=len(domain), max_size=len(domain)))
-    return tuple(domain), tuple(outs)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_tables(), st.lists(_BITS, max_size=4), _budgets(40))
-def test_domain_walk_matches_the_integer_walk_on_tables(table, extra, budget):
-    machine = ExecutableMachine(FiniteTable(*table))
-    targets = list(table[1]) + extra
-    _assert_walks_agree(machine, _table_run(*table), targets, budget)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["universal_tuatara", "universal_convergent"]),
-    st.lists(_tables(), min_size=1, max_size=3),
-    st.data(),
-)
-def test_domain_walk_matches_the_integer_walk_on_universal_machines(kind, members, data):
-    # an empty filler member takes a prefix of its own and adds no string
-    at = data.draw(st.integers(0, len(members)), label="filler position")
-    members.insert(at, ((), ()))
-    bounds = ()
-    if kind == "universal_convergent":
-        bound = st.sampled_from([F(1, 3), F(1), F(3, 2), F(2)])
-        bounds = tuple(data.draw(bound, label="bound") for _ in members)
-    spec = Construction(kind, tuple(FiniteTable(*m) for m in members), bounds)
-    machine = ExecutableMachine(spec)
-    run = _universal_run(kind, members, bounds)
-    targets = [out for _, outs in members for out in outs]
-    targets += data.draw(st.lists(_BITS, max_size=3), label="extra targets")
-    _assert_walks_agree(machine, run, targets, data.draw(_budgets(1 << 12), label="budget"))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 12), _budgets(1 << 11), st.lists(_BITS, max_size=3))
-def test_domain_walk_matches_the_integer_walk_on_iota(steps, sizes, budget, extra):
-    # the largest budget reaches the programs of 9 bits, which a size
-    # budget below 9 refuses
-    run = _iota_run(steps, sizes)
-    outs = [out for _, out in _integer_walk(run, budget)]
-    targets = outs[::2] + extra + ["1010100"]
-    machine = ExecutableMachine(Builtin("iota", (), steps, sizes))
-    _assert_walks_agree(machine, run, targets, budget)
-
-
 def test_universal_members_must_be_finite_tables():
     with pytest.raises(ValueError):
         ExecutableMachine(Construction("universal_tuatara", (Builtin("iota"),)))
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 40), st.text(alphabet="01", max_size=4)),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda pair: pair[0],
+        ),
+        st.text(alphabet="01", min_size=1, max_size=5),
+        st.sampled_from(_KINDS),
+        st.sampled_from([1, 2, F(3, 2)]),
+        st.integers(0, 45),
+    )
+    def test_single_pass_matches_per_prefix_on_tables(pairs, digits, kind, s, budget):
+        domain = tuple(bin_of(n) for n, _ in pairs)
+        m = ExecutableMachine(FiniteTable(domain, tuple(out for _, out in pairs)))
+        _assert_single_pass_matches(digits, s, ComplexityOracle(kind, m), budget)
+
+    _BITS = st.text(alphabet="01", max_size=4)
+
+    def _budgets(cap):
+        # 0 walks nothing and 1 only the empty string; most other draws fall
+        # inside a length
+        return st.one_of(st.sampled_from([0, 1, cap]), st.integers(2, cap))
+
+    @st.composite
+    def _tables(draw):
+        domain = draw(st.lists(_BITS, max_size=8, unique=True))
+        outs = draw(st.lists(_BITS, min_size=len(domain), max_size=len(domain)))
+        return tuple(domain), tuple(outs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_tables(), st.lists(_BITS, max_size=4), _budgets(40))
+    def test_domain_walk_matches_the_integer_walk_on_tables(table, extra, budget):
+        machine = ExecutableMachine(FiniteTable(*table))
+        targets = list(table[1]) + extra
+        _assert_walks_agree(machine, _table_run(*table), targets, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["universal_tuatara", "universal_convergent"]),
+        st.lists(_tables(), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_domain_walk_matches_the_integer_walk_on_universal_machines(kind, members, data):
+        # an empty filler member takes a prefix of its own and adds no string
+        at = data.draw(st.integers(0, len(members)), label="filler position")
+        members.insert(at, ((), ()))
+        bounds = ()
+        if kind == "universal_convergent":
+            bound = st.sampled_from([F(1, 3), F(1), F(3, 2), F(2)])
+            bounds = tuple(data.draw(bound, label="bound") for _ in members)
+        spec = Construction(kind, tuple(FiniteTable(*m) for m in members), bounds)
+        machine = ExecutableMachine(spec)
+        run = _universal_run(kind, members, bounds)
+        targets = [out for _, outs in members for out in outs]
+        targets += data.draw(st.lists(_BITS, max_size=3), label="extra targets")
+        _assert_walks_agree(machine, run, targets, data.draw(_budgets(1 << 12), label="budget"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 12), _budgets(1 << 11), st.lists(_BITS, max_size=3))
+    def test_domain_walk_matches_the_integer_walk_on_iota(steps, sizes, budget, extra):
+        # the largest budget reaches the programs of 9 bits, which a size
+        # budget below 9 refuses
+        run = _iota_run(steps, sizes)
+        outs = [out for _, out in _integer_walk(run, budget)]
+        targets = outs[::2] + extra + ["1010100"]
+        machine = ExecutableMachine(Builtin("iota", (), steps, sizes))
+        _assert_walks_agree(machine, run, targets, budget)

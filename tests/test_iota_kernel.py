@@ -18,13 +18,9 @@ from unittest import mock
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from tuatara import iota  # noqa: E402
-from tuatara.complexity import ExecutableMachine  # noqa: E402
-from tuatara.iota import (  # noqa: E402
+from tuatara import iota
+from tuatara.complexity import ExecutableMachine
+from tuatara.iota import (
     IOTA,
     App,
     Atom,
@@ -40,7 +36,7 @@ from tuatara.iota import (  # noqa: E402
     encode_bits,
     term_eq,
 )
-from tuatara.machines import Builtin  # noqa: E402
+from tuatara.machines import Builtin
 
 # the kernel is replaced by the reference in some tests, so no outcome a
 # walk records may reach or leave the table across them
@@ -130,13 +126,6 @@ def _same(a, b) -> bool:
     return u == v
 
 
-def _terms(leaves, max_leaves=24):
-    return st.recursive(leaves, lambda sub: st.builds(App, sub, sub), max_leaves=max_leaves)
-
-
-_TERM = _terms(st.sampled_from((IOTA, S, K) + _PROBES))
-
-
 def _whnf_outcome(kernel, t, steps, sizes, start):
     # the peak is the largest size reached from a start within the size
     # budget; from a start above it, the kernel keeps no peak to compare
@@ -164,20 +153,6 @@ def _agree(t, steps, sizes, start):
     return ref
 
 
-@settings(max_examples=400, deadline=None)
-@given(t=_TERM, data=st.data())
-def test_whnf_matches_the_spine_kernel(t, data):
-    # first with room to spare, then under budgets drawn from 0 to past the
-    # steps and size the term used
-    free = _agree(t, 5000, 10 ** 6, t.size)
-    used_steps = free[3] if free[0] == "stuck" else 5000
-    peak = data.draw(st.integers(0, t.size + 3 * used_steps + 8), label="size budget")
-    steps = data.draw(st.integers(0, used_steps + 2), label="step budget")
-    _agree(t, steps, peak, t.size)
-    _agree(t, steps, 10 ** 6, t.size)
-    _agree(t, 5000, peak, t.size)
-
-
 def test_whnf_meter_on_every_small_budget():
     # S (K i) i (i i) takes iota, K and S steps that grow and shrink the term
     t = App(App(App(S, App(K, IOTA)), IOTA), App(IOTA, IOTA))
@@ -194,48 +169,10 @@ def _differs(fn, *args):
     return not _same(_with_kernel(_spine_whnf, fn, *args), _with_kernel(iota._whnf, fn, *args))
 
 
-_PROGRAM = _terms(st.just(IOTA), 40).map(iota.unparse)
-
-
 def _reduced(t, steps, sizes):
     # a ReduceResult as status, steps, peak size and the normal form's text
     r = iota.reduce(t, steps, sizes)
     return r.status, r.steps, r.peak, None if r.term is None else repr(r.term)
-
-
-@settings(max_examples=200, deadline=None)
-@given(t=_TERM, steps=st.integers(0, 300), sizes=st.integers(0, 400))
-def test_reduce_matches_under_small_budgets(t, steps, sizes):
-    assert not _differs(_reduced, t, steps, sizes)
-
-
-@settings(max_examples=150, deadline=None)
-@given(bits=_PROGRAM, steps=st.integers(0, 400), sizes=st.integers(0, 2000))
-def test_reduce_and_decode_of_random_programs_match(bits, steps, sizes):
-    assert not _differs(_reduced, iota.parse(bits), steps, sizes)
-    assert not _differs(iota.decode_bits, bits, steps, sizes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    w=st.text(alphabet="01", max_size=64),
-    steps=st.one_of(st.integers(0, 3000), st.just(iota.DEFAULT_STEP_BUDGET)),
-    sizes=st.one_of(st.integers(0, 4000), st.just(iota.DEFAULT_SIZE_BUDGET)),
-)
-def test_decode_of_encoded_lists_matches(w, steps, sizes):
-    assert not _differs(iota.decode_bits, encode_bits(w), steps, sizes)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.text(alphabet="01 \n2", max_size=40))
-def test_parse_matches_the_two_pass_parser(text):
-    ref = _outcome(_two_pass_parse, text)
-    assert _same(_outcome(iota.parse, text), ref)
-    program = _outcome(iota.is_program, text)
-    if ref[0] == "value" or ref[1][0] in (Incomplete, TrailingBits):
-        assert program == ("value", ref[0] == "value")
-    else:
-        assert program == ref
 
 
 def _parent_run(machine, w):
@@ -260,48 +197,6 @@ def test_iota_machine_run_matches_on_short_strings(budgets):
     words = ["".join(p) for n in range(13) for p in itertools.product("01", repeat=n)]
     for w in words + list(_SAMPLES):
         assert _same(_outcome(machine.run, w), _outcome(_parent_run, machine, w)), w
-
-
-# ---------------------------------------------------------------------------
-# shared cells
-
-
-@st.composite
-def _dags(draw, max_cells=12):
-    # each new cell, shared or plain, joins two members of a growing pool, so
-    # one cell can sit in many places and reach head position many times
-    pool = [IOTA, S, K, *_PROBES]
-    for _ in range(draw(st.integers(1, max_cells))):
-        f, x = (pool[draw(st.integers(0, len(pool) - 1))] for _ in "fx")
-        pool.append(draw(st.sampled_from((Cell, Cell, App)))(f, x))
-    return pool[-1]
-
-
-@settings(max_examples=150, deadline=None)
-@given(t=_dags(), extra=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
-def test_shared_cells_match_the_spine_kernel_at_every_small_budget(t, extra, rnd):
-    # t sits in a term `extra` larger; facts found under one budget are
-    # reused under the next, in a random order, from sizes below the start
-    start = t.size + extra
-    free = _agree(t, 40, 10 ** 6, start)
-    used = free[3] if free[0] == "stuck" else 40
-    peak = free[-1]
-    sizes = set(range(max(0, start - 3), start + 3)) | set(range(peak - 2, peak + 2))
-    sizes |= set(range(start, peak, max(1, (peak - start) // 8)))
-    budgets = [(n, m) for n in range(used + 2) for m in sizes]
-    rnd.shuffle(budgets)
-    for n, m in budgets:
-        _agree(t, n, m, start)
-
-
-@settings(max_examples=100, deadline=None)
-@given(t=_dags(), steps=st.integers(0, 200), sizes=st.integers(0, 400))
-def test_reduce_of_shared_cells_reports_the_spine_peak(t, steps, sizes):
-    # status, steps, peak and normal form, twice: the second run jumps over
-    # the cells whose facts the first one found
-    ref = _with_kernel(_spine_whnf, _reduced, t, steps, sizes)
-    for _ in range(2):
-        assert _same(_with_kernel(iota._whnf, _reduced, t, steps, sizes), ref)
 
 
 def test_deep_shared_cells_step_through_past_the_nesting_cap():
@@ -368,20 +263,6 @@ def _decode_totals(bits):
     return out, totals["steps"], totals["peak"]
 
 
-@settings(max_examples=40, deadline=None)
-@given(w=st.text(alphabet="01", max_size=10))
-def test_decode_of_a_second_pairing_matches_at_its_exact_budgets(w):
-    bits = _encode2(w)
-    out, steps, peak = _decode_totals(bits)
-    assert out == w
-    assert iota.decode_bits(bits, steps, peak) == w
-    with pytest.raises(DecodeBudget, match="steps"):
-        iota.decode_bits(bits, steps - 1, 10 ** 7)
-    for n in (steps - 1, steps, steps + 1):
-        for m in (peak - 1, peak, peak + 1, 10 ** 7):
-            assert not _differs(iota.decode_bits, bits, n, m), (n, m)
-
-
 def _subterms(t):
     # every object of a term, each once
     seen, todo = {}, [t]
@@ -394,20 +275,127 @@ def _subterms(t):
     return list(seen.values())
 
 
-@settings(max_examples=150, deadline=None)
-@given(parts=st.lists(_PROGRAM, min_size=1, max_size=4), shape=st.lists(st.integers(0, 7), max_size=12))
-def test_parse_shares_one_cell_per_distinct_subprogram(parts, shape):
-    # programs joined under applications, drawn from a few parts so that
-    # subprograms repeat
-    bits = parts[0]
-    for k in shape:
-        part = parts[k % len(parts)]
-        bits = "1" + bits + part if k < 4 else "1" + part + bits
-    t, ref = iota.parse(bits), _two_pass_parse(bits)
-    cells = _subterms(t)
-    texts = [iota.unparse(u) for u in cells]
-    assert len(set(texts)) == len(texts)
-    assert all(type(u) is Cell for u in cells if isinstance(u, App))
-    assert repr(t) == repr(ref)
-    assert iota.unparse(t) == iota.unparse(ref) == bits
-    assert term_eq(t, ref)
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+    def _terms(leaves, max_leaves=24):
+        return st.recursive(leaves, lambda sub: st.builds(App, sub, sub), max_leaves=max_leaves)
+
+    _TERM = _terms(st.sampled_from((IOTA, S, K) + _PROBES))
+
+    @settings(max_examples=400, deadline=None)
+    @given(t=_TERM, data=st.data())
+    def test_whnf_matches_the_spine_kernel(t, data):
+        # first with room to spare, then under budgets drawn from 0 to past the
+        # steps and size the term used
+        free = _agree(t, 5000, 10 ** 6, t.size)
+        used_steps = free[3] if free[0] == "stuck" else 5000
+        peak = data.draw(st.integers(0, t.size + 3 * used_steps + 8), label="size budget")
+        steps = data.draw(st.integers(0, used_steps + 2), label="step budget")
+        _agree(t, steps, peak, t.size)
+        _agree(t, steps, 10 ** 6, t.size)
+        _agree(t, 5000, peak, t.size)
+
+    _PROGRAM = _terms(st.just(IOTA), 40).map(iota.unparse)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=_TERM, steps=st.integers(0, 300), sizes=st.integers(0, 400))
+    def test_reduce_matches_under_small_budgets(t, steps, sizes):
+        assert not _differs(_reduced, t, steps, sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bits=_PROGRAM, steps=st.integers(0, 400), sizes=st.integers(0, 2000))
+    def test_reduce_and_decode_of_random_programs_match(bits, steps, sizes):
+        assert not _differs(_reduced, iota.parse(bits), steps, sizes)
+        assert not _differs(iota.decode_bits, bits, steps, sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.text(alphabet="01", max_size=64),
+        steps=st.one_of(st.integers(0, 3000), st.just(iota.DEFAULT_STEP_BUDGET)),
+        sizes=st.one_of(st.integers(0, 4000), st.just(iota.DEFAULT_SIZE_BUDGET)),
+    )
+    def test_decode_of_encoded_lists_matches(w, steps, sizes):
+        assert not _differs(iota.decode_bits, encode_bits(w), steps, sizes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="01 \n2", max_size=40))
+    def test_parse_matches_the_two_pass_parser(text):
+        ref = _outcome(_two_pass_parse, text)
+        assert _same(_outcome(iota.parse, text), ref)
+        program = _outcome(iota.is_program, text)
+        if ref[0] == "value" or ref[1][0] in (Incomplete, TrailingBits):
+            assert program == ("value", ref[0] == "value")
+        else:
+            assert program == ref
+
+    # ---------------------------------------------------------------------------
+    # shared cells
+    @st.composite
+    def _dags(draw, max_cells=12):
+        # each new cell, shared or plain, joins two members of a growing pool, so
+        # one cell can sit in many places and reach head position many times
+        pool = [IOTA, S, K, *_PROBES]
+        for _ in range(draw(st.integers(1, max_cells))):
+            f, x = (pool[draw(st.integers(0, len(pool) - 1))] for _ in "fx")
+            pool.append(draw(st.sampled_from((Cell, Cell, App)))(f, x))
+        return pool[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=_dags(), extra=st.integers(0, 4), rnd=st.randoms(use_true_random=False))
+    def test_shared_cells_match_the_spine_kernel_at_every_small_budget(t, extra, rnd):
+        # t sits in a term `extra` larger; facts found under one budget are
+        # reused under the next, in a random order, from sizes below the start
+        start = t.size + extra
+        free = _agree(t, 40, 10 ** 6, start)
+        used = free[3] if free[0] == "stuck" else 40
+        peak = free[-1]
+        sizes = set(range(max(0, start - 3), start + 3)) | set(range(peak - 2, peak + 2))
+        sizes |= set(range(start, peak, max(1, (peak - start) // 8)))
+        budgets = [(n, m) for n in range(used + 2) for m in sizes]
+        rnd.shuffle(budgets)
+        for n, m in budgets:
+            _agree(t, n, m, start)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=_dags(), steps=st.integers(0, 200), sizes=st.integers(0, 400))
+    def test_reduce_of_shared_cells_reports_the_spine_peak(t, steps, sizes):
+        # status, steps, peak and normal form, twice: the second run jumps over
+        # the cells whose facts the first one found
+        ref = _with_kernel(_spine_whnf, _reduced, t, steps, sizes)
+        for _ in range(2):
+            assert _same(_with_kernel(iota._whnf, _reduced, t, steps, sizes), ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.text(alphabet="01", max_size=10))
+    def test_decode_of_a_second_pairing_matches_at_its_exact_budgets(w):
+        bits = _encode2(w)
+        out, steps, peak = _decode_totals(bits)
+        assert out == w
+        assert iota.decode_bits(bits, steps, peak) == w
+        with pytest.raises(DecodeBudget, match="steps"):
+            iota.decode_bits(bits, steps - 1, 10 ** 7)
+        for n in (steps - 1, steps, steps + 1):
+            for m in (peak - 1, peak, peak + 1, 10 ** 7):
+                assert not _differs(iota.decode_bits, bits, n, m), (n, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(_PROGRAM, min_size=1, max_size=4), shape=st.lists(st.integers(0, 7), max_size=12))
+    def test_parse_shares_one_cell_per_distinct_subprogram(parts, shape):
+        # programs joined under applications, drawn from a few parts so that
+        # subprograms repeat
+        bits = parts[0]
+        for k in shape:
+            part = parts[k % len(parts)]
+            bits = "1" + bits + part if k < 4 else "1" + part + bits
+        t, ref = iota.parse(bits), _two_pass_parse(bits)
+        cells = _subterms(t)
+        texts = [iota.unparse(u) for u in cells]
+        assert len(set(texts)) == len(texts)
+        assert all(type(u) is Cell for u in cells if isinstance(u, App))
+        assert repr(t) == repr(ref)
+        assert iota.unparse(t) == iota.unparse(ref) == bits
+        assert term_eq(t, ref)

@@ -19,13 +19,9 @@ from fractions import Fraction as F
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from tuatara import iota, machines  # noqa: E402
-from tuatara.complexity import ExecutableMachine, least_indices  # noqa: E402
-from tuatara.machines import (  # noqa: E402
+from tuatara import iota, machines
+from tuatara.complexity import ExecutableMachine, least_indices
+from tuatara.machines import (
     Builtin,
     StreamCut,
     classify,
@@ -212,29 +208,34 @@ def test_a_search_reduces_no_program_past_its_budget(monkeypatch):
     assert seen == Counter({(w, (steps, sizes)): 1 + (w in halting) for w in examined})
 
 
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["zeta", "omega", "outputs", "least"]),
-        st.sampled_from([0, 1, 2, 5, 40, 300, 1200, 1 << 14]),
-    ),
-    min_size=1,
-    max_size=6,
-)
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
 
+if given is not None:
+    _OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["zeta", "omega", "outputs", "least"]),
+            st.sampled_from([0, 1, 2, 5, 40, 300, 1200, 1 << 14]),
+        ),
+        min_size=1,
+        max_size=6,
+    )
 
-@settings(max_examples=40, deadline=None)
-@given(steps=st.integers(1, 40), sizes=st.integers(1, 30), ops=_OPS)
-def test_any_order_of_sums_and_searches_matches_the_fresh_walk(steps, sizes, ops):
-    # the table keeps what earlier examples and earlier steps taught it, so
-    # each result is checked against the reference whatever ran before
-    spec = Builtin("iota", (), steps, sizes)
-    machine = ExecutableMachine(spec)
-    for op, budget in ops:
-        if op in ("zeta", "omega"):
-            got = weighted_domain_sum(spec, F(1), budget, op)
-            assert got == _fresh(weighted_domain_sum, spec, F(1), budget, op), (op, budget)
-        elif op == "outputs":
-            assert list(machine.outputs(budget)) == _ref_outputs(steps, sizes, budget), budget
-        else:
-            targets = {"0", "1010100", "101010100", "11010100"}
-            assert least_indices(machine, targets, budget) == _ref_least(steps, sizes, targets, budget)
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(1, 40), sizes=st.integers(1, 30), ops=_OPS)
+    def test_any_order_of_sums_and_searches_matches_the_fresh_walk(steps, sizes, ops):
+        # the table keeps what earlier examples and earlier steps taught it, so
+        # each result is checked against the reference whatever ran before
+        spec = Builtin("iota", (), steps, sizes)
+        machine = ExecutableMachine(spec)
+        for op, budget in ops:
+            if op in ("zeta", "omega"):
+                got = weighted_domain_sum(spec, F(1), budget, op)
+                assert got == _fresh(weighted_domain_sum, spec, F(1), budget, op), (op, budget)
+            elif op == "outputs":
+                assert list(machine.outputs(budget)) == _ref_outputs(steps, sizes, budget), budget
+            else:
+                targets = {"0", "1010100", "101010100", "11010100"}
+                assert least_indices(machine, targets, budget) == _ref_least(steps, sizes, targets, budget)

@@ -18,27 +18,21 @@ import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from tuatara import machines  # noqa: E402
-from tuatara.binstr import bin_inv  # noqa: E402
-from tuatara.machines import (  # noqa: E402
+from tuatara import machines
+from tuatara.binstr import bin_inv
+from tuatara.machines import (
     Construction,
     FiniteTable,
     domain_stream,
     weighted_domain_sum,
 )
-from tuatara.numerics import first_primes  # noqa: E402
+from tuatara.numerics import first_primes
+
 
 def _lenlex_key(w: str) -> tuple[int, str]:
     return (len(w), w)
 
 
-_PARTS = st.sets(st.text(alphabet="01", max_size=4), max_size=6).map(tuple)
 _MAX_LEN = 9
 
 
@@ -53,36 +47,6 @@ def _brute_product(parts: tuple[str, ...], max_len: int) -> list[str]:
             if len(w) <= max_len:
                 found.add(w)
     return sorted(found, key=_lenlex_key)
-
-
-@settings(max_examples=150, deadline=None)
-@given(parts=_PARTS)
-def test_product_strings_and_counts_match_brute_force(parts):
-    stream = domain_stream(Construction("product", (FiniteTable(parts),)))
-    want = _brute_product(parts, _MAX_LEN)
-    got = list(itertools.takewhile(lambda w: len(w) <= _MAX_LEN, stream))
-    assert got == want
-    for ell in range(-1, _MAX_LEN + 1):
-        assert stream.count_up_to_length(ell) == sum(1 for w in want if len(w) <= ell)
-
-
-@settings(max_examples=100, deadline=None)
-@given(idx=st.sets(st.integers(1, 12), max_size=4))
-def test_prime_product_indices_are_the_smooth_numbers(idx):
-    domain = tuple(format(i, "b")[1:] for i in idx)
-    primes = [first_primes(12)[i - 1] for i in idx]
-    limit = 3000
-
-    def smooth(n: int) -> bool:
-        for p in primes:
-            while n % p == 0:
-                n //= p
-        return n == 1
-
-    stream = domain_stream(Construction("prime_product", (FiniteTable(domain),)))
-    got = list(itertools.takewhile(lambda n: n <= limit, stream.indices()))
-    assert got == [n for n in range(1, limit + 1) if smooth(n)]
-    assert list(itertools.islice(stream, len(got))) == [format(n, "b")[1:] for n in got]
 
 
 def test_one_letter_parts_pop_little_per_string(monkeypatch):
@@ -150,3 +114,40 @@ def test_many_long_parts_take_little_memory():
     assert rep.enclosure.lo == 1 + singles + F(1, bin_inv(first + first))
     assert rep.enclosure.hi == total + singles - F(400, 512)
     assert (rep.consumed, rep.stop) == (402, "budget")
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+    _PARTS = st.sets(st.text(alphabet="01", max_size=4), max_size=6).map(tuple)
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=_PARTS)
+    def test_product_strings_and_counts_match_brute_force(parts):
+        stream = domain_stream(Construction("product", (FiniteTable(parts),)))
+        want = _brute_product(parts, _MAX_LEN)
+        got = list(itertools.takewhile(lambda w: len(w) <= _MAX_LEN, stream))
+        assert got == want
+        for ell in range(-1, _MAX_LEN + 1):
+            assert stream.count_up_to_length(ell) == sum(1 for w in want if len(w) <= ell)
+
+    @settings(max_examples=100, deadline=None)
+    @given(idx=st.sets(st.integers(1, 12), max_size=4))
+    def test_prime_product_indices_are_the_smooth_numbers(idx):
+        domain = tuple(format(i, "b")[1:] for i in idx)
+        primes = [first_primes(12)[i - 1] for i in idx]
+        limit = 3000
+
+        def smooth(n: int) -> bool:
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        stream = domain_stream(Construction("prime_product", (FiniteTable(domain),)))
+        got = list(itertools.takewhile(lambda n: n <= limit, stream.indices()))
+        assert got == [n for n in range(1, limit + 1) if smooth(n)]
+        assert list(itertools.islice(stream, len(got))) == [format(n, "b")[1:] for n in got]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tuatara.numerics import (
     DigitResult,
     Enclosure,
+    PrecisionLimit,
     catalan,
     digits,
     e_bounds,
@@ -176,6 +178,23 @@ def test_root_and_pow():
     assert _brackets(pow2_bounds(F(1, 2), 80), SQRT2_LO, SQRT2_HI)
     with pytest.raises(ValueError):
         pow_bounds(F(0), F(1, 2))
+
+
+def test_pow2_refuses_a_huge_denominator():
+    # 2^(f/b) with f = b - 1 would build 2^(10^30) before the cap check
+    with pytest.raises(PrecisionLimit):
+        pow2_bounds(F(-1, 10**30), 160)
+
+
+def test_pow2_refuses_before_building_two_to_the_f():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionLimit):
+            pow2_bounds(F(-1, 10**8), 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pow2_monotone_spot():

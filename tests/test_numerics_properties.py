@@ -17,11 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from tuatara.numerics import (  # noqa: E402
+from tuatara.numerics import (
     ROOT_BITS_CAP,
     DigitResult,
     Enclosure,
@@ -88,29 +84,6 @@ def _same(a: Enclosure, b: Enclosure) -> bool:
     return (a.lo, a.hi) == (b.lo, b.hi)
 
 
-_ks = st.integers(min_value=1, max_value=300)
-
-
-@st.composite
-def _root_operands(draw):
-    """(n, k): arbitrary n of up to ~30k bits, or a perfect power, or one off."""
-    k = draw(_ks)
-    if draw(st.booleans()):
-        n = draw(st.integers(min_value=0, max_value=(1 << draw(st.integers(0, 30_000))) - 1))
-    else:
-        r = draw(st.integers(min_value=0, max_value=(1 << min(30_000 // k, 2_000)) - 1))
-        n = max(r ** k + draw(st.sampled_from((-1, 0, 1))), 0)
-    return n, k
-
-
-@settings(max_examples=300, deadline=None)
-@given(_root_operands())
-def test_ikroot_certificate(case):
-    n, k = case
-    r = _ikroot(n, k)
-    assert r ** k <= n < (r + 1) ** k
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 300])
 def test_ikroot_edges(k):
     for n in (0, 1, 2, 3, 2 ** k - 1, 2 ** k, 2 ** k + 1, 3 ** k - 1, 3 ** k):
@@ -119,50 +92,6 @@ def test_ikroot_edges(k):
         _ikroot(-1, k)
     with pytest.raises(ValueError):
         _ikroot(5, 0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_root_operands())
-def test_ikroot_matches_reference(case):
-    n, k = case
-    assert _ikroot(n, k) == _ref_ikroot(n, k)
-
-
-_dens = st.sampled_from((2, 3, 4, 5, 7, 12, 16, 17, 50, 64, 101, 257))
-_precs = st.sampled_from((1, 8, 64, 160))
-_bases = st.one_of(
-    st.integers(min_value=1, max_value=10 ** 12).map(F),
-    st.fractions(min_value=F(1, 10 ** 9), max_value=10 ** 9),
-)
-
-
-@st.composite
-def _exponents(draw):
-    b = draw(_dens)
-    return F(draw(st.integers(min_value=-5 * b, max_value=5 * b)), b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_bases, _exponents(), _precs)
-def test_pow_bounds_matches_reference(v, e, prec):
-    got = pow_bounds(v, e, prec)
-    assert _same(got, _ref_pow(v, e, prec))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_exponents(), _precs)
-def test_pow2_bounds_matches_reference(e, prec):
-    assert _same(pow2_bounds(e, prec), _ref_pow2(e, prec))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.fractions(min_value=0, max_value=10 ** 9),
-    st.integers(min_value=1, max_value=64),
-    _precs,
-)
-def test_root_bounds_matches_reference(v, k, prec):
-    assert _same(root_bounds(v, k, prec), _ref_root(v, k, prec))
 
 
 def test_widest_accepted_roots():
@@ -207,16 +136,81 @@ def _ref_digits(e: Enclosure, n: int) -> DigitResult:
     return DigitResult(text, determined)
 
 
-# points of [0, 1], dyadic ones and the endpoints among them
-_unit_points = st.one_of(
-    st.sampled_from((F(0), F(1))),
-    st.builds(lambda a, k: F(a % (2 ** k + 1), 2 ** k), st.integers(0), st.integers(0, 64)),
-    st.fractions(min_value=0, max_value=1, max_denominator=2 ** 70),
-)
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
 
+if given is not None:
+    _ks = st.integers(min_value=1, max_value=300)
 
-@settings(max_examples=500, deadline=None)
-@given(_unit_points, _unit_points, st.integers(0, 80))
-def test_digits_matches_depth_loop(a, b, n):
-    for e in (Enclosure(min(a, b), max(a, b)), Enclosure.exact(a)):
-        assert digits(e, n) == _ref_digits(e, n)
+    @st.composite
+    def _root_operands(draw):
+        """(n, k): arbitrary n of up to ~30k bits, or a perfect power, or one off."""
+        k = draw(_ks)
+        if draw(st.booleans()):
+            n = draw(st.integers(min_value=0, max_value=(1 << draw(st.integers(0, 30_000))) - 1))
+        else:
+            r = draw(st.integers(min_value=0, max_value=(1 << min(30_000 // k, 2_000)) - 1))
+            n = max(r ** k + draw(st.sampled_from((-1, 0, 1))), 0)
+        return n, k
+
+    @settings(max_examples=300, deadline=None)
+    @given(_root_operands())
+    def test_ikroot_certificate(case):
+        n, k = case
+        r = _ikroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+    @settings(max_examples=150, deadline=None)
+    @given(_root_operands())
+    def test_ikroot_matches_reference(case):
+        n, k = case
+        assert _ikroot(n, k) == _ref_ikroot(n, k)
+
+    _dens = st.sampled_from((2, 3, 4, 5, 7, 12, 16, 17, 50, 64, 101, 257))
+
+    _precs = st.sampled_from((1, 8, 64, 160))
+
+    _bases = st.one_of(
+        st.integers(min_value=1, max_value=10 ** 12).map(F),
+        st.fractions(min_value=F(1, 10 ** 9), max_value=10 ** 9),
+    )
+
+    @st.composite
+    def _exponents(draw):
+        b = draw(_dens)
+        return F(draw(st.integers(min_value=-5 * b, max_value=5 * b)), b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bases, _exponents(), _precs)
+    def test_pow_bounds_matches_reference(v, e, prec):
+        got = pow_bounds(v, e, prec)
+        assert _same(got, _ref_pow(v, e, prec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exponents(), _precs)
+    def test_pow2_bounds_matches_reference(e, prec):
+        assert _same(pow2_bounds(e, prec), _ref_pow2(e, prec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=10 ** 9),
+        st.integers(min_value=1, max_value=64),
+        _precs,
+    )
+    def test_root_bounds_matches_reference(v, k, prec):
+        assert _same(root_bounds(v, k, prec), _ref_root(v, k, prec))
+
+    # points of [0, 1], dyadic ones and the endpoints among them
+    _unit_points = st.one_of(
+        st.sampled_from((F(0), F(1))),
+        st.builds(lambda a, k: F(a % (2 ** k + 1), 2 ** k), st.integers(0), st.integers(0, 64)),
+        st.fractions(min_value=0, max_value=1, max_denominator=2 ** 70),
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(_unit_points, _unit_points, st.integers(0, 80))
+    def test_digits_matches_depth_loop(a, b, n):
+        for e in (Enclosure(min(a, b), max(a, b)), Enclosure.exact(a)):
+            assert digits(e, n) == _ref_digits(e, n)

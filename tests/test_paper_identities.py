@@ -12,8 +12,12 @@ through the identity, must share a point, at every budget:
 - a universal_tuatara omega at s is the sum over members k >= 1 of
   2^-(k+1)s times member k's omega at s, member k being behind 0^k 1;
 - lukasiewicz omega at s = 1 is 1, by the Kraft equality for a complete
-  prefix code.
-A lukasiewicz tail lowered by 2^-100 must fail the last of them.
+  prefix code;
+- omega at s >= 1 is at most 1 for a prefix-free domain, by the Kraft
+  inequality: the enclosure's lo must be at most 1. The check is sharp on
+  geometric and on the complete code {0, 10, 110, 111}, whose omega at
+  s = 1 is exactly 1.
+A lukasiewicz tail lowered by 2^-100 must fail the Kraft equality.
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ MACHINES = {
     "product(table)": Construction("product", (_TABLE,)),
     "prime_product(table)": Construction("prime_product", (_TABLE,)),
     "universal_tuatara": Construction("universal_tuatara", _MEMBERS),
+}
+_COMPLETE = FiniteTable(("0", "10", "110", "111"))
+PREFIX_FREE = {
+    "lukasiewicz": _LUKA,
+    "iota": Builtin("iota", step_budget=25, size_budget=30),
+    "geometric": _GEO,
+    "double(lukasiewicz)": Construction("double", (_LUKA,)),
+    "complete_code": _COMPLETE,
+    "universal_tuatara": Construction("universal_tuatara", _MEMBERS),
+    "universal_convergent": Construction(
+        "universal_convergent", _MEMBERS, (F(1),) * len(_MEMBERS)
+    ),
 }
 EXPONENTS = (F(1), F(3, 2), F(2))
 BUDGETS = (1, 7, 100, 3000)
@@ -99,6 +115,11 @@ def kraft_holds(budget: int) -> bool:
     return _omega(_LUKA, F(1), budget).contains(F(1))
 
 
+def kraft_inequality_holds(spec, s: F, budget: int) -> bool:
+    """A prefix-free domain's omega enclosure admits a value at most 1."""
+    return _omega(spec, s, budget).lo <= 1
+
+
 @pytest.mark.parametrize("s", EXPONENTS, ids=str)
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_zeta_lies_in_the_chain_below_omega(name, s):
@@ -134,6 +155,13 @@ def test_universal_omega_is_the_weighted_member_omegas(s):
 def test_lukasiewicz_omega_contains_one():
     for budget in BUDGETS:
         assert kraft_holds(budget), budget
+
+
+@pytest.mark.parametrize("s", EXPONENTS, ids=str)
+@pytest.mark.parametrize("name", sorted(PREFIX_FREE))
+def test_prefix_free_omega_is_at_most_one(name, s):
+    for budget in BUDGETS:
+        assert kraft_inequality_holds(PREFIX_FREE[name], s, budget), (name, s, budget)
 
 
 def test_a_lukasiewicz_tail_too_small_fails_the_kraft_identity(monkeypatch):
@@ -175,3 +203,32 @@ if given is not None:
             assert chain_holds(spec, s, budget), spec
         assert double_holds(table, s, budget)
         assert universal_holds(members, s, budget)
+
+    def _prefix_free_part(words) -> FiniteTable:
+        """The words, shortest first, that no word kept before starts."""
+        kept = []
+        for w in sorted(words, key=len):
+            if not any(w.startswith(k) for k in kept):
+                kept.append(w)
+        return FiniteTable(tuple(sorted(kept)))
+
+    _prefix_free_tables = st.sets(st.text(alphabet="01", max_size=6), max_size=8).map(
+        _prefix_free_part
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _prefix_free_tables,
+        st.lists(_prefix_free_tables, min_size=1, max_size=3).map(tuple),
+        st.sampled_from(EXPONENTS + (F(5, 2), F(7, 3))),
+        st.integers(0, 3000),
+    )
+    def test_prefix_free_omega_is_at_most_one_on_random_tables(table, members, s, budget):
+        bounds = (F(1),) * len(members)
+        for spec in [
+            table,
+            Construction("double", (table,)),
+            Construction("universal_tuatara", members),
+            Construction("universal_convergent", members, bounds),
+        ]:
+            assert kraft_inequality_holds(spec, s, budget), spec
