@@ -57,7 +57,7 @@ class ExecutableMachine:
             return
         if isinstance(spec, FiniteTable):
             outs = spec.outputs
-            if outs is None or len(outs) != len(spec.domain) or None in outs:
+            if outs is None or None in outs:
                 raise ValueError("finite table must map every domain string")
             self._table = dict(zip(map(bin_inv, spec.domain), outs))
         elif isinstance(spec, Construction) and spec.kind.startswith("universal"):

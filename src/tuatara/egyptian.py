@@ -101,31 +101,23 @@ def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     rows = [dyadic_row(m) for m in ms]
-    memo: list[list[Fraction]] = [[] for _ in ms]
     done = [False] * len(ms)
-
-    def cell(r: int, c: int) -> Fraction | None:
-        while len(memo[r]) < c and not done[r]:
-            nxt = next(rows[r], None)
-            if nxt is None:
-                done[r] = True
-            else:
-                memo[r].append(nxt)
-        return memo[r][c - 1] if len(memo[r]) >= c else None
-
     emitted = 0
     d = 2
     while emitted < budget:
         hit = False
         for row in range(min(d - 1, len(ms)), 0, -1):
-            col = d - row
-            t = cell(row - 1, col)
-            if t is not None:
-                hit = True
-                yield GridTerm(d, row, col, t)
-                emitted += 1
-                if emitted >= budget:
-                    return
+            # pass d reads row r at column d - r, the column after the one
+            # pass d - 1 read, so each row is read once per pass, in order
+            t = next(rows[row - 1], None)
+            if t is None:
+                done[row - 1] = True
+                continue
+            hit = True
+            yield GridTerm(d, row, d - row, t)
+            emitted += 1
+            if emitted >= budget:
+                return
         # a miss at (r, d-r) means row r holds fewer than d-r terms, so once
         # every row is exhausted a fully missed diagonal rules out all later ones
         if not hit and all(done):

@@ -163,17 +163,6 @@ class Construction:
 
 MachineSpec = FiniteTable | Builtin | Construction
 
-_BUILTINS = {"all_strings", "lukasiewicz", "iota", "geometric"}
-_CONSTRUCTIONS = {
-    "product",
-    "double",
-    "tuatara_of",
-    "universal_tuatara",
-    "universal_convergent",
-    "prime_product",
-}
-
-
 def validate_spec(spec: MachineSpec) -> None:
     """Raise MachineSpecError unless the description is well formed.
 
@@ -184,7 +173,7 @@ def validate_spec(spec: MachineSpec) -> None:
     if isinstance(spec, FiniteTable) and spec._checked:
         return
     if isinstance(spec, Builtin):
-        if spec.generator not in _BUILTINS:
+        if spec.generator not in _GENERATORS:
             raise MachineSpecError(f"unknown generator {spec.generator!r}")
         if spec.generator != "geometric" and spec.extras:
             raise MachineSpecError("extras are only meaningful for geometric")
@@ -204,10 +193,10 @@ def validate_spec(spec: MachineSpec) -> None:
     if isinstance(spec, Construction):
         if spec.kind not in _CONSTRUCTIONS:
             raise MachineSpecError(f"unknown construction {spec.kind!r}")
-        single = {"product", "double", "tuatara_of", "prime_product"}
-        if spec.kind in single and len(spec.operands) != 1:
+        universal = spec.kind.startswith("universal")
+        if not universal and len(spec.operands) != 1:
             raise MachineSpecError(f"{spec.kind} takes exactly one operand")
-        if spec.kind.startswith("universal") and not spec.operands:
+        if universal and not spec.operands:
             raise MachineSpecError(f"{spec.kind} needs at least one member")
         for op in spec.operands:
             validate_spec(op)
@@ -227,7 +216,7 @@ def validate_spec(spec: MachineSpec) -> None:
                     raise MachineSpecError("declared bounds must be positive")
         elif spec.bounds:
             raise MachineSpecError("bounds only apply to universal_convergent")
-        if spec.kind.startswith("universal"):
+        if universal:
             for op in spec.operands:
                 if not isinstance(op, FiniteTable):
                     raise MachineSpecError(f"{spec.kind} members must be finite")
@@ -755,28 +744,33 @@ class _PrimeProductStream(_MultisetStream):
         return euler if kind == "zeta" else 2 ** k * euler
 
 
+# the one list of each kind of name: validate_spec refuses any other, and
+# domain_stream builds a description's stream from its entry
+_GENERATORS: dict[str, Callable[[Builtin], DomainStream]] = {
+    "all_strings": lambda spec: _AllStringsStream(),
+    "lukasiewicz": lambda spec: _LukasiewiczStream(),
+    # looked up at each call, so that tests can substitute the class
+    "iota": lambda spec: _IotaHaltingStream(spec),
+    "geometric": _GeometricStream,
+}
+_CONSTRUCTIONS: dict[str, Callable[[Construction], DomainStream]] = {
+    "product": _ProductStream,
+    "double": _DoubleStream,
+    "tuatara_of": _TuataraOfStream,
+    "universal_tuatara": _UniversalStream,
+    "universal_convergent": _UniversalStream,
+    "prime_product": _PrimeProductStream,
+}
+
+
 def domain_stream(spec: MachineSpec) -> DomainStream:
     """Build the enumeration stream for a validated machine description."""
     validate_spec(spec)
     if isinstance(spec, FiniteTable):
         return _FiniteStream(spec.indices)
     if isinstance(spec, Builtin):
-        if spec.generator == "all_strings":
-            return _AllStringsStream()
-        if spec.generator == "lukasiewicz":
-            return _LukasiewiczStream()
-        if spec.generator == "iota":
-            return _IotaHaltingStream(spec)
-        return _GeometricStream(spec)
-    maker = {
-        "product": _ProductStream,
-        "double": _DoubleStream,
-        "tuatara_of": _TuataraOfStream,
-        "universal_tuatara": _UniversalStream,
-        "universal_convergent": _UniversalStream,
-        "prime_product": _PrimeProductStream,
-    }[spec.kind]
-    return maker(spec)
+        return _GENERATORS[spec.generator](spec)
+    return _CONSTRUCTIONS[spec.kind](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +979,7 @@ def _root_terms(s: Fraction) -> Callable[[_IntervalAcc, int], None]:
         if key >= cut and not acc.exact:
             acc.hi_i += 1
             return
-        p, r = inverse_root(key ** a, 1, b, _TERM_PREC)
+        p, r = inverse_root(key, 1, a, b, _TERM_PREC)
         acc.add_ratio(1 << p, r + 1, r)
 
     return add
@@ -1199,9 +1193,12 @@ class Verdict:
     """Outcome of one threshold question, with the evidence enclosure."""
 
     kind: str  # divergent | convergent | tuatara | unknown
-    certified: bool
     enclosure: Enclosure
     witness: str
+
+    @property
+    def certified(self) -> bool:
+        return self.kind != "unknown"
 
 
 @dataclass(frozen=True)
@@ -1215,41 +1212,20 @@ def _is_all_strings(spec: MachineSpec) -> bool:
 
 
 def _threshold_verdict(enc: Enclosure, series: str) -> Verdict:
-    if enc.hi is not None:
-        if enc.hi <= 1:
-            return Verdict(
-                "tuatara",
-                True,
-                enc,
-                f"{series} sum certified <= 1 (upper bound {frac_text(enc.hi)})",
-            )
-        if enc.lo > 1:
-            return Verdict(
-                "convergent",
-                True,
-                enc,
-                f"{series} sum certified finite and > 1 (lower bound {frac_text(enc.lo)})",
-            )
-        return Verdict(
-            "convergent",
-            True,
-            enc,
-            f"{series} sum certified finite; the unit threshold lies inside "
-            f"[{frac_text(enc.lo)}, {frac_text(enc.hi)}] and stays unresolved at this budget",
+    if enc.hi is not None and enc.hi <= 1:
+        kind, note = "tuatara", f"certified <= 1 (upper bound {frac_text(enc.hi)})"
+    elif enc.hi is not None and enc.lo > 1:
+        kind, note = "convergent", f"certified finite and > 1 (lower bound {frac_text(enc.lo)})"
+    elif enc.hi is not None:
+        kind, note = "convergent", (
+            f"certified finite; the unit threshold lies inside "
+            f"[{frac_text(enc.lo)}, {frac_text(enc.hi)}] and stays unresolved at this budget"
         )
-    if enc.lo > 1:
-        return Verdict(
-            "unknown",
-            False,
-            enc,
-            f"{series} sum exceeds 1 but finiteness is not certified",
-        )
-    return Verdict(
-        "unknown",
-        False,
-        enc,
-        f"{series} sum not separated from the unit threshold at this budget",
-    )
+    elif enc.lo > 1:
+        kind, note = "unknown", "exceeds 1 but finiteness is not certified"
+    else:
+        kind, note = "unknown", "not separated from the unit threshold at this budget"
+    return Verdict(kind, enc, f"{series} sum {note}")
 
 
 def classify(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Classification:
@@ -1264,13 +1240,11 @@ def classify(spec: MachineSpec, budget: int = DEFAULT_BUDGET) -> Classification:
         return Classification(
             zeta=Verdict(
                 "divergent",
-                True,
                 Enclosure(zeta_enc.lo, None),
                 "index sum over every string is the harmonic series",
             ),
             omega=Verdict(
                 "divergent",
-                True,
                 Enclosure(omega_enc.lo, None),
                 "each length k contributes a full unit 2^k 2^-k",
             ),

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, isqrt, log, log2
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -362,10 +360,13 @@ def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
     return _ikroot((num << (k * prec)) // den, k)
 
 
-def inverse_root(num: int, den: int, k: int, prec: int) -> tuple[int, int]:
-    """(p, r) with 2^p / (r + 1) < (num/den)^(-1/k) <= 2^p / r: r is
-    floor(2^p (num/den)^(1/k)), and p doubles from prec + 4 while it is 0."""
+def inverse_root(num: int, den: int, a: int, k: int, prec: int) -> tuple[int, int]:
+    """(p, r) with 2^p / (r + 1) < (num/den)^(-a/k) <= 2^p / r: r is
+    floor(2^p (num/den)^(a/k)), and p doubles from prec + 4 while it is 0.
+    The cap is checked before the powers num^a and den^a are built."""
     p = prec + 4
+    _check_root_cap(k, p)
+    num, den = num ** a, den ** a
     while (r := _scaled_root(num, den, k, p)) == 0:
         p *= 2
     return p, r
@@ -393,8 +394,9 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
         return Enclosure.exact(v ** e.numerator)
     a, b = e.numerator, e.denominator
     if a < 0:
-        p, r = inverse_root(v.numerator ** -a, v.denominator ** -a, b, prec)
+        p, r = inverse_root(v.numerator, v.denominator, -a, b, prec)
         return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
+    _check_root_cap(b, prec)
     return root_bounds(v ** a, b, prec)
 
 

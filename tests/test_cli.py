@@ -236,6 +236,14 @@ def test_exponent_denominators_past_the_root_cap_are_refused(tmp_path, capsys, a
     assert err.startswith("error: a ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_root_cap_refuses_a_table_sum_before_its_powers(tmp_path, capsys):
+    f = _file(tmp_path, "machine t\nkind finite\n"
+              "domain 0101010101010101010\ndomain 1101010101010101011\n")
+    code, out, err = _go(capsys, "zeta-s", "-s", "10000001/10000000", "--machine", f)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: a 10000000-th root needs 1640000000 operand bits, over 262144\n"
+
+
 def test_kraft_lengths_past_budget(capsys):
     code, out, err = _go(capsys, "kraft", "1", "100000", "--format", "csv")
     assert code == EXIT_OK and out.splitlines()[2] == "2,100000,1" + "0" * 99999

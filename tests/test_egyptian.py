@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from tuatara.binstr import is_prefix_free
 from tuatara.egyptian import (
     CodeAssignment,
     ExpansionOverflow,
+    GridTerm,
     KraftAllocator,
     KraftViolation,
     dyadic_diagonal,
@@ -118,6 +120,68 @@ def test_grid_walk_budget_zero():
     assert list(grid_walk((3, 5), 0)) == []
     with pytest.raises(ValueError):
         list(grid_walk((3,), -1))
+
+
+def _memo_walk(ms, budget):
+    """The walk that keeps every term it has read, cell by cell."""
+    rows = [dyadic_row(m) for m in ms]
+    memo = [[] for _ in ms]
+    done = [False] * len(ms)
+
+    def cell(r, c):
+        while len(memo[r]) < c and not done[r]:
+            nxt = next(rows[r], None)
+            if nxt is None:
+                done[r] = True
+            else:
+                memo[r].append(nxt)
+        return memo[r][c - 1] if len(memo[r]) >= c else None
+
+    emitted, d = 0, 2
+    while emitted < budget:
+        hit = False
+        for row in range(min(d - 1, len(ms)), 0, -1):
+            t = cell(row - 1, d - row)
+            if t is not None:
+                hit = True
+                yield GridTerm(d, row, d - row, t)
+                emitted += 1
+                if emitted >= budget:
+                    return
+        if not hit and all(done):
+            return
+        d += 1
+
+
+def _taken(walk):
+    """The terms a walk yields before it ends or raises ValueError."""
+    out = []
+    try:
+        out.extend(walk)
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_grid_walk_matches_the_memo_walk():
+    rng = random.Random(24)
+    for _ in range(300):
+        # powers of two end their rows; 1 raises at the row's first read
+        ms = [rng.choice((1 << rng.randint(0, 6), rng.randint(1, 40)))
+              for _ in range(rng.randint(1, 7))]
+        budget = rng.randint(0, 80)
+        assert _taken(grid_walk(ms, budget)) == _taken(_memo_walk(ms, budget)), (ms, budget)
+
+
+def test_grid_walk_keeps_no_past_terms():
+    tracemalloc.start()
+    try:
+        for _ in grid_walk((3, 5, 7), 20000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_kraft_chaitin_examples():

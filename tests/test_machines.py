@@ -18,7 +18,10 @@ from tuatara.machines import (
     FiniteTable,
     MachineSpecError,
     StreamCut,
+    _CONSTRUCTIONS,
+    _GENERATORS,
     _IntervalAcc,
+    _threshold_verdict,
     classify,
     density_statistic,
     domain_stream,
@@ -32,6 +35,7 @@ from tuatara.machines import (
     weighted_domain_sum,
     zeta_enclosure,
 )
+from tuatara.numerics import Enclosure
 
 
 def _head(spec, k: int) -> list[str]:
@@ -312,6 +316,46 @@ def test_classify_verdicts():
     luka = classify(Builtin("lukasiewicz"), 20000)
     assert luka.zeta.kind == "tuatara" and luka.zeta.certified
     assert luka.omega.kind == "tuatara" and luka.omega.certified
+
+
+def test_threshold_verdicts_and_their_witnesses():
+    cases = [
+        (F(1, 2), F(3, 4), "tuatara", "x sum certified <= 1 (upper bound 3/4)"),
+        (F(3, 2), F(2), "convergent", "x sum certified finite and > 1 (lower bound 3/2)"),
+        (F(1, 2), F(2), "convergent", "x sum certified finite; the unit threshold lies "
+         "inside [1/2, 2] and stays unresolved at this budget"),
+        (F(3, 2), None, "unknown", "x sum exceeds 1 but finiteness is not certified"),
+        (F(1), None, "unknown", "x sum not separated from the unit threshold at this budget"),
+    ]
+    for lo, hi, kind, witness in cases:
+        v = _threshold_verdict(Enclosure(lo, hi), "x")
+        assert (v.kind, v.enclosure, v.witness) == (kind, Enclosure(lo, hi), witness)
+        assert v.certified == (kind != "unknown")
+    full = classify(Builtin("all_strings"), 10)
+    for v, witness in (
+        (full.zeta, "index sum over every string is the harmonic series"),
+        (full.omega, "each length k contributes a full unit 2^k 2^-k"),
+    ):
+        assert (v.kind, v.certified, v.enclosure.hi, v.witness) == (
+            "divergent", True, None, witness)
+
+
+def test_each_machine_name_builds_its_stream():
+    table = FiniteTable(("0",))
+    specs = {
+        **{name: Builtin(name) for name in ("all_strings", "lukasiewicz", "iota", "geometric")},
+        **{kind: Construction(kind, (table,))
+           for kind in ("product", "double", "tuatara_of", "universal_tuatara", "prime_product")},
+        "universal_convergent": Construction("universal_convergent", (table,), bounds=(F(1),)),
+    }
+    assert set(specs) == set(_GENERATORS) | set(_CONSTRUCTIONS)
+    for name, spec in specs.items():
+        stream = domain_stream(spec)
+        assert next(iter(stream.indices()), None) is not None, name
+    with pytest.raises(MachineSpecError, match="^unknown generator 'product'$"):
+        domain_stream(Builtin("product"))
+    with pytest.raises(MachineSpecError, match="^unknown construction 'iota'$"):
+        domain_stream(Construction("iota", (table,)))
 
 
 def test_density_statistic():

@@ -197,6 +197,19 @@ def test_pow2_refuses_before_building_two_to_the_f():
     assert peak < 1 << 20
 
 
+def test_pow_refuses_before_building_the_power():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionLimit):
+            pow_bounds(F(3), -F(10**7 + 1, 10**7), 160)
+        with pytest.raises(PrecisionLimit):
+            pow_bounds(F(3), F(10**7 + 1, 10**7), 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_pow2_monotone_spot():
     xs = [F(-5, 2), F(-1, 3), F(0), F(2, 3), F(7, 2)]
     vals = [pow2_bounds(x, 64) for x in xs]
