@@ -34,8 +34,8 @@ from typing import Callable, Iterator
 from . import iota as iota_mod
 from .binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
 from .numerics import (
-    Enclosure, first_primes, frac_text, inverse_root, log2_bounds, pow2_bounds, pow_bounds,
-    zeta_tail_factor,
+    Enclosure, check_power, check_root_cap, first_primes, frac_text, inverse_root, log2_bounds,
+    pow2_bounds, pow_bounds, zeta_tail_factor,
 )
 
 DEFAULT_BUDGET = 10 ** 5
@@ -737,6 +737,7 @@ class _PrimeProductStream(_MultisetStream):
         if ell >= 0 or s.denominator != 1:
             return None
         k = s.numerator
+        check_power(max((p for p, _ in self.parts), default=2), k)
         euler = Fraction(1)
         for p, _ in self.parts:
             euler *= Fraction(p ** k, p ** k - 1)
@@ -807,11 +808,13 @@ def _weight_interval(key: int, s: Fraction, kind: str) -> tuple[Fraction, Fracti
     key is an index."""
     if kind == "omega":
         if s.denominator == 1:
+            check_power(2, s.numerator * key)
             v = Fraction(1, 1 << (s.numerator * key))
             return v, v
         b = pow2_bounds(-s * key, _TERM_PREC)
     else:
         if s.denominator == 1:
+            check_power(key, s.numerator)
             v = Fraction(1, key ** s.numerator)
             return v, v
         b = pow_bounds(Fraction(key), -s, _TERM_PREC)
@@ -919,6 +922,7 @@ class _IntervalAcc:
         """Add 1/n^k for each n in keys: _EXACT_BLOCK keys at a time while
         exact, then, on the grid, one pass of floor divisions over the keys;
         a term's ceiling is one more than its floor unless it is on the grid."""
+        check_power(max(keys, default=1), k)
         ms = [n ** k for n in keys] if k > 1 else keys
         i = 0
         while self.exact and i < len(ms):
@@ -971,12 +975,18 @@ def _root_terms(s: Fraction) -> Callable[[_IntervalAcc, int], None]:
     """The adder of zeta terms key^-s at non-integer s: one certified root
     each, in integers. Past exact mode a key >= cut has key^s > 2^_ACC_BITS,
     so r >= 2^(p + _ACC_BITS) and the root's enclosure would floor to 0 and
-    ceil to 1 grid unit: that unit goes in with no root."""
+    ceil to 1 grid unit: that unit goes in with no root. The terms of exact
+    mode, where every sum starts, check inverse_root's caps; past it the
+    root cap holds, as b is the same, and a key below cut has
+    a floor(log2 key) <= _ACC_BITS b, far below the power cap."""
     a, b = s.numerator, s.denominator
     cut = 1 << (_ACC_BITS * b // a + 1)
 
     def add(acc: _IntervalAcc, key: int) -> None:
-        if key >= cut and not acc.exact:
+        if acc.exact:
+            check_root_cap(b, _TERM_PREC + 4)
+            check_power(key, a)
+        elif key >= cut:
             acc.hi_i += 1
             return
         p, r = inverse_root(key, 1, a, b, _TERM_PREC)

@@ -311,64 +311,148 @@ def log2_bounds(x: Fraction, prec: int = 64) -> Enclosure:
 
 
 class PrecisionLimit(Exception):
-    """A certified root would need an operand past ROOT_BITS_CAP bits."""
+    """A certified root would need an operand past ROOT_BITS_CAP bits, or an
+    exact power more than POWER_BITS_CAP bits."""
 
 
-# cap on k * prec, the scaling bits of a k-th root operand. On a 2-core x86-64
-# host a zeta term (prec 164) takes 0.34 ms at k = 100, 11 ms at k = 1000 and
-# 27 ms at k = 1598, the largest denominator under this cap
+# cap on k * prec, the scaling bits of a k-th root operand. A root costs Newton
+# steps on cut mantissas and one exact power r^(k-1) of about k prec bits for
+# its certificate, most of the time at large k: on a 2-core x86-64 host a zeta
+# term (prec 164) takes 0.14 ms at k = 100, 4.1 ms at k = 1000 and 8.4 ms at
+# k = 1598, the largest denominator under this cap
 ROOT_BITS_CAP = 1 << 18
+
+# cap on e floor(log2 b) for an exact power b^e, such as a term n^s or a tail's
+# 2^(1-s) at an integer s: a sum at s = 10^9 would build billion-bit integers
+POWER_BITS_CAP = 1 << 23
+
+# _ikroot estimates a k-th root by isqrt at k = 2, 4 and 8, by Newton on exact
+# powers at k = 3 and 5, and by Newton steps on cut mantissas at every other k
+# from this one on, whichever measured fastest (per-k timings in CHANGES.md)
+_MANTISSA_K = 6
+# the estimate's bits below the unit, which keep its floor off by one rarely
+_FRACTION_BITS = 8
+
+
+def _newton_root(n: int, k: int) -> tuple[int, int]:
+    """(floor(n^(1/k)), its (k-1)-th power) for n >= 2 by integer Newton,
+    which falls strictly from any overestimate to the root, the first r with
+    r**k <= n. The float estimate of n^(1/k), off by about e 2^-51 relative
+    for e = log2(n)/k, is padded by 8 times that to start above the root."""
+    e = log2(n) / k
+    shift = max(int(e) - 48, 0)
+    r = (int(2.0 ** (e - shift) * (1 + (e + 16) * 2.0 ** -48)) + 1) << shift
+    while True:
+        q = r ** (k - 1)
+        if r * q <= n:
+            return r, q
+        r = ((k - 1) * r + n // q) // k
+
+
+def _cut_pow(y: int, e: int, w: int) -> tuple[int, int]:
+    """(m, c) with m 2^c close below y^e, m cut to w bits after each product."""
+    m, c = y, 0
+    for bit in bin(e)[3:]:
+        m *= m
+        c *= 2
+        if bit == "1":
+            m *= y
+        cut = m.bit_length() - w
+        if cut > 0:
+            m >>= cut
+            c += cut
+    return m, c
+
+
+def _mantissa_root(n: int, k: int) -> int:
+    """An estimate of floor(n^(1/k)), n >= 2, that is exact or off by one
+    but for rare operands: Newton's step y' = ((k-1) y + n / y^(k-1)) / k on
+    y, the root's top p bits, with y^(k-1) cut to p plus guard bits and n to
+    the bits the quotient needs. A step from p good bits gives about
+    2p - log2 k, so p doubles from the float estimate's good bits to the
+    root's bit length plus _FRACTION_BITS (R. Brent and P. Zimmermann,
+    Modern Computer Arithmetic, 2010, §1.5 and §4.2)."""
+    e = log2(n) / k
+    p = 47 - (int(e) + 16).bit_length()  # the float's good bits, as padded in _newton_root
+    if e < p:
+        return max(int(2.0 ** e), 1)
+    top = int(e) + 1  # the root's bit length, give or take one
+    # y 2^t is the estimate, y of p bits, until t = -_FRACTION_BITS
+    t = top - p
+    y = int(2.0 ** (e - t))
+    guard = k.bit_length() + 4
+    while t > -_FRACTION_BITS:
+        p = min(2 * p - guard, top + _FRACTION_BITS)
+        y <<= t - (top - p)
+        t = top - p
+        m, c = _cut_pow(y, k - 1, p + guard)
+        u = c + k * t  # n / y^(k-1) in units of 2^t is (n >> u) / m
+        y = ((k - 1) * y + (n >> u if u >= 0 else n << -u) // m) // k
+    return y >> _FRACTION_BITS
 
 
 def _ikroot(n: int, k: int) -> int:
-    """Integer k-th root: the largest r with r**k <= n, certified."""
+    """Integer k-th root: the largest r with r**k <= n, certified. The
+    estimate r is checked with one exact power q = r**(k-1): since
+    (r+1)^k >= r^k + k r^(k-1), low = r q <= n < low + k q proves it. An
+    estimate that fails is never used: integer Newton on exact powers finds
+    the root, checked against (r+1)**k."""
     if n < 0 or k < 1:
         raise ValueError("_ikroot requires n >= 0, k >= 1")
     if n < 2 or k == 1:
         return n
     if k == 2:
-        r = isqrt(n)
-        low = r * r
+        r = q = isqrt(n)
+    elif k in (4, 8):
+        # floor(floor(x)^(1/2))^(1/j) = floor(x^(1/(2j)))
+        r = isqrt(isqrt(n))
+        if k == 8:
+            r = isqrt(r)
+        q = r ** (k - 1)
+    elif k < _MANTISSA_K:
+        r, q = _newton_root(n, k)
     else:
-        # integer Newton falls strictly from any overestimate to the root, the
-        # first r with r**k <= n; the float estimate of n^(1/k), off by about
-        # e 2^-51 relative, is padded by 8 times that to start above the root
-        e = log2(n) / k
-        shift = max(int(e) - 48, 0)
-        r = (int(2.0 ** (e - shift) * (1 + (e + 16) * 2.0 ** -48)) + 1) << shift
-        while True:
-            q = r ** (k - 1)
-            low = r * q
-            if low <= n:
-                break
-            r = ((k - 1) * r + n // q) // k
-    # the certificate: low == r**k <= n < (r+1)**k
-    if not low <= n < (r + 1) ** k:
-        raise ArithmeticError(f"integer {k}-th root of a {n.bit_length()}-bit operand failed")
+        r = _mantissa_root(n, k)
+        q = r ** (k - 1)
+    low = r * q
+    if not low <= n < low + k * q:
+        # a wrong estimate, or a root too small for the binomial bound
+        r = _newton_root(n, k)[0]
+        if not n < (r + 1) ** k:
+            raise ArithmeticError(f"integer {k}-th root of a {n.bit_length()}-bit operand failed")
     return r
 
 
-def _check_root_cap(k: int, prec: int) -> None:
+def check_power(base: int, e: int) -> None:
+    """Refuse base^e, base >= 1 and e >= 0, past POWER_BITS_CAP, before it is built."""
+    bits = e * (base.bit_length() - 1)
+    if bits > POWER_BITS_CAP:
+        raise PrecisionLimit(f"a power needs {bits} bits, over {POWER_BITS_CAP}")
+
+
+def check_root_cap(k: int, prec: int) -> None:
+    """Refuse a k-th root at prec bits past ROOT_BITS_CAP, before its operand is built."""
     if k * prec > ROOT_BITS_CAP:
         raise PrecisionLimit(f"a {k}-th root needs {k * prec} operand bits, over {ROOT_BITS_CAP}")
 
 
 def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
-    """floor(2^prec (num/den)^(1/k)), refusing operands past ROOT_BITS_CAP."""
-    _check_root_cap(k, prec)
+    """floor(2^prec (num/den)^(1/k)); the caller checks ROOT_BITS_CAP."""
     # floor(x^(1/k)) == floor(floor(x)^(1/k)), so the quotient may be floored first
-    return _ikroot((num << (k * prec)) // den, k)
+    n = num << (k * prec)
+    return _ikroot(n if den == 1 else n // den, k)
 
 
 def inverse_root(num: int, den: int, a: int, k: int, prec: int) -> tuple[int, int]:
     """(p, r) with 2^p / (r + 1) < (num/den)^(-a/k) <= 2^p / r: r is
     floor(2^p (num/den)^(a/k)), and p doubles from prec + 4 while it is 0.
-    The cap is checked before the powers num^a and den^a are built."""
+    The caller checks the root cap at prec + 4 and the power cap for num^a
+    and den^a; a doubled p is checked here."""
     p = prec + 4
-    _check_root_cap(k, p)
     num, den = num ** a, den ** a
     while (r := _scaled_root(num, den, k, p)) == 0:
         p *= 2
+        check_root_cap(k, p)
     return p, r
 
 
@@ -382,6 +466,7 @@ def root_bounds(v: Fraction, k: int, prec: int = 64) -> Enclosure:
         return Enclosure.exact(_ZERO)
     if k == 1:
         return Enclosure.exact(v)
+    check_root_cap(k, prec)
     s = _scaled_root(v.numerator, v.denominator, k, prec)
     return Enclosure(Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec))
 
@@ -390,13 +475,15 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
     """Interval around v^e for rational v > 0 and rational e."""
     if v <= 0:
         raise ValueError("pow_bounds requires v > 0")
-    if e.denominator == 1:
-        return Enclosure.exact(v ** e.numerator)
     a, b = e.numerator, e.denominator
+    if b > 1:
+        check_root_cap(b, prec + 4 if a < 0 else prec)
+    check_power(max(v.numerator, v.denominator), abs(a))
+    if b == 1:
+        return Enclosure.exact(v ** a)
     if a < 0:
         p, r = inverse_root(v.numerator, v.denominator, -a, b, prec)
         return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
-    _check_root_cap(b, prec)
     return root_bounds(v ** a, b, prec)
 
 
@@ -405,16 +492,17 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
 @functools.lru_cache(maxsize=256)
 def _pow2_root(f: int, b: int, prec: int) -> int:
     """floor(2^prec 2^(f/b)), refused before 2^f is built, as f < b."""
-    _check_root_cap(b, prec)
+    check_root_cap(b, prec)
     return _ikroot(1 << (f + b * prec), b)
 
 
 def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
     """Interval around 2^e with relative width about 2^-prec; e any rational."""
-    if e.denominator == 1:
-        return Enclosure.exact(Fraction(2) ** e.numerator)
-    # 2^e = 2^c 2^(f/b) with 0 < f < b, inside 2^c [s, s + 1] / 2^prec
+    # 2^e = 2^c 2^(f/b) with 0 <= f < b, inside 2^c [s, s + 1] / 2^prec if f > 0
     c, f = divmod(e.numerator, e.denominator)
+    check_power(2, abs(c))
+    if f == 0:
+        return Enclosure.exact(Fraction(2) ** c)
     s = _pow2_root(f, e.denominator, prec)
     up, down = max(c - prec, 0), max(prec - c, 0)
     return Enclosure(Fraction(s << up, 1 << down), Fraction((s + 1) << up, 1 << down))

@@ -244,6 +244,32 @@ def test_root_cap_refuses_a_table_sum_before_its_powers(tmp_path, capsys):
     assert err == "error: a 10000000-th root needs 1640000000 operand bits, over 262144\n"
 
 
+@pytest.mark.parametrize("command, machine", [
+    ("omega-s", _ALL), ("zeta-s", _ALL), ("zeta-s", _FINITE),
+])
+def test_huge_integer_exponents_are_refused_before_their_powers(
+    tmp_path, capsys, command, machine
+):
+    # at s = 10^9 a term or a tail is a power of about 10^9 bits; each of
+    # these ran past 20 s before it was refused
+    f = _file(tmp_path, machine)
+    start = time.perf_counter()
+    code, out, err = _go(capsys, command, "-s", "1000000000", "--budget", "5", "--machine", f)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("error: a power needs ") and err.count("\n") == 1
+
+
+def test_huge_integer_exponents_still_answer_without_powers(tmp_path, capsys):
+    # the normalized sums over all strings are 1 whatever s is
+    f = _file(tmp_path, _ALL)
+    for command in ("kappa", "kappa-natural"):
+        argv = (command, "-s", "1000000000", "--machine", f, "--format", "csv")
+        code, out, err = _go(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[1].split(",")[1:3] == ["1", "1"]
+
+
 def test_kraft_lengths_past_budget(capsys):
     code, out, err = _go(capsys, "kraft", "1", "100000", "--format", "csv")
     assert code == EXIT_OK and out.splitlines()[2] == "2,100000,1" + "0" * 99999

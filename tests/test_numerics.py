@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tuatara.numerics import (
+    POWER_BITS_CAP,
     DigitResult,
     Enclosure,
     PrecisionLimit,
@@ -208,6 +209,28 @@ def test_pow_refuses_before_building_the_power():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_integer_powers_past_the_power_cap_are_refused():
+    # 2^(1 - s) and n^(1 - s) at s = 10^9 would build billion-bit integers
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: pow2_bounds(Fraction(1 - 10**9)),
+            lambda: pow2_bounds(Fraction(1 - 2 * 10**9, 2), 160),
+            lambda: pow_bounds(Fraction(3), Fraction(1 - 10**9)),
+            lambda: pow_bounds(Fraction(3), Fraction(10**9 + 1, 2), 160),
+            lambda: pow_bounds(Fraction(3), -Fraction(10**9 + 1, 2), 160),
+        ):
+            with pytest.raises(PrecisionLimit, match="^a power needs"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # powers at the cap are built, and a power of 1 costs nothing
+    assert pow2_bounds(Fraction(-POWER_BITS_CAP)).lo == Fraction(1, 1 << POWER_BITS_CAP)
+    assert pow_bounds(Fraction(1), Fraction(10**9)).is_exact
 
 
 def test_pow2_monotone_spot():

@@ -1,8 +1,9 @@
 """Property and differential tests of the integer root kernel.
 
-`_ikroot` seeds Newton's method from a float estimate and certifies its
-answer with `r**k <= n < (r+1)**k`. A reference kept here runs Newton from
-a power of two and builds the rational powers through Fraction roots and
+`_ikroot` estimates the root by isqrt, by Newton on exact powers or by
+Newton on cut mantissas, by k, and certifies the estimate with one exact
+power, mending it when it fails. A reference kept here runs Newton from a
+power of two and builds the rational powers through Fraction roots and
 reciprocals; every endpoint of `root_bounds`, `pow_bounds` and
 `pow2_bounds` must equal the reference's exactly.
 
@@ -13,10 +14,12 @@ and both must agree on every enclosure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from tuatara import numerics
 from tuatara.numerics import (
     ROOT_BITS_CAP,
     DigitResult,
@@ -94,6 +97,61 @@ def test_ikroot_edges(k):
         _ikroot(5, 0)
 
 
+# both sides of the mantissa crossover (k = 6), the denominators of the
+# benchmark's exponents, and the widest ones under the cap
+_PLAIN_KS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 59, 60, 73, 84, 1000, 1638)
+
+
+def _term_operand(key: int, k: int) -> int:
+    """An operand shaped like a term root's, key^(k+1) scaled by 2^(k prec);
+    prec falls below a term's 164 at large k, where the reference is slow."""
+    return key ** (k + 1) << (k * min(164, 20_000 // k))
+
+
+@pytest.mark.parametrize("k", _PLAIN_KS)
+def test_ikroot_term_operands(k):
+    for key in (2, 3, 12345, (1 << 40) + 15):
+        n = _term_operand(key, k)
+        assert _ikroot(n, k) == _ref_ikroot(n, k)
+
+
+@pytest.mark.parametrize("k", _PLAIN_KS)
+def test_ikroot_around_perfect_powers(k):
+    # r^k - 1, r^k and r^k + 1, checked against r itself (the reference is
+    # slow on operands this size at k = 1638)
+    for r in (2, 3, 255, (1 << 40) + 1, (1 << 164) - 3):
+        n = r ** k
+        assert (_ikroot(n - 1, k), _ikroot(n, k), _ikroot(n + 1, k)) == (r - 1, r, r)
+
+
+@pytest.mark.parametrize("k", (6, 10, 73, 1000))
+def test_a_wrong_estimate_is_mended(monkeypatch, k):
+    n = _term_operand(12345, k)
+    want = _ref_ikroot(n, k)
+    for guess in [want + d for d in range(-2, 3)] + [1, want >> 20, want << 20]:
+        monkeypatch.setattr(numerics, "_mantissa_root", lambda n, k, g=guess: g)
+        assert _ikroot(n, k) == want
+
+
+def test_a_failed_certificate_raises(monkeypatch):
+    # a float estimate below the root spoils the mantissa estimate and stops
+    # integer Newton at once, below the root, so the certificate refuses it
+    monkeypatch.setattr(numerics, "log2", lambda n: math.log2(n) - 8)
+    for k in (3, 5, 6, 73):
+        with pytest.raises(ArithmeticError):
+            _ikroot(_term_operand(12345, k), k)
+    # isqrt needs no float estimate
+    for k in (2, 4, 8):
+        n = _term_operand(12345, k)
+        assert _ikroot(n, k) == _ref_ikroot(n, k)
+    # at n = r^k the root one short has (r - 1 + 1)^k = n, not above it
+    r, k = (1 << 40) + 1, 73
+    monkeypatch.setattr(numerics, "_mantissa_root", lambda n, k: r - 1)
+    monkeypatch.setattr(numerics, "_newton_root", lambda n, k: (r - 1, (r - 1) ** (k - 1)))
+    with pytest.raises(ArithmeticError):
+        _ikroot(r ** k, k)
+
+
 def test_widest_accepted_roots():
     # the largest denominators a zeta term and an omega term accept at the
     # term precision (160 bits, padded to 164 for the reciprocal)
@@ -142,7 +200,7 @@ except ImportError:  # the tests above need no hypothesis
     given = None
 
 if given is not None:
-    _ks = st.integers(min_value=1, max_value=300)
+    _ks = st.integers(min_value=1, max_value=ROOT_BITS_CAP // 160)
 
     @st.composite
     def _root_operands(draw):
