@@ -10,9 +10,10 @@ floor(log2 n).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 EPS = "eps"  # rendering of the empty string in reports and machine files
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 def validate_bits(w: str, error: type[ValueError] = ValueError) -> str:
@@ -21,6 +22,20 @@ def validate_bits(w: str, error: type[ValueError] = ValueError) -> str:
     if w.strip("01"):
         raise error(f"not a bit string: {w!r}")
     return w
+
+
+def all_bits(strings: Sequence[str]) -> bool:
+    """True when every member is a bit string: one pass over the members
+    joined, at C speed, in place of one check per member."""
+    return not "".join(strings).translate(_DROP_BITS)
+
+
+def validate_all_bits(strings: Sequence[str], error: type[ValueError] = ValueError) -> None:
+    """Raise error for the first member, in order, that is not a bit string;
+    the members are read one at a time only when all_bits fails."""
+    if not all_bits(strings):
+        for w in strings:
+            validate_bits(w, error)
 
 
 def render_bits(w: str) -> str:
@@ -69,9 +84,12 @@ def is_prefix_free(strings: Iterable[str]) -> bool:
     """True when no member is a proper or improper prefix of another member.
 
     Duplicates count as prefixes, so any repeated member fails. A set
-    containing the empty string is prefix free only when it is {""}.
+    containing the empty string is prefix free only when it is {""}. Raises
+    ValueError for the first member, in order, that is not a bit string.
     """
-    seen = sorted(validate_bits(w) for w in strings)
+    seen = list(strings)
+    validate_all_bits(seen)
+    seen.sort()
     # after sorting, a prefix is adjacent to some extension of itself
     for a, b in zip(seen, seen[1:]):
         if b.startswith(a):

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import iota as iota_mod
-from .binstr import is_prefix_free, parse_bits, render_bits
+from .binstr import EPS, is_prefix_free, parse_bits, render_bits, validate_all_bits
 from .complexity import (
     NO_WITNESS,
     ComplexityOracle,
@@ -81,28 +81,44 @@ class _Block:
 
 
 def _bits_token(token: str, line: int) -> str:
-    if not token.strip("01"):  # a run of 0s and 1s, the common case
-        return token
     try:
         return parse_bits(token)
     except ValueError as exc:
         raise MachineFileError(line, str(exc)) from None
 
 
+def _first_bad_string(lines: list[str], start: int, end: int) -> None:
+    """Raise MachineFileError at the first well-formed domain or map line,
+    from line start to line end, whose string is not bits: table strings are
+    checked with their table, and read again only to name a failure's line."""
+    for lineno in range(start, end + 1):
+        tokens = lines[lineno - 1].split("#", 1)[0].split()
+        if tokens[:1] == ["domain"] and len(tokens) == 2:
+            _bits_token(tokens[1], lineno)
+        elif tokens[:1] == ["map"] and len(tokens) == 4 and tokens[2] == "->":
+            _bits_token(tokens[1], lineno)
+            _bits_token(tokens[3], lineno)
+
+
 def _finish_block(
     block: _Block, known: dict[str, MachineSpec], budgets: tuple[int, int]
 ) -> MachineSpec:
+    if block.kind != "finite":
+        # domain and map lines on a block of another kind are checked all the same
+        validate_all_bits([*block.domain, *block.maps.values()])
     if block.kind is None:
         raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
     if block.kind == "finite":
-        if block.check_prefix_free and not is_prefix_free(block.domain):
-            raise MachineFileError(
-                block.line, f"machine {block.name!r} domain is not prefix-free"
-            )
         outputs = None
         if block.maps:
             outputs = tuple(block.maps.get(w) for w in block.domain)
-        return FiniteTable(tuple(block.domain), outputs)
+        table = FiniteTable(tuple(block.domain), outputs)
+        validate_spec(table)  # the one check of the table's strings
+        if block.check_prefix_free and not is_prefix_free(table.domain):
+            raise MachineFileError(
+                block.line, f"machine {block.name!r} domain is not prefix-free"
+            )
+        return table
     if block.kind == "builtin":
         if block.generator is None:
             raise MachineFileError(block.line, "builtin block needs a generator")
@@ -128,7 +144,8 @@ def parse_machine_file(
 
     Earlier blocks become named operands for later construction blocks.
     Iota generator blocks run their programs under the given reduction
-    budgets.
+    budgets. A string that is not bits is reported at its line, and before
+    any error that a later line of its block would raise.
     """
     known: dict[str, MachineSpec] = {}
     block: _Block | None = None
@@ -142,86 +159,94 @@ def parse_machine_file(
             last = spec
             block = None
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        key = tokens[0]
-        if key == "machine":
-            if len(tokens) != 2:
-                raise MachineFileError(lineno, "machine needs exactly one name")
-            close()
-            if tokens[1] in known:
-                raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
-            block = _Block(tokens[1], lineno)
-            continue
-        if block is None:
-            raise MachineFileError(lineno, "directive before any machine line")
-        if key == "kind":
-            if len(tokens) != 2 or tokens[1] not in (
-                "finite",
-                "builtin",
-                "construction",
-            ):
-                raise MachineFileError(lineno, "kind must be finite, builtin or construction")
-            if block.kind is not None:
-                raise MachineFileError(lineno, "duplicate kind line")
-            block.kind = tokens[1]
-        elif key == "domain":
-            if len(tokens) != 2:
-                raise MachineFileError(lineno, "domain needs exactly one string")
-            w = _bits_token(tokens[1], lineno)
-            if w in block.domain:
-                raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
-            block.domain[w] = None
-        elif key == "map":
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
-            src = _bits_token(tokens[1], lineno)
-            dst = _bits_token(tokens[3], lineno)
-            if src not in block.domain:
-                raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
-            if src in block.maps:
-                raise MachineFileError(lineno, f"duplicate map for {tokens[1]!r}")
-            block.maps[src] = dst
-        elif key == "generator":
-            if block.generator is not None:
-                raise MachineFileError(lineno, "duplicate generator line")
-            if len(tokens) < 2:
-                raise MachineFileError(lineno, "generator needs a name")
-            block.generator = tokens[1]
-            if tokens[1] == "geometric":
-                if len(tokens) > 3:
-                    raise MachineFileError(lineno, "geometric takes one extras list")
-                if len(tokens) == 3:
-                    block.extras = tuple(
-                        _bits_token(t, lineno) for t in tokens[2].split(",")
-                    )
-            elif len(tokens) != 2:
-                raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
-        elif key == "construct":
-            if block.construct is not None:
-                raise MachineFileError(lineno, "duplicate construct line")
-            if len(tokens) != 3:
-                raise MachineFileError(lineno, "construct syntax is: construct KIND NAMES")
-            block.construct = tokens[1]
-            block.operand_names = tokens[2].split(",")
-        elif key == "bound":
-            if len(tokens) != 2:
-                raise MachineFileError(lineno, "bound needs one rational")
-            try:
-                block.bounds.append(parse_rational(tokens[1]))
-            except ValueError as exc:
-                raise MachineFileError(lineno, str(exc)) from None
-        elif key == "prefix_free":
-            if len(tokens) != 1:
-                raise MachineFileError(lineno, "prefix_free takes no arguments")
-            block.check_prefix_free = True
-        else:
-            raise MachineFileError(lineno, f"unknown directive {key!r}")
-    close()
+    lines = text.splitlines()
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            key = tokens[0]
+            if key == "machine":
+                if len(tokens) != 2:
+                    raise MachineFileError(lineno, "machine needs exactly one name")
+                close()
+                if tokens[1] in known:
+                    raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
+                block = _Block(tokens[1], lineno)
+                continue
+            if block is None:
+                raise MachineFileError(lineno, "directive before any machine line")
+            if key == "kind":
+                if len(tokens) != 2 or tokens[1] not in (
+                    "finite",
+                    "builtin",
+                    "construction",
+                ):
+                    raise MachineFileError(lineno, "kind must be finite, builtin or construction")
+                if block.kind is not None:
+                    raise MachineFileError(lineno, "duplicate kind line")
+                block.kind = tokens[1]
+            elif key == "domain":
+                if len(tokens) != 2:
+                    raise MachineFileError(lineno, "domain needs exactly one string")
+                w = "" if tokens[1] == EPS else tokens[1]
+                if w in block.domain:
+                    raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
+                block.domain[w] = None
+            elif key == "map":
+                if len(tokens) != 4 or tokens[2] != "->":
+                    raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
+                src = "" if tokens[1] == EPS else tokens[1]
+                dst = "" if tokens[3] == EPS else tokens[3]
+                if src not in block.domain:
+                    raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
+                if src in block.maps:
+                    raise MachineFileError(lineno, f"duplicate map for {tokens[1]!r}")
+                block.maps[src] = dst
+            elif key == "generator":
+                if block.generator is not None:
+                    raise MachineFileError(lineno, "duplicate generator line")
+                if len(tokens) < 2:
+                    raise MachineFileError(lineno, "generator needs a name")
+                block.generator = tokens[1]
+                if tokens[1] == "geometric":
+                    if len(tokens) > 3:
+                        raise MachineFileError(lineno, "geometric takes one extras list")
+                    if len(tokens) == 3:
+                        block.extras = tuple(
+                            _bits_token(t, lineno) for t in tokens[2].split(",")
+                        )
+                elif len(tokens) != 2:
+                    raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
+            elif key == "construct":
+                if block.construct is not None:
+                    raise MachineFileError(lineno, "duplicate construct line")
+                if len(tokens) != 3:
+                    raise MachineFileError(lineno, "construct syntax is: construct KIND NAMES")
+                block.construct = tokens[1]
+                block.operand_names = tokens[2].split(",")
+            elif key == "bound":
+                if len(tokens) != 2:
+                    raise MachineFileError(lineno, "bound needs one rational")
+                try:
+                    block.bounds.append(parse_rational(tokens[1]))
+                except ValueError as exc:
+                    raise MachineFileError(lineno, str(exc)) from None
+            elif key == "prefix_free":
+                if len(tokens) != 1:
+                    raise MachineFileError(lineno, "prefix_free takes no arguments")
+                block.check_prefix_free = True
+            else:
+                raise MachineFileError(lineno, f"unknown directive {key!r}")
+        close()
+    except ValueError:
+        # the open block's strings were not checked yet, and come first
+        if block is not None:
+            _first_bad_string(lines, block.line, lineno)
+        raise
     if last is None:
         raise MachineFileError(1, "no machine block found")
     validate_spec(last)
@@ -405,10 +430,17 @@ def _cmd_kraft(args) -> None:
 
 
 def _cmd_grid(args) -> None:
-    rows = [
-        [str(t.d), str(t.row), str(t.col), str(t.term)]
-        for t in grid_walk(args.ms, args.budget)
-    ]
+    rows = []
+    for t in grid_walk(args.ms, args.budget):
+        try:
+            term = str(t.term)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            size = t.term.denominator.bit_length() - 1
+            raise _Refused(
+                f"error: grid term 1/2^{size} passes the {sys.get_int_max_str_digits()}"
+                f"-digit limit on printed integers; lower --budget {args.budget}"
+            ) from None
+        rows.append([str(t.d), str(t.row), str(t.col), term])
     _emit(["diagonal", "row", "col", "term"], rows, args.format)
 
 

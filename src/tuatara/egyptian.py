@@ -145,18 +145,21 @@ class KraftAllocator:
     """Online assignment of prefix-free words for a stream of lengths.
 
     The available nodes always occupy pairwise distinct depths and jointly
-    carry the unassigned code space, which is why a request of length n is
-    satisfiable exactly when some available node sits at depth <= n. Each
-    request takes the deepest such node (the tightest fit), extends it with
-    zeros, and releases the siblings along the padding path as new available
-    nodes at the depths just vacated.
+    carry the unassigned code space, so one integer holds them: bit d of the
+    mask is set exactly when a node at depth d is available, and the set
+    bits are the binary digits of 1 - sum 2^-n over the lengths n served.
+    A request of length n is satisfiable exactly when the mask has a set bit
+    at some depth <= n; it takes the deepest such node (the tightest fit),
+    extends it with zeros, and releases the siblings along the padding path
+    at depths d+1..n, which were all taken: one xor flips bits d..n.
     """
 
     def __init__(self) -> None:
-        # depth -> (stem, zeros): the node stem 0^zeros 1, or the bare stem
-        # when zeros is None (the root); the siblings a request releases
-        # share its stem, so a node's text is built only when it is taken
-        self._avail: dict[int, tuple[str, int | None]] = {0: ("", None)}
+        self._mask = 1  # the root, at depth 0
+        # depth -> (stem, base): the node stem 0^(depth-base-1) 1, one of the
+        # siblings released when stem was taken at depth base, so a node's
+        # text is built only when it is taken; the mask says which are live
+        self._nodes: dict[int, tuple[str, int]] = {}
         self._count = 0
 
     @property
@@ -167,14 +170,17 @@ class KraftAllocator:
         if n < 0:
             raise ValueError("lengths must be >= 0")
         self._count += 1
-        fits = [d for d in self._avail if d <= n]
-        if not fits:
+        d = (self._mask & ((2 << n) - 1)).bit_length() - 1
+        if d < 0:
             raise KraftViolation(self._count, n)
-        d = max(fits)
-        stem, zeros = self._avail.pop(d)
-        node = stem if zeros is None else stem + "0" * zeros + "1"
-        for i in range(n - d):
-            self._avail[d + i + 1] = (node, i)
+        self._mask ^= (2 << n) - (1 << d)
+        node = ""  # depth 0 is free only before the first request
+        if d:
+            stem, base = self._nodes[d]
+            node = stem + "0" * (d - base - 1) + "1"
+        released = (node, d)
+        for k in range(d + 1, n + 1):
+            self._nodes[k] = released
         return node + "0" * (n - d)
 
 

@@ -32,7 +32,9 @@ from math import ceil, floor, gcd, lcm, log2
 from typing import Callable, Iterator
 
 from . import iota as iota_mod
-from .binstr import bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_bits
+from .binstr import (
+    all_bits, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_all_bits, validate_bits,
+)
 from .numerics import (
     Enclosure, check_power, check_root_cap, first_primes, frac_text, inverse_root, log2_bounds,
     pow2_bounds, pow_bounds, zeta_tail_factor,
@@ -102,19 +104,21 @@ class FiniteTable:
     def _checked(self) -> bool:
         """validate_spec's check of this table. A pass is remembered on the
         table; a failure raises MachineSpecError and is checked again on the
-        next call."""
-        seen = set()
-        for w in self.domain:
-            validate_bits(w, MachineSpecError)
-            if w in seen:
-                raise MachineSpecError(f"duplicate domain string {w!r}")
-            seen.add(w)
+        next call. The strings are read at C speed, one pass for their bits
+        and one set for duplicates; only a failing table is read again,
+        string by string, to name the first fault."""
+        domain = self.domain
+        if not all_bits(domain) or len(set(domain)) != len(domain):
+            seen = set()
+            for w in domain:
+                validate_bits(w, MachineSpecError)
+                if w in seen:
+                    raise MachineSpecError(f"duplicate domain string {w!r}")
+                seen.add(w)
         if self.outputs is not None:
-            if len(self.outputs) != len(self.domain):
+            if len(self.outputs) != len(domain):
                 raise MachineSpecError("outputs must parallel the domain")
-            for out in self.outputs:
-                if out is not None:
-                    validate_bits(out, MachineSpecError)
+            validate_all_bits([out for out in self.outputs if out is not None], MachineSpecError)
         return True
 
     def output_for(self, w: str) -> str | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -148,6 +149,32 @@ def test_grid_command(capsys):
         "4,2,2,1/16",
         "5,2,3,1/64",
     ]
+
+
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_STR_DIGITS == 0, reason="str() prints integers of any size here")
+def test_grid_refuses_a_term_past_the_digit_limit(capsys):
+    # 1/(2^20 - 1) has the terms 2^-20c: find the first column c whose
+    # denominator str() will not print, and ask for one term less, then for it
+    c = next(c for c in itertools.count(1) if 2 ** (20 * c) >= 10 ** _STR_DIGITS)
+    code, out, err = _go(capsys, "grid", str(2**20 - 1), "--budget", str(c - 1))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1].split() == [str(c), "1", str(c - 1), f"1/{2 ** (20 * c - 20)}"]
+    # alone, and as the second row, whose column c comes first past the limit
+    for ms, budget in (([2**20 - 1], c), ([3, 2**20 - 1], 3 * c)):
+        argv = [*map(str, ms), "--budget", str(budget), "--format", "csv"]
+        code, out, err = _go(capsys, "grid", *argv)
+        assert (code, out) == (EXIT_BUDGET, "")  # no partial table
+        assert err == (
+            f"error: grid term 1/2^{20 * c} passes the {_STR_DIGITS}-digit limit on "
+            f"printed integers; lower --budget {budget}\n"
+        )
+    if _STR_DIGITS == 4300:  # the default limit, where grid 3 prints at most 7142 terms
+        code, out, err = _go(capsys, "grid", "3", "--budget", "7200")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert "1/2^14286 " in err and err.endswith(" --budget 7200\n")
 
 
 def test_fresh_index_command(tmp_path, capsys):

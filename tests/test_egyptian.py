@@ -250,6 +250,91 @@ def test_kraft_words_match_the_string_allocator():
         assert kraft_chaitin(lengths) == _string_allocator_words(lengths)
 
 
+class _ListScanAllocator:
+    """The allocator as it was before the mask: a dict of free depths, all
+    of them listed on every request to find the deepest fit."""
+
+    def __init__(self) -> None:
+        self._avail: dict[int, tuple[str, int | None]] = {0: ("", None)}
+        self.requests_served = 0
+
+    def request(self, n: int) -> str:
+        if n < 0:
+            raise ValueError("lengths must be >= 0")
+        self.requests_served += 1
+        fits = [d for d in self._avail if d <= n]
+        if not fits:
+            raise KraftViolation(self.requests_served, n)
+        d = max(fits)
+        stem, zeros = self._avail.pop(d)
+        node = stem if zeros is None else stem + "0" * zeros + "1"
+        for i in range(n - d):
+            self._avail[d + i + 1] = (node, i)
+        return node + "0" * (n - d)
+
+
+def _answer(alloc, n: int):
+    try:
+        return alloc.request(n)
+    except KraftViolation as exc:
+        return ("violation", exc.index, exc.length)
+
+
+def _free_space(alloc: KraftAllocator) -> F:
+    """The sum of 2^-d over the depths d that the mask holds free."""
+    mask = alloc._mask
+    return sum((F(1, 1 << d) for d in range(mask.bit_length()) if mask >> d & 1), F(0))
+
+
+def _same_as_the_list_scan(lengths: list[int]) -> None:
+    """Feed lengths to both allocators, past any violation, and compare every
+    answer, the request count, and the mask against the unassigned space."""
+    alloc, ref = KraftAllocator(), _ListScanAllocator()
+    left = F(1)
+    for n in lengths:
+        got = _answer(alloc, n)
+        assert got == _answer(ref, n), (lengths, n)
+        if isinstance(got, str):
+            left -= F(1, 1 << n)
+        assert alloc.requests_served == ref.requests_served
+        assert _free_space(alloc) == left
+
+
+def _random_code_lengths(rng: random.Random, size: int) -> list[int]:
+    """Word lengths of a random complete prefix code with `size` words, in
+    random order: a random leaf of the code tree splits until there are
+    enough."""
+    leaves = [0]
+    while len(leaves) < size:
+        d = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [d + 1, d + 1]
+    rng.shuffle(leaves)
+    return leaves
+
+
+def test_kraft_mask_matches_the_list_scan_on_admissible_streams():
+    rng = random.Random(53)
+    for size in (1, 2, 10, 100, 1000, 3000):
+        lengths = _random_code_lengths(rng, size)
+        _same_as_the_list_scan(lengths)  # complete: the space ends at 0
+        _same_as_the_list_scan(rng.sample(lengths, size - size // 10))
+        _same_as_the_list_scan(sorted(lengths))
+    for _ in range(100):
+        _same_as_the_list_scan(_random_admissible_lengths(rng))
+
+
+def test_kraft_mask_matches_the_list_scan_on_inadmissible_streams():
+    rng = random.Random(59)
+    _same_as_the_list_scan([1, 1, 1, 2, 0, 3])
+    _same_as_the_list_scan([0, 0, 5])
+    for _ in range(100):
+        _same_as_the_list_scan([rng.randint(0, 12) for _ in range(rng.randint(1, 100))])
+    # a complete code with one word too many, spliced in at random
+    lengths = _random_code_lengths(rng, 3000)
+    lengths.insert(rng.randrange(3000), rng.choice(lengths))
+    _same_as_the_list_scan(lengths)
+
+
 def test_unit_sum_third():
     asg = unit_sum_to_prefix_free((3,), 20)
     assert isinstance(asg, CodeAssignment)
@@ -278,3 +363,16 @@ def test_unit_sum_overflow():
 def test_code_assignment_pairs_terms_with_words():
     with pytest.raises(ValueError):
         CodeAssignment((F(1, 2), F(1, 4)), ("0",), F(3, 4))
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=300))
+    def test_kraft_mask_matches_the_list_scan(lengths):
+        _same_as_the_list_scan(lengths)

@@ -8,7 +8,9 @@ and blank lines mixed in, or the text of a valid machine with a few lines
 inserted, dropped or repeated. Each runs in-process through cli.run on omega, zeta or
 classify. The same texts, with comments, tabs, CRLF line ends and trailing
 spaces added, also run against a copy of the original line loop, which must
-give the same exit code, output and message. Budgets stay at most 200
+give the same exit code, output and message; fixed texts that open with a
+string that is not bits check that its line is still the first error
+reported, whatever follows. Budgets stay at most 200
 elements and --steps at most 50, bit strings at most 5 bits and bounds
 small or refused by the prefix cap, so every run is bounded; no subprocess
 is started.
@@ -209,6 +211,43 @@ def _outcome(parse, text: str, steps: int):
         return parse(text, steps, 2000)
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+# texts that open with a string that is not bits, on a domain line, a map
+# line, or a block of another kind, and go on with a line whose own error, or
+# a later check of its block, might be reported first
+_BAD_STARTS = (
+    "machine a\nkind finite\ndomain 0x\n",
+    "machine a\nkind finite\ndomain eps\ndomain 1\nmap 1 -> 2\n",
+    "machine a\nkind builtin\ngenerator all_strings\ndomain 0x\n",
+    "machine a\ndomain 0x\n",
+)
+_THEN = (
+    "{bad}\n",  # the bad line again: a duplicate of its string
+    "map 0x -> 1\n",
+    "foo\n",
+    "machine b\ndomain 1\n",
+    "prefix_free\n",
+    "domain eps\n",
+    "machine b\nkind finite\ndomain 2\n",
+    "machine b\nkind builtin\ngenerator all_strings\n"
+    "machine c\nkind construction\nconstruct double b\n",
+)
+
+
+@pytest.mark.parametrize("then", _THEN)
+@pytest.mark.parametrize("start", _BAD_STARTS)
+def test_a_bad_string_is_the_first_error(start, then):
+    text = start + then.format(bad=start.splitlines()[-1])
+    got = _outcome(parse_machine_file, text, 10)
+    assert got == _outcome(_reference_parse, text, 10)
+    assert got[0] is MachineFileError and "not a bit string" in got[1]
+
+
+def test_a_bad_string_comes_before_a_later_unknown_directive():
+    text = "machine a\nkind finite\ndomain 0x\nfoo\n"
+    with pytest.raises(MachineFileError, match=r"^line 3: not a bit string: '0x'$"):
+        parse_machine_file(text)
 
 
 try:
