@@ -313,18 +313,22 @@ def _series_factor(r: Fraction) -> Fraction | None:
     return None if r >= 1 else 1 / (1 - r)
 
 
+def _geometric_tail(stream, e: Fraction, m: int) -> Fraction | None:
+    """Upper bound on the sum of 2^(e k) over k >= m, 2^(e m)/(1 - 2^e), or
+    None where that diverges; 1/(1 - 2^e) is made once per stream and e."""
+    factor = _once(stream, ("series", e), lambda: _series_factor(pow2_bounds(e, _TERM_PREC).hi))
+    if factor is None:
+        return None
+    return pow2_bounds(e * m, _TERM_PREC).hi * factor
+
+
 def _universal_tail(stream, ell: int, s: Fraction, kind: str) -> Fraction | None:
     """Tail majorant valid for every domain: all strings longer than ell."""
     if s <= 1:
         return None
     if kind == "omega":
-        # sum over k >= ell+1 of 2^k 2^(-s k) = r^(ell+1)/(1-r), r = 2^(1-s)
-        factor = _once(
-            stream, ("universal", s), lambda: _series_factor(pow2_bounds(1 - s, _TERM_PREC).hi)
-        )
-        if factor is None:
-            return None
-        return pow2_bounds((1 - s) * max(ell + 1, 0), _TERM_PREC).hi * factor
+        # 2^k strings of length k, each of weight 2^(-s k)
+        return _geometric_tail(stream, 1 - s, max(ell + 1, 0))
     # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1;
     # below length 0 the empty string adds its index 1 and weight 1
     n_min = (1 << (max(ell, 0) + 1)) - 1
@@ -425,17 +429,20 @@ class _LukasiewiczStream(DomainStream):
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # programs of length > ell have size m > n0; weight at most the
-        # omega weight, and C_{m-1} <= 4^(m-1) bounds the counts
+        # omega weight, and C_{m-1} <= 4^(m-1) bounds the counts: the tail
+        # is at most 2^(s-2) times the sum of q^m over m > n0, q = 4^(1-s)
         n0 = max((ell + 1) // 2, 0)
         if s == 1:
             return iota_mod.program_tail_weight(n0)
         if s < 1:
             return None
-        q = pow2_bounds(2 * (1 - s), _TERM_PREC).hi
-        if q >= 1:
-            return None
-        scale = pow2_bounds(s - 2, _TERM_PREC).hi
-        return scale * q ** (n0 + 1) / (1 - q)
+        if s.denominator == 1:  # exact, as is every power at integer s
+            tail = _geometric_tail(self, 2 * (1 - s), n0 + 1)
+        else:  # one rounded q, raised to the power
+            q = pow2_bounds(2 * (1 - s), _TERM_PREC).hi
+            factor = _series_factor(q)
+            tail = None if factor is None else q ** (n0 + 1) * factor
+        return None if tail is None else tail * pow2_bounds(s - 2, _TERM_PREC).hi
 
 
 class _IotaHaltingStream(DomainStream):
@@ -468,15 +475,9 @@ class _GeometricStream(DomainStream):
         return base + self.extras.count_up_to_length(ell)
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        if s <= 0:
-            return None
-        i0 = max(ell, 0)  # base strings 0^i 1 with i >= i0 have length > ell
-        # 1/(1 - r) with r = 2^-s, once per s
-        factor = _once(self, s, lambda: _series_factor(pow2_bounds(-s, _TERM_PREC).hi))
-        if factor is None:
-            return None
-        base = pow2_bounds(-s * (i0 + 1), _TERM_PREC).hi * factor
-        return base + self.extras.tail_bound(ell, s, kind)
+        # base strings 0^i 1 with i >= max(ell, 0) have length > ell
+        base = _geometric_tail(self, -s, max(ell, 0) + 1)
+        return None if base is None else base + self.extras.tail_bound(ell, s, kind)
 
 
 def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
@@ -543,10 +544,8 @@ class _ProductStream(_MultisetStream):
         usable = [n for n in spec.operands[0].indices if n > 1]
         self._lengths = [n.bit_length() - 1 for n in usable]
         super().__init__([(1 << d, n - (1 << d)) for n, d in zip(usable, self._lengths)])
-        # _counts[L]: multisets of length L; _heads[s][L]: lower bound on the
-        # weight of the strings shorter than L
+        # _counts[L]: multisets of length L
         self._counts = [1]
-        self._heads: dict[Fraction, list[Fraction]] = {}
 
     def _counts_to(self, ell: int) -> list[int]:
         """The multisets of parts by length, up to at least ell: the
@@ -592,7 +591,7 @@ class _ProductStream(_MultisetStream):
         if total is None:
             return None
         counts = self._counts_to(ell)
-        heads = self._heads.setdefault(s, [Fraction(0)])
+        heads = _once(self, ("heads", s), lambda: [Fraction(0)])  # heads[L] <= weight below L
         while len(heads) <= ell + 1:
             l = len(heads) - 1
             heads.append(heads[l] + counts[l] * _weight_interval(l, s, "omega")[0])

@@ -136,25 +136,15 @@ class Enclosure:
         return Enclosure(lo, hi)
 
 
-def _round_down(f: Fraction, sig: int) -> Fraction:
-    """Largest dyadic with about `sig` significant bits that is <= f (f >= 0)."""
-    if f == 0:
-        return _ZERO
-    n, d = f.numerator, f.denominator
+def _round_dyadic(f: Fraction, sig: int, up: bool = False) -> Fraction:
+    """The largest dyadic with about `sig` significant bits that is <= f
+    (f >= 0), or with up the least that is >= f: -x rounded down, negated."""
+    g = -1 if up else 1
+    n, d = g * f.numerator, f.denominator
     shift = sig - (n.bit_length() - d.bit_length())
     if shift >= 0:
-        return Fraction((n << shift) // d, 1 << shift)
-    return Fraction(n // (d << -shift)) * (1 << -shift)
-
-
-def _round_up(f: Fraction, sig: int) -> Fraction:
-    if f == 0:
-        return _ZERO
-    n, d = f.numerator, f.denominator
-    shift = sig - (n.bit_length() - d.bit_length())
-    if shift >= 0:
-        return Fraction(-((-n << shift) // d), 1 << shift)
-    return Fraction(-(-n // (d << -shift))) * (1 << -shift)
+        return Fraction(g * ((n << shift) // d), 1 << shift)
+    return Fraction(g * (n // (d << -shift))) * (1 << -shift)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +228,8 @@ def exp_bounds(w: Fraction, prec: int = 64) -> Enclosure:
     hi = acc + 2 * term * r / (k + 1)
     sig = guard + 8
     for _ in range(t):
-        lo = _round_down(lo * lo, sig)
-        hi = _round_up(hi * hi, sig)
+        lo = _round_dyadic(lo * lo, sig)
+        hi = _round_dyadic(hi * hi, sig, up=True)
     return Enclosure(lo, hi)
 
 

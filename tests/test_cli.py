@@ -527,6 +527,37 @@ _CLASSIFY_TABLE = (
     ("egyptian 0", EXIT_COMPUTE, "", "error: q must be positive\n"),
     ("zeta --machine missing.mt", EXIT_COMPUTE, "",
      "error: [Errno 2] No such file or directory: 'missing.mt'\n"),
+    # the arity of each directive, named with its line
+    ("zeta --machine gen.mt", EXIT_COMPUTE, "", "error: line 3: generator needs a name\n"),
+    ("zeta --machine geo-args.mt", EXIT_COMPUTE, "",
+     "error: line 3: geometric takes one extras list\n"),
+    ("zeta --machine luka-args.mt", EXIT_COMPUTE, "",
+     "error: line 3: lukasiewicz takes no arguments\n"),
+    ("zeta --machine construct.mt", EXIT_COMPUTE, "",
+     "error: line 7: construct syntax is: construct KIND NAMES\n"),
+    ("zeta --machine bound.mt", EXIT_COMPUTE, "", "error: line 8: bound needs one rational\n"),
+    # the description checks behind a well-formed file
+    ("zeta --machine dup-extra.mt", EXIT_COMPUTE, "", "error: duplicate extra string '10'\n"),
+    ("zeta --machine two-operands.mt", EXIT_COMPUTE, "",
+     "error: double takes exactly one operand\n"),
+    ("zeta --machine bound-0.mt", EXIT_COMPUTE, "", "error: declared bounds must be positive\n"),
+    ("density 2 --machine sparse.mt", EXIT_COMPUTE, "",
+     "error: no domain strings up to that length\n"),
+    # S (K K) (S (S (S I (K F)) (K F)) (K K)), with I = S K K: applied to
+    # marks a and b it gives a F F K, a cons cell whose last argument is not b
+    ("iota decode 11101010100110101001010100111010101001110101010011101010100111010101"
+     "0010101001010100110101001010100110101001010100110101001010100", EXIT_COMPUTE, "",
+     "error: cons probe did not pass through\n"),
+    # --digits where no digit is determined, on an enclosure with no hi and
+    # on one wider than 1 past the integer part of its lo
+    ("omega --machine all.mt --budget 100 --digits 3", EXIT_OK,
+     "quantity  lo      hi   decimal  certified    budget\n"
+     "omega     421/64  inf           lower-bound  100\n"
+     "digits= determined=0\n", ""),
+    ("omega --machine tof-luka.mt --budget 1 --digits 3", EXIT_OK,
+     "quantity  lo   hi  decimal  certified  budget\n"
+     "omega     1/2  2            interval   1\n"
+     "digits= determined=0\n", ""),
 ])
 def test_refusals_end_in_their_exit_code_and_one_line(
     tmp_path, monkeypatch, capsys, argv, code, out, err
@@ -537,6 +568,20 @@ def test_refusals_end_in_their_exit_code_and_one_line(
         "tof.mt": _ALL + "machine t\nkind construction\nconstruct tuatara_of a\n",
         "bad-line.mt": "machine a\nkind finite\ndomain 2\n",
         "bad-spec.mt": "machine a\nkind builtin\ngenerator nope\n",
+        "gen.mt": "machine a\nkind builtin\ngenerator\n",
+        "geo-args.mt": "machine a\nkind builtin\ngenerator geometric 10 11\n",
+        "luka-args.mt": "machine a\nkind builtin\ngenerator lukasiewicz 10\n",
+        "construct.mt": _FINITE + "machine b\nkind construction\nconstruct double\n",
+        "bound.mt": _FINITE + "machine b\nkind construction\n"
+        "construct universal_convergent a\nbound\n",
+        "dup-extra.mt": "machine a\nkind builtin\ngenerator geometric 10,10\n",
+        "two-operands.mt": _FINITE + _FINITE2
+        + "machine c\nkind construction\nconstruct double a,b\n",
+        "bound-0.mt": _FINITE + "machine b\nkind construction\n"
+        "construct universal_convergent a\nbound 0\n",
+        "sparse.mt": "machine a\nkind finite\ndomain 0000\n",
+        "all.mt": _ALL,
+        "tof-luka.mt": _LUKA + "machine t\nkind construction\nconstruct tuatara_of l\n",
     }.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)

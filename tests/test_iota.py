@@ -171,6 +171,24 @@ def test_decode_errors():
         decode_bits(encode_bits("0101"), step_budget=10)
 
 
+_F = parse(iota_constants().F)
+_AFF = App(App(S, App(App(S, _SKK), App(K, _F))), App(K, _F))  # a -> a F F
+_BAD_CONS = App(App(S, App(K, K)), App(App(S, _AFF), App(K, K)))  # a b -> a F F K
+
+
+@pytest.mark.parametrize("term, message", [
+    # K I a b is b: neither a bare a nor a applied to three arguments
+    (App(K, _SKK), "node is neither the empty list nor a cons cell"),
+    # a cons cell whose last argument is not the probe's b
+    (_BAD_CONS, "cons probe did not pass through"),
+    (parse("0"), "list element is not a boolean"),
+])
+def test_each_malformed_list_is_named(term, message):
+    with pytest.raises(MalformedList) as exc:
+        decode_bits(unparse(term))
+    assert str(exc.value) == message
+
+
 def test_iota_zeta_partial_equals_the_sum_over_sizes():
     # the closed form against the loop it replaced, one Catalan term per size
     lo = F(0)

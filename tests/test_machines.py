@@ -91,6 +91,35 @@ def test_validate_spec_rejects():
         )
 
 
+_ONE_ZERO = FiniteTable(("0",))
+
+
+@pytest.mark.parametrize("check, error, message", [
+    (lambda: validate_spec(Builtin("geometric", ("10", "0110", "10"))), MachineSpecError,
+     "duplicate extra string '10'"),
+    (lambda: validate_spec(Construction("double", (_ONE_ZERO, _ONE_ZERO))), MachineSpecError,
+     "double takes exactly one operand"),
+    (lambda: validate_spec(Construction("product", ())), MachineSpecError,
+     "product takes exactly one operand"),
+    (lambda: validate_spec(Construction("universal_tuatara", ())), MachineSpecError,
+     "universal_tuatara needs at least one member"),
+    (lambda: validate_spec(Construction("universal_convergent", ())), MachineSpecError,
+     "universal_convergent needs at least one member"),
+    (lambda: validate_spec(Construction("universal_convergent", (_ONE_ZERO,), (F(0),))),
+     MachineSpecError, "declared bounds must be positive"),
+    (lambda: validate_spec(Construction("universal_convergent", (_ONE_ZERO,), (F(-1, 2),))),
+     MachineSpecError, "declared bounds must be positive"),
+    (lambda: density_statistic(FiniteTable(("0000",)), 3), ValueError,
+     "no domain strings up to that length"),
+    (lambda: density_statistic(FiniteTable(()), 1), ValueError,
+     "no domain strings up to that length"),
+])
+def test_description_refusals_name_their_fault(check, error, message):
+    with pytest.raises(error) as exc:
+        check()
+    assert str(exc.value) == message
+
+
 def test_validate_spec_rejects_bad_bits_as_spec_errors():
     # a malformed extra or output is a spec error, not a bare ValueError
     for spec in (Builtin("geometric", ("012",)), FiniteTable(("0",), ("2",))):

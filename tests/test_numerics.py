@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from tuatara.numerics import (
     pow_bounds,
     root_bounds,
     w_ratio,
+    zeta_tail_factor,
 )
+from tuatara.numerics import _round_dyadic
 
 F = Fraction
 
@@ -142,6 +145,66 @@ def test_exp_bounds():
     assert _brackets(two, F("7.389056098930650"), F("7.389056098930651"))
     with pytest.raises(ValueError):
         exp_bounds(F(-1))
+
+
+def _ref_round_down(f, sig):
+    """The rounding down that exp_bounds used before one function did both."""
+    if f == 0:
+        return F(0)
+    n, d = f.numerator, f.denominator
+    shift = sig - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        return F((n << shift) // d, 1 << shift)
+    return F(n // (d << -shift)) * (1 << -shift)
+
+
+def _ref_round_up(f, sig):
+    if f == 0:
+        return F(0)
+    n, d = f.numerator, f.denominator
+    shift = sig - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        return F(-((-n << shift) // d), 1 << shift)
+    return F(-(-n // (d << -shift))) * (1 << -shift)
+
+
+def test_one_dyadic_rounding_matches_the_two_it_replaced():
+    rng = random.Random(27)
+    cases = [F(0), F(1), F(1, 3), F(2 ** 200 + 1, 3), F(1, 2 ** 200 - 1), F(7, 8)]
+    for _ in range(1500):
+        num = rng.getrandbits(rng.randint(1, 400)) + 1
+        cases.append(F(num, rng.getrandbits(rng.randint(1, 400)) + 1))
+    for f in cases:
+        for sig in (0, 1, 2, 3, 8, 63, 64, 65, 200, rng.randint(0, 500)):
+            down, up = _round_dyadic(f, sig), _round_dyadic(f, sig, up=True)
+            assert down == _ref_round_down(f, sig), (f, sig)
+            assert up == _ref_round_up(f, sig), (f, sig)
+            assert down <= f <= up
+
+
+_SIGNED = Enclosure(F(-1), F(1))
+_POSITIVE = Enclosure(F(1), F(2))
+_ZETA_ARGS = "zeta_tail_factor requires s > 1, n >= 1 and terms >= 0"
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: _SIGNED.mul(_POSITIVE), "mul requires nonnegative intervals"),
+    (lambda: _POSITIVE.mul(_SIGNED), "mul requires nonnegative intervals"),
+    (lambda: _SIGNED.div(_POSITIVE), "div requires a nonnegative numerator interval"),
+    (lambda: e_bounds(0), "terms must be >= 1"),
+    (lambda: root_bounds(F(-1, 3), 2), "root_bounds requires v >= 0"),
+    (lambda: root_bounds(F(2), 0), "root_bounds requires k >= 1"),
+    (lambda: zeta_tail_factor(F(1), 1, 0), _ZETA_ARGS),
+    (lambda: zeta_tail_factor(F(2), 0, 0), _ZETA_ARGS),
+    (lambda: zeta_tail_factor(F(2), 1, -1), _ZETA_ARGS),
+    (lambda: lambert_w(Enclosure(F(1), None), F(1, 100)), "lambert_w needs a bounded argument"),
+    (lambda: w_ratio(3, F(0)), "tol must be positive"),
+    (lambda: w_ratio(3, F(-1, 10)), "tol must be positive"),
+])
+def test_argument_checks_name_their_fault(check, message):
+    with pytest.raises(ValueError) as exc:
+        check()
+    assert str(exc.value) == message
 
 
 def test_log_family():

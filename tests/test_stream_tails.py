@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -50,7 +51,7 @@ from tuatara.machines import (
     domain_stream,
     weighted_domain_sum,
 )
-from tuatara.numerics import first_primes
+from tuatara.numerics import POWER_BITS_CAP, PrecisionLimit, first_primes
 
 # ---------------------------------------------------------------------------
 # the earlier stream layer
@@ -741,3 +742,84 @@ if given is not None:
     @given(spec=_SPECS)
     def test_random_streams_match_the_string_enumeration(spec):
         _same_enumeration(spec, 120)
+
+
+# ---------------------------------------------------------------------------
+# one geometric series behind the all-strings, geometric and Łukasiewicz tails
+
+
+def _ref_universal_tail(ell, s, kind):
+    """The majorant over all strings longer than ell, as it stood when it
+    wrote out its own geometric series; _RefGeometric and _RefLukasiewicz
+    keep the other two copies."""
+    if s <= 1:
+        return None
+    if kind == "omega":
+        r = machines.pow2_bounds(1 - s, machines._TERM_PREC).hi
+        if r >= 1:
+            return None
+        return machines.pow2_bounds((1 - s) * max(ell + 1, 0), machines._TERM_PREC).hi / (1 - r)
+    n_min = (1 << (max(ell, 0) + 1)) - 1
+    head = 1 if ell < 0 else 0
+    return head + machines.pow_bounds(F(n_min), 1 - s, machines._TERM_PREC).hi / (s - 1)
+
+
+_SERIES_EXPONENTS = [F(k) for k in (1, 2, 3, 5, 17, 1000)] + [
+    F(1, 2), F(5, 7), F(3, 2), F(7, 3), F(101, 100), F(1001, 1000),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Builtin("all_strings"),
+        Builtin("geometric"),
+        Builtin("geometric", ("11", "0101", "1111")),
+        _LUKA,
+        Builtin("iota", step_budget=20, size_budget=13),
+    ],
+    ids=lambda spec: f"{spec.generator}{len(spec.extras) or ''}",
+)
+def test_series_tails_match_their_separate_copies(spec):
+    # one stream serves every exponent, so a factor kept for one exponent
+    # e (2^-s on geometric, 2^(1-s) over all strings) meets the others
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    for s in _SERIES_EXPONENTS:
+        for kind in ("omega", "zeta"):
+            for ell in range(-1, 71):
+                want = _min(ref.tail_bound(ell, s, kind), _ref_universal_tail(ell, s, kind))
+                assert _tail_upper(new, ell, s, kind) == want, (kind, s, ell)
+
+
+def _peak_while(build):
+    """The exception build raised and the tracemalloc peak on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionLimit) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(exc.value), peak
+
+
+@pytest.mark.parametrize(
+    "spec, s", [(_LUKA, F(2 ** 22 + 2)), (Builtin("all_strings"), F(2 ** 23 + 2))]
+)
+def test_series_tails_refuse_at_the_power_cap_as_before(spec, s):
+    # 2^(2(1-s)) and 2^(1-s) pass POWER_BITS_CAP by 2 and 1 bits; each is
+    # refused, with the earlier message, before any power is built
+    message, peak = _peak_while(lambda: _tail_upper(domain_stream(spec), -1, s, "omega"))
+    with pytest.raises(PrecisionLimit) as want:
+        _min(_ref_stream(spec).tail_bound(-1, s, "omega"), _ref_universal_tail(-1, s, "omega"))
+    assert message == str(want.value)
+    assert peak < 1 << 20
+
+
+def test_a_lukasiewicz_tail_past_the_power_cap_is_refused():
+    # at s = 2 and n0 = 2^22 the series starts at 4^-(2^22 + 1), two bits
+    # past the cap; _RefLukasiewicz.tail_bound builds that power unchecked
+    ell = 2 ** 23
+    message, peak = _peak_while(lambda: domain_stream(_LUKA).tail_bound(ell, F(2), "omega"))
+    assert message == f"a power needs {2 ** 23 + 2} bits, over {POWER_BITS_CAP}"
+    assert peak < 1 << 20
