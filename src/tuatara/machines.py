@@ -1,12 +1,12 @@
 """Machine domains as streams, and certified sums over them.
 
-A machine is described by its domain, a set of bit strings enumerated in
-length-lexicographic order, which is ascending order of their indices n
-(the numerals 1w read in binary). Both weight sums read n alone: the halting
-weight (omega kind) assigns 2^(-s |w|), where |w| is n's bit length less
-one, and the index weight (zeta kind) assigns n^(-s). At s = 1 these are
-the halting probability and the natural halting sum; the classification
-vocabulary below is keyed to the unit threshold of the index sum.
+A machine is described by its domain, a set of bit strings that a stream
+enumerates through one hook, lengths(): the indices n (the numerals 1w read
+in binary) of each length as one ascending group, in length-lex order. The
+halting weight (omega kind) assigns 2^(-s |w|), where |w| is n's bit length
+less one, so it reads a group's size alone; the index weight (zeta kind)
+assigns n^(-s). At s = 1 these are the halting probability and the natural
+halting sum; classification is keyed to the unit threshold of the index sum.
 
 Enclosures returned here are certified: the true sum lies inside, whatever
 the budget. Lower bounds are partial sums rounded down, plus a tail bracket's
@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm, log2
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import iota as iota_mod
 from .binstr import (
@@ -241,16 +241,21 @@ def validate_spec(spec: MachineSpec) -> None:
 class DomainStream:
     """Restartable length-lex enumeration with certified tail information.
 
-    indices() is the one enumeration hook a stream implements, in ascending
-    order; the strings are derived here. tail_bound is the one upper-bound
-    hook; the bound on the full sum, total_upper, is its value past length
-    -1, or the majorant over all strings where that is smaller.
+    lengths() is the one enumeration hook a stream implements: (L, group)
+    for each length L that holds strings, ascending, the indices of length L
+    ascending in group: a sized sequence, whose len omega sums read, or,
+    where the stream filters, merges or maps, an iterator to read before the
+    next group. tail_bound is the one upper-bound hook; the bound on the
+    full sum, total_upper, is its value past length -1.
     """
 
     exhaustible = False
 
-    def indices(self) -> Iterator[int]:
+    def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
         raise NotImplementedError
+
+    def indices(self) -> Iterator[int]:
+        return itertools.chain.from_iterable(group for _, group in self.lengths())
 
     def __iter__(self) -> Iterator[str]:
         return map(bin_of, self.indices())
@@ -346,8 +351,12 @@ class _FiniteStream(DomainStream):
     def __init__(self, keys):
         self.keys = keys
 
-    def indices(self) -> Iterator[int]:
-        return iter(self.keys)
+    def lengths(self) -> Iterator[tuple[int, Sequence[int]]]:
+        keys, i = self.keys, 0
+        while i < len(keys):
+            j = bisect.bisect_left(keys, 1 << keys[i].bit_length(), i)
+            yield keys[i].bit_length() - 1, keys[i:j]
+            i = j
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction:
         lengths, tails = _once(self, (s, kind), lambda: self._tails(s, kind))
@@ -380,8 +389,8 @@ def _pairwise_sum(terms: list[Fraction]) -> Fraction:
 
 
 class _AllStringsStream(DomainStream):
-    def indices(self) -> Iterator[int]:
-        return itertools.count(1)
+    def lengths(self) -> Iterator[tuple[int, range]]:
+        return ((length, range(1 << length, 2 << length)) for length in itertools.count())
 
     def count_up_to_length(self, ell: int) -> int:
         return (1 << (ell + 1)) - 1 if ell >= 0 else 0
@@ -414,9 +423,8 @@ class _LukasiewiczStream(DomainStream):
     """The programs of the one-combinator calculus, read off the index
     tables of iota; no string and no term is made."""
 
-    def indices(self) -> Iterator[int]:
-        for length in itertools.count(1, 2):
-            yield from iota_mod.program_indices(length)
+    def lengths(self) -> Iterator[tuple[int, Sequence[int]]]:
+        return ((length, iota_mod.program_indices(length)) for length in itertools.count(1, 2))
 
     def count_up_to_length(self, ell: int) -> int:
         # C_m programs of length 2m+1, by C_{m+1} = C_m 2(2m+1)/(m+2); at ell = 8000
@@ -428,10 +436,15 @@ class _LukasiewiczStream(DomainStream):
         return total
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
-        # programs of length > ell have size m > n0; weight at most the
-        # omega weight, and C_{m-1} <= 4^(m-1) bounds the counts: the tail
-        # is at most 2^(s-2) times the sum of q^m over m > n0, q = 4^(1-s)
+        # programs of length > ell have size m > n0: the lengths 2 n0 - 1 and
+        # 2 n0 share a tail, made once per stream (iota shares the method)
         n0 = max((ell + 1) // 2, 0)
+        return _once(self, ("programs", s, n0), lambda: _LukasiewiczStream._tail(self, s, n0))
+
+    def _tail(self, s: Fraction, n0: int) -> Fraction | None:
+        # weight at most the omega weight, and C_{m-1} <= 4^(m-1) bounds the
+        # counts: the tail is at most 2^(s-2) times the sum of q^m over
+        # m > n0, q = 4^(1-s)
         if s == 1:
             return iota_mod.program_tail_weight(n0)
         if s < 1:
@@ -454,9 +467,10 @@ class _IotaHaltingStream(DomainStream):
     def limit_examined(self, limit: int) -> None:
         self.examine_limit = limit
 
-    def indices(self) -> Iterator[int]:
+    def lengths(self) -> Iterator[tuple[int, Iterator[int]]]:
+        # grouped as it goes, so StreamCut falls where the walk meets its limit
         walk = iota_mod.halting_programs(self.step_budget, self.size_budget, self.examine_limit)
-        return (n for n, _ in walk)
+        return _by_length(n for n, _ in walk)
 
     # the halting domain is a subset of the programs
     tail_bound = _LukasiewiczStream.tail_bound
@@ -466,9 +480,12 @@ class _GeometricStream(DomainStream):
     def __init__(self, spec: Builtin):
         self.extras = _FiniteStream(sorted(map(bin_inv, spec.extras)))
 
-    def indices(self) -> Iterator[int]:
-        base = ((1 << i) + 1 for i in itertools.count(1))  # 0^(i-1) 1
-        return heapq.merge(self.extras.keys, base)
+    def lengths(self) -> Iterator[tuple[int, list[int]]]:
+        extras = dict(self.extras.lengths())
+        if 0 in extras:
+            yield 0, extras[0]
+        for length in itertools.count(1):  # 0^(length-1) 1 and the extras
+            yield length, sorted([*extras.get(length, ()), (1 << length) + 1])
 
     def count_up_to_length(self, ell: int) -> int:
         base = max(ell, 0)  # lengths 1..ell
@@ -478,6 +495,11 @@ class _GeometricStream(DomainStream):
         # base strings 0^i 1 with i >= max(ell, 0) have length > ell
         base = _geometric_tail(self, -s, max(ell, 0) + 1)
         return None if base is None else base + self.extras.tail_bound(ell, s, kind)
+
+
+def _by_length(indices: Iterator[int]) -> Iterator[tuple[int, Iterator[int]]]:
+    """Ascending indices as lengths() groups, read lazily."""
+    return ((bits - 1, group) for bits, group in itertools.groupby(indices, int.bit_length))
 
 
 def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
@@ -516,8 +538,8 @@ class _MultisetStream(DomainStream):
         self.parts = parts
         self.exhaustible = not parts
 
-    def indices(self) -> Iterator[int]:
-        return _multisets(self.parts)
+    def lengths(self) -> Iterator[tuple[int, Iterator[int]]]:
+        return _by_length(_multisets(self.parts))
 
 
 # a product of a prefix code counts its strings by length from the multiset
@@ -619,11 +641,16 @@ class _OperandStream(DomainStream):
 
 
 class _DoubleStream(_OperandStream):
-    def indices(self) -> Iterator[int]:
-        # w of index n and length L gives ww of index n 2^L + n - 2^L
-        for n in self.inner.indices():
-            top = 1 << (n.bit_length() - 1)
-            yield n * top + n - top
+    def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
+        # w of index n and length L gives ww of index n m - 2^L, m = 2^L + 1:
+        # a range maps to a range, any other group lazily, as the budget may
+        # end early in it
+        for length, group in self.inner.lengths():
+            top, m = 1 << length, (1 << length) + 1
+            if isinstance(group, range):
+                yield 2 * length, range(group.start * m - top, group.stop * m - top, group.step * m)
+            else:
+                yield 2 * length, (n * m - top for n in group)
 
     def count_up_to_length(self, ell: int) -> int | None:
         return self.inner.count_up_to_length(ell // 2)
@@ -636,28 +663,29 @@ class _DoubleStream(_OperandStream):
 
 
 class _TuataraOfStream(_OperandStream):
-    def indices(self) -> Iterator[int]:
+    def lengths(self) -> Iterator[tuple[int, list[int]]]:
         # X(p) is p, then p 0^i for each position i (from 1) where p has a 1,
-        # in order of length; waiting[L] holds the operands whose next member
-        # has length L, and each operand arrives before p itself is due
-        waiting: dict[int, list[int]] = {}
-        it = self.inner.indices()
-        pending = next(it, None)
+        # bit j = d - i of its index n, for p of length d: p 0^i is n << i, of
+        # length 2d - j. due[L] holds (the operands of length d, i, j) for each
+        # j set in any of them; a lazy group is listed, as each j reads it
+        due: dict[int, list[tuple[Sequence[int], int, int]]] = {}
+        inner = self.inner.lengths()
+        pending = next(inner, None)
         length = 0
-        while pending is not None or waiting:
-            while pending is not None and pending.bit_length() - 1 <= length:
-                waiting.setdefault(pending.bit_length() - 1, []).append(pending)
-                pending = next(it, None)
-            batch = set()
-            for n in waiting.pop(length, ()):
-                d = n.bit_length() - 1
-                i = length - d
-                batch.add(n << i)  # p 0^i
-                rest = n & ((1 << (d - i)) - 1)  # the positions of p past i
-                if rest:  # the next member's zeros reach rest's highest 1
-                    waiting.setdefault(2 * d + 1 - rest.bit_length(), []).append(n)
-            yield from sorted(batch)
-            length += 1
+        while pending is not None or due:
+            if pending is not None and pending[0] == length:
+                d, ops = pending if hasattr(pending[1], "__len__") else (length, list(pending[1]))
+                mask = functools.reduce(int.__or__, ops)
+                while mask:
+                    j = mask.bit_length() - 1
+                    due.setdefault(2 * d - j, []).append((ops, d - j, j))
+                    mask ^= 1 << j
+                pending = next(inner, None)
+            # a set, since an operand that is not prefix-free spawns some strings twice
+            batch = {n << i for ops, i, j in due.pop(length, ()) for n in ops if n >> j & 1}
+            if batch:
+                yield length, sorted(batch)
+            length = length + 1 if due or pending is None else pending[0]
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # the total at s = 1 only; double(tuatara_of(X)) at s = 1/2 reads it
@@ -1063,7 +1091,7 @@ class _Sum:
                 return False
         return True
 
-    def take(self, block: list[int]) -> bool:
+    def take(self, block: Sequence[int]) -> bool:
         """Add the leading keys of block, all of the length last reached, up
         to the limit; False once the limit is reached."""
         if len(block) > self.limit - self.consumed:
@@ -1115,11 +1143,12 @@ def weighted_domain_sums(
     """Certified enclosures of several (kind, s) weight sums, each equal to
     its own weighted_domain_sum, from one enumeration of the domain.
 
-    The indices are read a length at a time. Each request first notes the
+    The stream's lengths() are read in order. Each request first notes the
     new length, where it may stop on the grid; then the length's strings are
     pulled, in blocks of at most _BLOCK, up to the most that a request still
-    running can take, so the stream yields exactly what the longest of the
-    separate sums would pull.
+    running can take, so no index is read that the longest of the separate
+    sums would not read. Where every request still running is of the
+    omega kind and the group is sized, they take its len and read none of it.
     """
     checked = []
     for kind, s in requests:
@@ -1140,20 +1169,26 @@ def weighted_domain_sums(
     sums = [_Sum(stream, kind, s, budget) for kind, s in checked]
 
     live = [r for r in sums if r.consumed < r.limit]
-    groups = itertools.groupby(stream.indices(), int.bit_length)
-    group, block = iter(()), []
+    groups = stream.lengths()
+    rest, block = iter(()), []  # rest: the unread part of the last group
     try:
-        for bits, group in groups if live else ():  # at budget 0 nothing is pulled
-            live = [r for r in live if r.reach(bits - 1)]
-            while live:
-                want = min(max(r.limit - r.consumed for r in live), _BLOCK)
-                # extend keeps the strings yielded before a StreamCut
-                block.extend(itertools.islice(group, want))
-                live = [r for r in live if r.take(block)]
-                if len(block) < want:  # the length ran out
-                    break
+        for length, group in groups if live else ():  # at budget 0 nothing is pulled
+            live = [r for r in live if r.reach(length)]
+            if hasattr(group, "__len__") and all(r.kind == "omega" for r in live):
+                want = max((r.limit - r.consumed for r in live), default=0)
+                rest = iter(group[want : want + 1])  # what a probe would read next
+                live = [r for r in live if r.take(group)]
+            else:
+                rest = iter(group)
+                while live:
+                    want = min(max(r.limit - r.consumed for r in live), _BLOCK)
+                    # extend keeps the strings yielded before a StreamCut
+                    block.extend(itertools.islice(rest, want))
+                    live = [r for r in live if r.take(block)]
+                    if len(block) < want:  # the length ran out
+                        break
+                    block = []
                 block = []
-            block = []
             if not live:
                 break
         else:
@@ -1174,7 +1209,7 @@ def weighted_domain_sums(
                 r.stop = "grid"
             elif stream.exhaustible:
                 if probe is None:
-                    probe = next(group, None) is None and next(groups, None) is None
+                    probe = next(rest, None) is None and next(groups, None) is None
                 if probe:
                     r.stop = "exhausted"
     return [r.report(stream) for r in sums]

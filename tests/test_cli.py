@@ -33,6 +33,7 @@ from tuatara.machines import (
     Builtin,
     Construction,
     FiniteTable,
+    weighted_domain_sum,
 )
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
@@ -916,6 +917,26 @@ def test_universal_sums_at_the_prefix_cap_end_quickly(tmp_path, capsys):
         assert time.perf_counter() - start < 5, cmd
         assert (code, err) == (EXIT_OK, ""), cmd
         assert "inf" not in out, cmd
+
+
+def test_omega_at_the_budget_cap_counts_each_length(tmp_path, capsys):
+    # 2^40 - 1 strings fill the lengths 0..39 of all_strings, each length
+    # one unit at s = 1; doubled, length 2L holds 2^L strings of weight 4^-L.
+    # The omega kind counts each length and reads none of its strings
+    budget = (1 << 40) - 1
+    double = _ALL + "machine d\nkind construction\nconstruct double a\n"
+    for text, lo in ((_ALL, F(40)), (double, 2 - F(1, 1 << 39))):
+        start = time.perf_counter()
+        code, out, err = _go(
+            capsys, "omega", "--machine", _file(tmp_path, text), "--budget", str(budget),
+            "--format", "csv",
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (EXIT_OK, "")
+        assert F(out.splitlines()[1].split(",")[1]) == lo
+    for spec in (Builtin("all_strings"), Construction("double", (Builtin("all_strings"),))):
+        rep = weighted_domain_sum(spec, F(1), budget, "omega")
+        assert (rep.consumed, rep.stop) == (budget, "budget")
 
 
 def test_convergent_prefix_cap(tmp_path, capsys):

@@ -61,16 +61,25 @@ def _ref_walk(steps, sizes, limit=None, last=None):
 
 
 class _FreshStream(machines._IotaHaltingStream):
-    def indices(self):
+    walks = 0  # lengths() calls, so that _fresh can see its call read the walk
+
+    def lengths(self):
+        # the one enumeration hook: indices() and the sums read through it
+        _FreshStream.walks += 1
         walk = _ref_walk(self.step_budget, self.size_budget, self.examine_limit)
-        return (n for n, r in walk if r.halted)
+        halted = (n for n, r in walk if r.halted)
+        return ((bits - 1, group) for bits, group in itertools.groupby(halted, int.bit_length))
 
 
 def _fresh(fn, *args):
-    # the call with the iota stream replaced by the reference walk
+    # the call with the iota stream replaced by the reference walk, which
+    # the call must have read
+    walks = _FreshStream.walks
     with pytest.MonkeyPatch.context() as m:
         m.setattr(machines, "_IotaHaltingStream", _FreshStream)
-        return fn(*args)
+        out = fn(*args)
+    assert _FreshStream.walks > walks, fn
+    return out
 
 
 def _ref_outputs(steps, sizes, budget):

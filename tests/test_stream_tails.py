@@ -10,7 +10,10 @@ universal and tuatara_of stream, and the per-element sum loop whose upper
 bound took total_upper and the tails at every completed length from -1 on.
 weighted_domain_sum must give the same enclosure, endpoint for endpoint,
 the same consumed count, exhaustion and stop as that reference, and the
-streams must count and enumerate the same strings.
+streams must count and enumerate the same strings. Read as lengths()
+groups, they must give the same indices, in groups of strictly ascending
+lengths, none empty, a sized group's len counting it; under an examine
+limit, a StreamCut must fall after the same indices.
 
 The references stand alone: each keeps the string enumeration of the
 stream layer before streams yielded indices, with indices read off the
@@ -654,11 +657,35 @@ def test_tails_and_totals(spec):
 # enumeration: every stream yields indices, and its strings come from them
 
 
+def _read_groups(stream, out, count):
+    """Extend out with the indices of stream's leading lengths() groups,
+    each read whole, until count or more are in. Lengths strictly ascend,
+    no group is empty, a sized group's len counts its indices, and each
+    index has its group's length. A StreamCut passes, out keeping the
+    indices read before it."""
+    last = -1
+    for length, group in stream.lengths():
+        size = len(group) if hasattr(group, "__len__") else None
+        start = len(out)
+        out.extend(group)
+        got = out[start:]
+        assert length > last and got and size in (None, len(got)), (length, size)
+        assert all(n.bit_length() - 1 == length for n in got), length
+        last = length
+        if len(out) >= count:
+            return
+
+
 def _same_enumeration(spec, count=200):
-    """The first count strings and indices, and the counts by length, are
-    the reference's."""
+    """The first count strings and indices, or more as whole lengths()
+    groups, and the counts by length, are the reference's."""
     new, ref = domain_stream(spec), _ref_stream(spec)
-    want = list(itertools.islice(ref, count))
+    grouped = []
+    _read_groups(new, grouped, count)
+    want = list(itertools.islice(ref, max(count, len(grouped) + 1)))
+    assert grouped == [bin_inv(w) for w in want[: len(grouped)]], spec
+    assert len(grouped) >= count or len(grouped) == len(want), spec  # both ran out
+    want = want[:count]
     assert list(itertools.islice(iter(new), count)) == want, spec
     assert list(itertools.islice(new.indices(), count)) == [bin_inv(w) for w in want], spec
     for ell in range(-1, 8):
@@ -666,6 +693,7 @@ def _same_enumeration(spec, count=200):
 
 
 _GEOMETRIC = Builtin("geometric", ("11", "0101", "1111"))
+_IOTA = Builtin("iota", step_budget=12, size_budget=15)  # 626 programs of at most 15 bits
 _ENUMERATED = [
     _TABLES["with_empty"],
     FiniteTable(("",)),
@@ -689,12 +717,38 @@ _ENUMERATED = [
     Builtin("iota", step_budget=20, size_budget=13),
     Builtin("iota", step_budget=3, size_budget=17),
     Builtin("all_strings"),
+    # a range maps to a range, doubled twice
+    Construction("double", (Construction("double", (Builtin("all_strings"),)),)),
+    Construction("double", (Construction("tuatara_of", (_LUKA,)),)),
+    Construction("tuatara_of", (Construction("double", (_LUKA,)),)),
+    # operands that are not prefix-free spawn some strings twice
+    Construction("tuatara_of", (Builtin("all_strings"),)),
+    Construction("tuatara_of", (Builtin("geometric", ("", "10", "0110", "1111")),)),
+    Construction("double", (_IOTA,)),
+    Construction("tuatara_of", (_IOTA,)),
 ]
 
 
 @pytest.mark.parametrize("spec", _ENUMERATED, ids=lambda spec: type(domain_stream(spec)).__name__)
 def test_strings_and_indices_match_the_string_enumeration(spec):
-    _same_enumeration(spec)
+    _same_enumeration(spec, 3000)
+
+
+@pytest.mark.parametrize("kind", ["iota", "double", "tuatara_of"])
+@pytest.mark.parametrize("limit", [0, 1, 5, 40, 333, 600])
+def test_an_examine_limit_cuts_at_the_same_index(kind, limit):
+    # the groups of a filtering stream are read as it walks, so that the
+    # cut falls after the same indices as the reference's
+    spec = _IOTA if kind == "iota" else Construction(kind, (_IOTA,))
+    new, ref = domain_stream(spec), _ref_stream(spec)
+    new.limit_examined(limit)
+    ref.limit_examined(limit)
+    got, want = [], []
+    with pytest.raises(machines.StreamCut):
+        _read_groups(new, got, float("inf"))
+    with pytest.raises(machines.StreamCut):
+        want.extend(ref.indices())
+    assert got == want, (kind, limit)
 
 
 try:
@@ -789,6 +843,22 @@ def test_series_tails_match_their_separate_copies(spec):
             for ell in range(-1, 71):
                 want = _min(ref.tail_bound(ell, s, kind), _ref_universal_tail(ell, s, kind))
                 assert _tail_upper(new, ell, s, kind) == want, (kind, s, ell)
+
+
+def test_each_program_tail_is_made_once_per_sum(monkeypatch):
+    # the lengths 2 n0 - 1 and 2 n0 share the tail past size n0, and a
+    # double over lukasiewicz asks for each inner length twice
+    made = []
+    tail = machines._LukasiewiczStream._tail
+    monkeypatch.setattr(
+        machines._LukasiewiczStream, "_tail", lambda *a: made.append(a[1:]) or tail(*a)
+    )
+    iota = Builtin("iota", step_budget=20, size_budget=30)  # cut after 300 programs
+    for spec in (_LUKA, iota, Construction("double", (_LUKA,))):
+        for s in (F(1), F(3), F(5, 2)):
+            made.clear()
+            weighted_domain_sum(spec, s, 300, "omega")
+            assert made and len(made) == len(set(made)), (spec, s)
 
 
 def _peak_while(build):

@@ -18,9 +18,12 @@ with no root at all once a key is far enough below the grid: they must
 equal _weight_interval's Fractions added to it.
 
 weighted_domain_sums serves several (kind, s) requests from one
-enumeration, read a length at a time: every request must equal its own
-weighted_domain_sum call and the reference, and the stream must yield
-exactly the strings the longest separate sum pulls.
+enumeration, read a lengths() group at a time: every request must equal
+its own weighted_domain_sum call and the reference, and the pass must read
+exactly the strings the longest separate sum reads, less one the reference
+reads only to learn that a new length begins, and exactly the operand
+indices it reads. Omega sums take a sized group's len and read none of it;
+they must still equal the reference, which reads every string.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ import gc
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction as F
-from itertools import accumulate, islice
+from itertools import accumulate, islice, takewhile
 from math import lcm, prod
 
 import pytest
@@ -431,24 +435,81 @@ def _one_pass_matches(spec, requests, budget):
     return got
 
 
+class _ReadGroup:
+    """A sized lengths() group that records each index iterated from it;
+    its len and its slices read none."""
+
+    def __init__(self, group, pulls):
+        self.group, self.pulls = group, pulls
+
+    def __len__(self):
+        return len(self.group)
+
+    def __getitem__(self, part):
+        return _ReadGroup(self.group[part], self.pulls)
+
+    def __iter__(self):
+        for n in self.group:
+            self.pulls.append(n)
+            yield n
+
+
+class _Pulls(list):
+    """The indices read from the groups of the stream asked for; operands:
+    those read from its operands' streams, through its construction."""
+
+    def __init__(self):
+        super().__init__()
+        self.operands = []
+
+    def clear(self):
+        super().clear()
+        self.operands.clear()
+
+
 def _counting_pulls(monkeypatch, cut_after=None):
-    """Make domain_stream record the indices its streams yield, and let each
-    pass raise StreamCut after cut_after of them when that is given."""
-    pulls = []
+    """Make domain_stream record each index iterated from the lengths()
+    groups of the streams it builds: the stream asked for in pulls, its
+    operands' streams in pulls.operands. A sized group stays sized, except
+    that a double's operand range passes as it is, since double maps it to
+    a range without reading it. When cut_after is given, every group of the stream
+    asked for is read as an iterator instead, as a filtering stream's are,
+    and each pass raises StreamCut after cut_after of its indices."""
+    pulls = _Pulls()
     make = machines.domain_stream
+    building = []
 
     def counted(spec):
-        stream = make(spec)
-        inner = stream.indices
+        building.append(spec)
+        try:
+            stream = make(spec)
+        finally:
+            building.pop()
+        parent = building[-1] if building else None
+        operand = parent is not None  # built by a construction, read through it
+        out, cut = (pulls.operands, None) if operand else (pulls, cut_after)
+        inner = stream.lengths
 
-        def indices():
-            for i, n in enumerate(inner()):
-                if i == cut_after:
-                    raise machines.StreamCut("cut for the test")
-                pulls.append(n)
-                yield n
+        def lengths():
+            taken = []  # this pass's
 
-        stream.indices = indices
+            def read(group):
+                for n in group:
+                    if len(taken) == cut:
+                        raise machines.StreamCut("cut for the test")
+                    taken.append(n)
+                    out.append(n)
+                    yield n
+
+            for length, group in inner():
+                if isinstance(group, range) and getattr(parent, "kind", None) == "double":
+                    yield length, group
+                elif hasattr(group, "__len__") and cut is None:
+                    yield length, _ReadGroup(group, out)
+                else:
+                    yield length, read(group)
+
+        stream.lengths = lengths
         return stream
 
     monkeypatch.setattr(machines, "domain_stream", counted)
@@ -462,21 +523,60 @@ def test_one_pass_equals_separate_sums_on_every_stream():
             _one_pass_matches(spec, _MIXED, budget)
 
 
+def _opens_a_length(pulls, consumed) -> bool:
+    """Whether the reference read an index past the consumed ones, to stop
+    on the grid or to find that the stream goes on, and that index begins a
+    length: the engine learns of such a length from its lengths() group and
+    reads none of it."""
+    past = pulls[consumed:]
+    return bool(past) and (consumed == 0 or past[0].bit_length() > pulls[consumed - 1].bit_length())
+
+
 def test_one_pass_pulls_what_the_longest_separate_sum_pulls(monkeypatch):
     pulls = _counting_pulls(monkeypatch)
     for name, spec in STREAMS.items():
         for budget in (0, 5, 400, 3000):
-            alone = []
+            alone, operands = [], []
             for kind, s in _MIXED:
                 pulls.clear()
                 if domain_stream(spec).element_tail(s, kind, budget) is None:
-                    _ref_sum(spec, s, budget, kind)  # one string at a time
-                    alone.append(len(pulls))
+                    consumed = _ref_sum(spec, s, budget, kind)[2]  # one string at a time
+                    alone.append(len(pulls) - _opens_a_length(pulls, consumed))
                 else:  # a bracketed sum pulls the strings it takes
                     alone.append(weighted_domain_sum(spec, s, budget, kind).consumed)
+                operands.append(len(pulls.operands))
             pulls.clear()
             weighted_domain_sums(spec, _MIXED, budget)
             assert len(pulls) == max(alone), (name, budget)
+            # the stream reaches the longest sum's last length either way,
+            # and a construction reads its operands as far as it reaches
+            assert len(pulls.operands) == max(operands), (name, budget)
+            omega = [i for i, (kind, _) in enumerate(_MIXED) if kind == "omega"]
+            pulls.clear()
+            weighted_domain_sums(spec, [_MIXED[i] for i in omega], budget)
+            if name in ("iota", "product", "prime_product"):  # lazy groups are read
+                assert len(pulls) == max(alone[i] for i in omega), (name, budget)
+            else:  # sized groups are counted; only an exhaustion probe reads one
+                assert len(pulls) <= domain_stream(spec).exhaustible, (name, budget)
+            assert len(pulls.operands) == max(operands[i] for i in omega), (name, budget)
+
+
+def test_a_construction_reads_each_operand_index_a_bounded_number_of_times(monkeypatch):
+    # double maps each operand index once, and a range without reading it;
+    # tuatara_of lists a lazy operand group once and reads a sized one in
+    # place, once for the OR of its indices and once for each bit set in it
+    pulls = _counting_pulls(monkeypatch)
+    iota = Builtin("iota", (), 12, 15)
+    for operand in (_ALL, _LUKA, iota):
+        for kind in ("double", "tuatara_of"):
+            for budget in (5, 400, 3000):
+                pulls.clear()
+                weighted_domain_sums(Construction(kind, (operand,)), _MIXED, budget)
+                reads = Counter(pulls.operands)
+                assert bool(reads) == (kind == "tuatara_of" or operand is not _ALL)
+                in_place = kind == "tuatara_of" and operand is not iota
+                for n, count in reads.items():
+                    assert count <= (n.bit_length() + 1 if in_place else 1), (kind, operand, n)
 
 
 def test_long_lengths_are_pulled_in_blocks(monkeypatch):
@@ -491,6 +591,10 @@ def test_long_lengths_are_pulled_in_blocks(monkeypatch):
         weighted_domain_sums(_ALL, requests, budget)
         assert len(pulls) == alone == budget
         _one_pass_matches(_ALL, requests, budget)
+        # an omega-only pass reads no index at all
+        pulls.clear()
+        assert weighted_domain_sums(_ALL, requests[:1], budget)[0].consumed == budget
+        assert pulls == []
     monkeypatch.undo()
     # a sum holds one block of indices at a time, not a whole length
     tracemalloc.start()
@@ -502,19 +606,20 @@ def test_long_lengths_are_pulled_in_blocks(monkeypatch):
     assert peak < 2 ** 19
 
 
-def test_a_grid_stop_pulls_one_string_of_the_stop_length(monkeypatch):
+def test_a_grid_stop_reads_no_string_of_the_stop_length(monkeypatch):
     pulls = _counting_pulls(monkeypatch)
     # geometric zeta terms pass below the grid at length 137 for s = 1 and
-    # at 69 for s = 2
+    # at 69 for s = 2; lengths() names the stop length with its group, so
+    # no string of it is read
     spec = Builtin("geometric")
     for requests in ([("zeta", F(1))], [("zeta", F(2))], [("zeta", F(2)), ("zeta", F(1))]):
         pulls.clear()
         reps = weighted_domain_sums(spec, requests, 10 ** 5)
         stop_len = max(_STOP_BITS // s.numerator + 1 for _, s in requests)
         assert all(rep.stop == "grid" for rep in reps)
-        assert max(rep.consumed for rep in reps) == len(pulls) - 1
-        assert [n.bit_length() - 1 >= stop_len for n in pulls].count(True) == 1
-        assert pulls[-1].bit_length() - 1 == stop_len
+        assert max(rep.consumed for rep in reps) == len(pulls)
+        assert [n.bit_length() - 1 >= stop_len for n in pulls].count(True) == 0
+        assert pulls[-1].bit_length() - 1 == stop_len - 1
 
 
 def test_a_cut_inside_a_length_keeps_the_strings_before_it(monkeypatch):
@@ -530,6 +635,21 @@ def test_a_cut_inside_a_length_keeps_the_strings_before_it(monkeypatch):
                     if rep.stop != "grid":  # all_strings brackets zeta at s > 1
                         assert (rep.stop, rep.consumed) == (want, min(budget, cut_after))
         monkeypatch.undo()
+
+
+def test_omega_sums_from_counts_match_the_reference():
+    # every stream kind whose groups are sized: an omega sum takes each
+    # group's len and reads none of its strings; the reference reads them
+    # one at a time. Budgets fall on either side of each length boundary
+    for name in ("finite", "all_strings", "lukasiewicz", "geometric", "double", "tuatara_of",
+                 "universal_tuatara", "universal_convergent"):
+        spec = STREAMS[name]
+        ends = accumulate(len(group) for _, group in domain_stream(spec).lengths())
+        ends = list(takewhile(lambda end: end < 600, islice(ends, 40)))
+        budgets = sorted({end + d for end in ends for d in (-1, 0, 1)})
+        for s in (F(1), F(2), F(3, 2), F(1, 2)):
+            for budget in budgets:
+                _same_as_reference(spec, s, budget, "omega")
 
 
 def test_exhaustion_exactly_at_the_budget():
