@@ -71,8 +71,10 @@ class ExecutableMachine:
 
     def run(self, w: str) -> str | None:
         """Output for input w, or None when w is outside the domain."""
+        if w.strip("01"):
+            return None
         if self._table is not None:
-            return None if w.strip("01") else self._table.get(bin_inv(w))
+            return self._table.get(bin_inv(w))
         try:
             term = iota_mod.parse(w)
         except iota_mod.ParseFailure:

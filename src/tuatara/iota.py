@@ -12,10 +12,20 @@ locals, so a step builds at most one new cell. Full normalization
 head-reduces and then normalizes each argument; the list decoder needs only
 heads and stops there.
 
-The parser builds one shared cell per distinct subprogram (hash-consing),
-so a combinator spelling that a program repeats is a single object. The
-first time a shared cell reaches head position, the kernel head-reduces it
-alone, in a nested run on the budgets left, and the cell keeps what that
+The parser reads a program once, left to right, and builds one shared cell
+per distinct subprogram (hash-consing), so a combinator spelling that a
+program repeats is a single object. A subprogram of at least 32 bits that
+it builds a second time is remembered by its spelling, keyed by its first
+32 bits, up to as many characters in all as the input has; where such a
+spelling starts again, at a '1', the parser takes its cell and jumps past
+its bits. This is exact, since programs form a prefix code: the subterm
+that starts there is the one program the bits begin with. So past its
+second element an encoded list is read a few bits per element: the
+pairing spelling is jumped over, and only the boolean and the list's own
+applications are read.
+
+The first time a shared cell reaches head position, the kernel head-reduces
+it alone, in a nested run on the budgets left, and the cell keeps what that
 run found: the stuck head and its arguments, the step count k, the size
 change d and the largest rise p above the cell's own size. Later visits
 jump over those k steps when the step budget has k steps to spare and the
@@ -51,9 +61,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, count, repeat
+from itertools import count, islice, repeat
 from math import comb, inf
-from operator import indexOf
 from typing import Iterator, Sequence
 
 from .binstr import bin_of, validate_bits
@@ -177,53 +186,82 @@ class TrailingBits(ParseFailure):
 
 def _clean(bits: str) -> str:
     out = "".join(bits.split())
-    if out.strip("01"):
+    if out.count("0") + out.count("1") != len(out):
         raise ValueError(f"program text must be 0s and 1s: {bits!r}")
     return out
 
 
-_OPEN = {"0": -1, "1": 1}.__getitem__  # change in the count of open subterms
-
-
-def _check(s: str) -> None:
-    """Raise Incomplete or TrailingBits unless s is exactly one program."""
-    try:
-        # the bits read when the count first closes every open subterm
-        end = indexOf(accumulate(map(_OPEN, s), initial=1), 0)
-    except ValueError:
-        raise Incomplete(1 + s.count("1") - s.count("0")) from None
-    if end != len(s):
-        raise TrailingBits(end)
+# a subprogram of at least this many bits that parse builds a second time is
+# remembered, keyed by its first _SKIP_BITS bits, and skipped from then on
+_SKIP_BITS = 32
 
 
 def parse(bits: str) -> Term:
-    """Parse a program, ignoring whitespace. Raises Incomplete or TrailingBits."""
+    """Parse a program, ignoring whitespace. Raises Incomplete or TrailingBits.
+
+    One left-to-right scan: a '1' opens an application, and each finished
+    subterm is the function of the innermost open one or, once it has that,
+    its argument, which finishes it as the one cell over the pair; the
+    children are shared already, so the pair of objects names the
+    subprogram. Spellings built twice are jumped over (see the module).
+    """
     s = _clean(bits)
-    _check(s)
-    # build right to left: each '0' pushes a leaf, each '1' folds the top two
-    # into the one cell over that pair; the children are shared already, so
-    # the pair of objects names the subprogram
-    stack: list[Term] = []
+    n = len(s)
+    # the open applications, innermost last: None until the function is
+    # finished, then the function, waiting for its argument
+    stack: list[Term | None] = []
     push, pop = stack.append, stack.pop
     cells: dict[tuple[Term, Term], Cell] = {}
-    for c in reversed(s):
-        if c == "0":
-            push(IOTA)
-            continue
-        key = pop(), pop()
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = Cell(*key)
-        push(cell)
-    return stack[0]
+    # spellings of subprograms built twice, the first for each prefix, n
+    # characters at most in all
+    seen: dict[str, tuple[str, Cell]] = {}
+    room = n
+    it = iter(s)
+    left = it.__length_hint__  # exact for a string: the bits not yet read
+    try:
+        for c in it:
+            if c == "0":
+                t = IOTA
+            elif not seen:
+                push(None)
+                continue
+            else:
+                at = n - left() - 1
+                hit = seen.get(s[at : at + _SKIP_BITS])
+                if hit is None or not s.startswith(hit[0], at):
+                    push(None)
+                    continue
+                spelling, t = hit
+                next(islice(it, len(spelling) - 2, None))
+            # t is finished; an empty stack (IndexError) means t is the program
+            while (f := stack[-1]) is not None:
+                pop()
+                key = f, t
+                t = cells.get(key)
+                if t is None:
+                    t = cells[key] = Cell(*key)
+                elif _SKIP_BITS <= t.size <= room:
+                    # a program has as many bits as nodes
+                    end = n - left()
+                    start = end - t.size
+                    prefix = s[start : start + _SKIP_BITS]
+                    if prefix not in seen:
+                        seen[prefix] = s[start:end], t
+                        room -= t.size
+            stack[-1] = t
+    except IndexError:
+        if left():
+            raise TrailingBits(n - left()) from None
+        return t
+    raise Incomplete(1 + s.count("1") - s.count("0"))
 
 
 def is_program(bits: str) -> bool:
     try:
-        _check(_clean(bits))
-        return True
+        parse(bits)
     except ParseFailure:
         return False
+    return True
 
 
 _SPELLINGS = {"i": "0", "K": "1010100", "S": "101010100"}

@@ -89,6 +89,14 @@ def test_iota_executable():
     assert m.run("100") == unparse(run_program("100").term)
 
 
+@pytest.mark.parametrize("w", ["2", "1 0 0", " 0", "0\n", "1x0", "١٠٠"])
+def test_iota_run_of_a_non_bit_string_is_outside_the_domain(w):
+    # as on a table: the domain holds bit strings only, so no character is
+    # dropped and none raises
+    assert ExecutableMachine(Builtin("iota")).run(w) is None
+    assert ExecutableMachine(FiniteTable(("100",), ("1",))).run(w) is None
+
+
 def test_universal_routing():
     v1 = FiniteTable(("0",), ("1",))
     v2 = FiniteTable(("",), ("0",))

@@ -5,15 +5,22 @@ walks a term down its application cells, builds the cells each rule's
 right-hand side names, and charges every step through its own copy of the
 meter's `spend`, which also keeps the peak size. It knows nothing of shared
 cells and steps through them. The reference parser counts open subterms in
-a Python loop and then builds a plain term. The library's argument-stack
-kernel, with the jumps its shared cells allow, its parser and the
+a Python loop and then builds a plain term right to left; the parser's
+memory bound compares it with the build of the library's former two-pass
+parser, one shared cell per distinct subprogram. The library's
+argument-stack kernel, with the jumps its shared cells allow, its one-scan
+parser, with the jumps over spellings it has built twice, and the
 complexity search's program filter must agree with them on every head,
 argument, step count, size count, peak size, output and error.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
+import random
+import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -106,6 +113,21 @@ def _two_pass_parse(bits: str):
     return stack[0]
 
 
+def _shared_build(s: str):
+    # the two-pass parser's build, right to left with one cell per distinct
+    # pair, for the memory it took
+    stack, cells = [], {}
+    for c in reversed(s):
+        if c == "0":
+            stack.append(IOTA)
+        else:
+            key = stack.pop(), stack.pop()
+            if key not in cells:
+                cells[key] = Cell(*key)
+            stack.append(cells[key])
+    return stack[0]
+
+
 def _outcome(fn, *args):
     """A call's value, or its exception's class, message and attributes."""
     try:
@@ -176,6 +198,8 @@ def _reduced(t, steps, sizes):
 
 
 def _parent_run(machine, w):
+    if w.strip("01"):
+        return None  # the domain holds bit strings only, as a table's does
     try:
         term = _two_pass_parse(w)
     except ParseFailure:
@@ -275,6 +299,116 @@ def _subterms(t):
     return list(seen.values())
 
 
+def _parse_agrees(text):
+    """parse and is_program against the two-pass parser; a program parses to
+    one cell per distinct subprogram."""
+    ref = _outcome(_two_pass_parse, text)
+    got = _outcome(iota.parse, text)
+    assert _same(got, ref)
+    program = _outcome(iota.is_program, text)
+    if ref[0] == "value" or ref[1][0] in (Incomplete, TrailingBits):
+        assert program == ("value", ref[0] == "value")
+    else:
+        assert program == ref
+    if got[0] == "value":
+        cells = [u for u in _subterms(got[1]) if isinstance(u, App)]
+        assert all(type(u) is Cell for u in cells)
+        assert len({iota.unparse(u) for u in cells}) == len(cells)
+
+
+def _variants(bits, cut, flip, pad):
+    # the spelling, cut short, extended, and with one bit flipped
+    return bits, bits[:cut], bits + pad, bits[:flip] + "10"[int(bits[flip])] + bits[flip + 1 :]
+
+
+# lists whose elements repeat the pairing spelling, so parse skips it from the
+# third element on; "1" + P + F and "1" + P + T begin with the same 32 bits
+_LISTS = [encode(w) for encode in (encode_bits, _encode2) for w in ("", "1", "0110", "1" * 9, "01" * 7)]
+
+
+@pytest.mark.parametrize("bits", _LISTS, ids=range(len(_LISTS)))
+def test_parse_of_lists_and_their_variants_matches_the_two_pass_parser(bits):
+    n = len(bits)
+    for at in sorted({*range(0, n, max(1, n // 23)), n - 1}):
+        for text in _variants(bits, at, at, "0" if at % 2 else bits):
+            _parse_agrees(text)
+    _parse_agrees(" ".join(bits[i : i + 7] for i in range(0, n, 7)))
+
+
+def test_parse_skips_the_spellings_it_has_built_twice():
+    # a pairing spelling remembered at the second element is taken whole at
+    # every later one; a bit flipped in it makes that element a plain read
+    bits = encode_bits("0" * 8)
+    with mock.patch.object(iota, "islice", wraps=iota.islice) as skip:
+        t = iota.parse(bits)
+    assert skip.call_count >= 6
+    assert term_eq(t, _two_pass_parse(bits)) and iota.unparse(t) == bits
+    late = bits.rindex(iota.iota_constants().P) + 40
+    _parse_agrees(bits[:late] + "10"[int(bits[late])] + bits[late + 1 :])
+
+
+def _random_program(rng, n):
+    # a uniformly random program of n bits (n odd), by the cycle lemma: of the
+    # rotations of a shuffled word with one 0 more than 1s, the one after the
+    # first lowest point of its open-subterm count is the one program
+    word = ["1"] * (n // 2) + ["0"] * (n // 2 + 1)
+    rng.shuffle(word)
+    need, low, at = 1, 1, 0
+    for i, c in enumerate(word):
+        need += 1 if c == "1" else -1
+        if need < low:
+            low, at = need, i + 1
+    return "".join(word[at:] + word[:at])
+
+
+def _stress_input(kind, scale):
+    rng = random.Random(11)
+    if kind == "random":
+        return _random_program(rng, 10 ** 6 // scale + 1)
+    if kind == "comb":
+        return "10" * (200_000 // scale) + "0"
+    # distinct random programs, each spelled twice: every subprogram of the
+    # second copies is built twice and remembered, and none is seen again
+    parts = list(dict.fromkeys(_random_program(rng, 201) for _ in range(2000 // scale))) * 2
+    rng.shuffle(parts)
+    return "1" * (len(parts) - 1) + "".join(parts)
+
+
+def _peak(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cpu_time(fn, arg):
+    gc.collect()  # no garbage of an earlier run is collected in this one
+    start = time.process_time()
+    fn(arg)
+    return time.process_time() - start
+
+
+@pytest.mark.parametrize("kind", ["random", "comb", "twice"])
+def test_parse_of_inputs_without_skips_stays_linear(kind):
+    # a 1M-bit random program, a 400K-bit right comb and 2,000 programs of
+    # 201 bits each spelled twice: the skip check and its memo cost time and
+    # memory, but time stays linear in size and the peak within twice the
+    # former parser's. A doubling takes 1.6 to 3 times as long for the former
+    # parser too (caches, allocation), so the bound is over a quadrupling:
+    # 8 times, where a quadratic cost would take 16
+    quarter, full = _stress_input(kind, 4), _stress_input(kind, 1)
+    t = iota.parse(full)
+    assert iota.unparse(t) == full
+    del t
+    times = {len(s): [] for s in (quarter, full)}
+    for s in (quarter, full, quarter, full):
+        times[len(s)].append(_cpu_time(iota.parse, s))
+    assert min(times[len(full)]) <= 8 * min(times[len(quarter)])
+    assert _peak(iota.parse, quarter) <= 2 * _peak(_shared_build, quarter)
+
+
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
@@ -324,13 +458,17 @@ if given is not None:
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="01 \n2", max_size=40))
     def test_parse_matches_the_two_pass_parser(text):
-        ref = _outcome(_two_pass_parse, text)
-        assert _same(_outcome(iota.parse, text), ref)
-        program = _outcome(iota.is_program, text)
-        if ref[0] == "value" or ref[1][0] in (Incomplete, TrailingBits):
-            assert program == ("value", ref[0] == "value")
-        else:
-            assert program == ref
+        _parse_agrees(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.text(alphabet="01", max_size=12), second=st.booleans(), data=st.data())
+    def test_parse_of_list_variants_matches_the_two_pass_parser(w, second, data):
+        # lists long enough to reach the skips, spelled with either pairing
+        bits = (_encode2 if second else encode_bits)(w)
+        cut, flip = (data.draw(st.integers(0, len(bits) - 1), label=k) for k in ("cut", "flip"))
+        pad = data.draw(st.text(alphabet="01", min_size=1, max_size=40), label="pad")
+        for text in _variants(bits, cut, flip, pad):
+            _parse_agrees(text)
 
     # ---------------------------------------------------------------------------
     # shared cells
