@@ -19,7 +19,7 @@ _DROP_BITS = str.maketrans("", "", "01")
 def validate_bits(w: str, error: type[ValueError] = ValueError) -> str:
     """Return w unchanged if it consists only of 0s and 1s (empty allowed);
     otherwise raise error."""
-    if w.strip("01"):
+    if w.count("0") + w.count("1") != len(w):
         raise error(f"not a bit string: {w!r}")
     return w
 

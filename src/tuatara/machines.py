@@ -36,8 +36,8 @@ from .binstr import (
     all_bits, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_all_bits, validate_bits,
 )
 from .numerics import (
-    Enclosure, check_power, check_root_cap, first_primes, frac_text, inverse_root, log2_bounds,
-    pow2_bounds, pow_bounds, zeta_tail_factor,
+    Enclosure, _scaled_root, check_power, check_root_cap, dyadic, first_primes, frac_text,
+    inverse_root, log2_bounds, pow2_dyadic, pow_bounds, zeta_tail_factor,
 )
 
 DEFAULT_BUDGET = 10 ** 5
@@ -299,7 +299,7 @@ class DomainStream:
 def _tail_upper(stream: DomainStream, ell: int, s: Fraction, kind: str) -> Fraction | None:
     """The smaller of the stream's tail bound past length ell and the
     majorant over all strings longer than ell, or None if neither exists."""
-    bounds = (stream.tail_bound(ell, s, kind), _universal_tail(stream, ell, s, kind))
+    bounds = (stream.tail_bound(ell, s, kind), _universal_tail(ell, s, kind))
     return min((b for b in bounds if b is not None), default=None)
 
 
@@ -313,32 +313,35 @@ def _once(stream, key, make: Callable[[], object]):
     return memo[key]
 
 
-def _series_factor(r: Fraction) -> Fraction | None:
-    """1/(1 - r), the sum of r^k over k >= 0, or None where that diverges."""
-    return None if r >= 1 else 1 / (1 - r)
-
-
-def _geometric_tail(stream, e: Fraction, m: int) -> Fraction | None:
-    """Upper bound on the sum of 2^(e k) over k >= m, 2^(e m)/(1 - 2^e), or
-    None where that diverges; 1/(1 - 2^e) is made once per stream and e."""
-    factor = _once(stream, ("series", e), lambda: _series_factor(pow2_bounds(e, _TERM_PREC).hi))
-    if factor is None:
+def _geometric_tail(n: int, b: int, m: int) -> Fraction | None:
+    """Upper bound on the sum of 2^(n k/b) over k >= m, 2^(n m/b)/(1 - 2^(n/b))
+    with both powers rounded up, or None where that diverges: with
+    2^(n/b) <= q 2^x and 2^(n m/b) <= t 2^y, it is t 2^(y-x)/(2^-x - q)."""
+    _, q, x = pow2_dyadic(n, b, _TERM_PREC)
+    d = (1 << -x) - q if x < 0 else 0
+    if d <= 0:
         return None
-    return pow2_bounds(e * m, _TERM_PREC).hi * factor
+    _, t, y = pow2_dyadic(n * m, b, _TERM_PREC)
+    return Fraction(t << (y - x), d) if y >= x else Fraction(t, d << (x - y))
 
 
-def _universal_tail(stream, ell: int, s: Fraction, kind: str) -> Fraction | None:
+def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     """Tail majorant valid for every domain: all strings longer than ell."""
     if s <= 1:
         return None
+    a, b = s.numerator, s.denominator
     if kind == "omega":
         # 2^k strings of length k, each of weight 2^(-s k)
-        return _geometric_tail(stream, 1 - s, max(ell + 1, 0))
-    # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1;
-    # below length 0 the empty string adds its index 1 and weight 1
+        return _geometric_tail(b - a, b, max(ell + 1, 0))
+    # zeta: sum over n > N of n^(-s) <= N^(1-s)/(s-1) with N = 2^(ell+1) - 1
+    # and N^(1-s) <= 2^p/r (exact at integer s); below length 0 the empty
+    # string adds its index 1 and weight 1
     n_min = (1 << (max(ell, 0) + 1)) - 1
-    head = 1 if ell < 0 else 0
-    return head + pow_bounds(Fraction(n_min), 1 - s, _TERM_PREC).hi / (s - 1)
+    check_root_cap(b, _TERM_PREC + 4)
+    check_power(n_min, a - b)
+    p, r = inverse_root(n_min, 1, a - b, b, _TERM_PREC)
+    den = r * (a - b)
+    return Fraction((b << p) + (den if ell < 0 else 0), den)
 
 
 class _FiniteStream(DomainStream):
@@ -449,13 +452,15 @@ class _LukasiewiczStream(DomainStream):
             return iota_mod.program_tail_weight(n0)
         if s < 1:
             return None
-        if s.denominator == 1:  # exact, as is every power at integer s
-            tail = _geometric_tail(self, 2 * (1 - s), n0 + 1)
-        else:  # one rounded q, raised to the power
-            q = pow2_bounds(2 * (1 - s), _TERM_PREC).hi
-            factor = _series_factor(q)
-            tail = None if factor is None else q ** (n0 + 1) * factor
-        return None if tail is None else tail * pow2_bounds(s - 2, _TERM_PREC).hi
+        a, b = s.numerator, s.denominator
+        if b == 1:  # exact, as is every power at integer s
+            tail = _geometric_tail(2 - 2 * a, 1, n0 + 1)
+        else:  # one rounded q = r 2^y, raised to the power: q^(n0+1)/(1 - q)
+            _, r, y = pow2_dyadic(2 * (b - a), b, _TERM_PREC)
+            d = (1 << -y) - r
+            tail = None if d <= 0 else Fraction(r ** (n0 + 1), d << (-y * n0))
+        _, h, x = pow2_dyadic(a - 2 * b, b, _TERM_PREC)
+        return None if tail is None else tail * dyadic(h, x)
 
 
 class _IotaHaltingStream(DomainStream):
@@ -493,7 +498,7 @@ class _GeometricStream(DomainStream):
 
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # base strings 0^i 1 with i >= max(ell, 0) have length > ell
-        base = _geometric_tail(self, -s, max(ell, 0) + 1)
+        base = _geometric_tail(-s.numerator, s.denominator, max(ell, 0) + 1)
         return None if base is None else base + self.extras.tail_bound(ell, s, kind)
 
 
@@ -622,10 +627,10 @@ class _ProductStream(_MultisetStream):
     def _closed_form(self, s: Fraction) -> Fraction | None:
         total = Fraction(1)
         for d in self._lengths:
-            factor = _series_factor(_weight_interval(d, s, "omega")[1])
-            if factor is None:
+            r = _weight_interval(d, s, "omega")[1]
+            if r >= 1:  # the series of r^k diverges
                 return None
-            total *= factor
+            total /= 1 - r
         return total
 
 
@@ -838,17 +843,14 @@ def _weight_interval(key: int, s: Fraction, kind: str) -> tuple[Fraction, Fracti
     omega kind, where key is a length, and key^(-s) for the zeta kind, where
     key is an index."""
     if kind == "omega":
-        if s.denominator == 1:
-            check_power(2, s.numerator * key)
-            v = Fraction(1, 1 << (s.numerator * key))
-            return v, v
-        b = pow2_bounds(-s * key, _TERM_PREC)
-    else:
-        if s.denominator == 1:
-            check_power(key, s.numerator)
-            v = Fraction(1, key ** s.numerator)
-            return v, v
-        b = pow_bounds(Fraction(key), -s, _TERM_PREC)
+        m, m_hi, x = pow2_dyadic(-s.numerator * key, s.denominator, _TERM_PREC)
+        lo = dyadic(m, x)
+        return lo, lo if m == m_hi else dyadic(m_hi, x)
+    if s.denominator == 1:
+        check_power(key, s.numerator)
+        v = Fraction(1, key ** s.numerator)
+        return v, v
+    b = pow_bounds(Fraction(key), -s, _TERM_PREC)
     return b.lo, b.hi
 
 
@@ -885,8 +887,10 @@ class _IntervalAcc:
       them. A block past the guard is halved, and a few keys go in one at
       a time, so the switch to the grid comes at the same term. On the grid
       it is one floor division per key, summed in one pass.
-    - add_ratio(num, d_lo, d_hi) adds num/d_lo <= t <= num/d_hi, as the zeta
-      kind does at non-integer s; exact mode takes the integers unreduced.
+    - add_roots(keys, a, b) adds 2^p/(r + 1) <= key^(-a/b) <= 2^p/r for a
+      block of keys, r one certified root each, as the zeta kind does at
+      s = a/b; exact mode takes the integers unreduced, a key at a time, and
+      the grid one floor and one ceiling division per key, summed in one pass.
 
     So an exhaustible stream at integer s comes out exact (lo == hi) only
     while its denominators stay small: omega sums of finite tables do, but
@@ -985,11 +989,31 @@ class _IntervalAcc:
             i += 1
         return i
 
-    def add_ratio(self, num: int, d_lo: int, d_hi: int) -> None:
-        if self.exact:
-            return self._add_exact(num, d_lo, num, d_hi)
-        self.lo_i += (num << _ACC_BITS) // d_lo
-        self.hi_i -= (-num << _ACC_BITS) // d_hi
+    def add_roots(self, keys: Sequence[int], a: int, b: int) -> None:
+        """Add key^(-a/b) for each key >= 1 from r = floor(2^p key^(a/b)) >=
+        2^p, p = _TERM_PREC + 4. On the grid a key past the cut has key^(a/b)
+        > 2^_ACC_BITS: its term floors to 0 and ceils to 1 unit, which goes in
+        with no root. Exact mode, where every sum starts, checks the root and
+        power caps; past it the root cap holds, as b is the same, and a key
+        below the cut has floor(log2 key) <= _ACC_BITS b, under the power cap."""
+        p, i = _TERM_PREC + 4, 0
+        while self.exact and i < len(keys):
+            check_root_cap(b, p)
+            check_power(keys[i], a)
+            r = _scaled_root(keys[i] ** a, 1, b, p)
+            self._add_exact(1 << p, r + 1, 1 << p, r)
+            i += 1
+        one, cut = 1 << (p + _ACC_BITS), 1 << (_ACC_BITS * b // a + 1)
+        lo = hi = 0
+        for key in keys[i:]:
+            if key >= cut:
+                hi += 1
+            else:
+                r = _scaled_root(key ** a, 1, b, p)
+                lo += one // (r + 1)
+                hi -= -one // r
+        self.lo_i += lo
+        self.hi_i += hi
 
     @property
     def lo(self) -> Fraction:
@@ -1000,30 +1024,6 @@ class _IntervalAcc:
         if not self.exact:
             return Fraction(self.hi_i, _ACC_ONE)
         return Fraction(self.ln, self.ld) if self.hn is None else Fraction(self.hn, self.hd)
-
-
-def _root_terms(s: Fraction) -> Callable[[_IntervalAcc, int], None]:
-    """The adder of zeta terms key^-s at non-integer s: one certified root
-    each, in integers. Past exact mode a key >= cut has key^s > 2^_ACC_BITS,
-    so r >= 2^(p + _ACC_BITS) and the root's enclosure would floor to 0 and
-    ceil to 1 grid unit: that unit goes in with no root. The terms of exact
-    mode, where every sum starts, check inverse_root's caps; past it the
-    root cap holds, as b is the same, and a key below cut has
-    a floor(log2 key) <= _ACC_BITS b, far below the power cap."""
-    a, b = s.numerator, s.denominator
-    cut = 1 << (_ACC_BITS * b // a + 1)
-
-    def add(acc: _IntervalAcc, key: int) -> None:
-        if acc.exact:
-            check_root_cap(b, _TERM_PREC + 4)
-            check_power(key, a)
-        elif key >= cut:
-            acc.hi_i += 1
-            return
-        p, r = inverse_root(key, 1, a, b, _TERM_PREC)
-        acc.add_ratio(1 << p, r + 1, r)
-
-    return add
 
 
 def _element_stop(s: Fraction) -> int:
@@ -1072,7 +1072,6 @@ class _Sum:
         a, b = s.numerator, s.denominator
         self.stop_len = None if stream.exhaustible or self.tail_at else _STOP_BITS * b // a + 1
         self.k = a if b == 1 else 0
-        self.add_root = None if kind == "omega" or self.k else _root_terms(s)
 
     def _add_run(self) -> None:
         if self.run:
@@ -1102,8 +1101,7 @@ class _Sum:
             elif self.k:
                 self.acc.add_inverses(block, self.k)
             else:
-                for key in block:
-                    self.add_root(self.acc, key)
+                self.acc.add_roots(block, self.s.numerator, self.s.denominator)
             self.consumed += len(block)
         return self.consumed < self.limit
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import compress
-from math import comb, isqrt, log, log2
+from math import comb, gcd, isqrt, lcm, log, log2
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -486,16 +486,30 @@ def _pow2_root(f: int, b: int, prec: int) -> int:
     return _ikroot(1 << (f + b * prec), b)
 
 
-def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
-    """Interval around 2^e with relative width about 2^-prec; e any rational."""
-    # 2^e = 2^c 2^(f/b) with 0 <= f < b, inside 2^c [s, s + 1] / 2^prec if f > 0
-    c, f = divmod(e.numerator, e.denominator)
+def pow2_dyadic(n: int, b: int, prec: int) -> tuple[int, int, int]:
+    """(m, m', x) with m 2^x <= 2^(n/b) <= m' 2^x, for b >= 1 and the
+    exponent's integer part c checked against the power cap: m = m' = 1 and
+    x = c where n/b is an integer, else m = floor(2^prec 2^(f/b)) for its
+    fraction f/b in lowest terms, m' = m + 1 and x = c - prec."""
+    g = gcd(n, b)
+    c, f = divmod(n // g, b // g)
     check_power(2, abs(c))
     if f == 0:
-        return Enclosure.exact(Fraction(2) ** c)
-    s = _pow2_root(f, e.denominator, prec)
-    up, down = max(c - prec, 0), max(prec - c, 0)
-    return Enclosure(Fraction(s << up, 1 << down), Fraction((s + 1) << up, 1 << down))
+        return 1, 1, c
+    m = _pow2_root(f, b // g, prec)
+    return m, m + 1, c - prec
+
+
+def dyadic(m: int, x: int) -> Fraction:
+    """m 2^x as a Fraction."""
+    return Fraction(m << x) if x >= 0 else Fraction(m, 1 << -x)
+
+
+def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
+    """Interval around 2^e with relative width about 2^-prec; e any rational."""
+    m, m_hi, x = pow2_dyadic(e.numerator, e.denominator, prec)
+    lo = dyadic(m, x)
+    return Enclosure(lo, lo if m == m_hi else dyadic(m_hi, x))
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +536,26 @@ def zeta_tail_factor(s: Fraction, n: int, terms: int) -> Enclosure:
     1/(s-1) + 1/(2n) + sum over k <= terms of B_2k/(2k)! s(s+1)...(s+2k-2) n^-2k
     up to a remainder. For real s > 1 the remainder is at most the first
     omitted term (k = terms + 1) in magnitude (H. M. Edwards, Riemann's Zeta
-    Function, 1974, §6.4), and it is taken on both sides."""
+    Function, 1974, §6.4), and it is taken on both sides. At s = a/b every
+    term is an integer over 2 (a-b) L W b n^2, L the least common multiple of
+    the Bernoulli denominators and W the product of w_k = (2k+1)(2k+2)(nb)^2;
+    term k's is (a-b) L B_2k a(a+b)...(a+(2k-2)b) w_k...w_terms, by Horner."""
     if s <= 1 or n < 1 or terms < 0:
         raise ValueError("zeta_tail_factor requires s > 1, n >= 1 and terms >= 0")
-    c = 1 / (s - 1) + Fraction(1, 2 * n)
-    x = Fraction(1, n * n)
-    # t = s(s+1)...(s+2k-2) n^-2k / (2k)!, from k = 1
-    t = s * x / 2
+    a, b = s.numerator, s.denominator
+    bs = [bernoulli(2 * k) for k in range(terms + 2)]
+    big_l = lcm(*(x.denominator for x in bs))
+    c = [big_l // x.denominator * x.numerator for x in bs]
+    nb2, acc, w, p = (n * b) ** 2, 0, 1, a
     for k in range(1, terms + 1):
-        c += bernoulli(2 * k) * t
-        t *= (s + 2 * k - 1) * (s + 2 * k) * x / ((2 * k + 1) * (2 * k + 2))
-    r = abs(bernoulli(2 * terms + 2) * t)
-    return Enclosure(max(c - r, _ZERO), c + r)
+        wk = (2 * k + 1) * (2 * k + 2) * nb2
+        acc = (acc + c[k] * p) * wk
+        w *= wk
+        p *= (a + (2 * k - 1) * b) * (a + 2 * k * b)
+    num = w * big_l * n * b * (2 * n * b + a - b) + (a - b) * acc
+    rem = (a - b) * abs(c[terms + 1] * p)
+    den = 2 * (a - b) * big_l * w * b * n * n
+    return Enclosure(Fraction(max(num - rem, 0), den), Fraction(num + rem, den))
 
 
 # ---------------------------------------------------------------------------

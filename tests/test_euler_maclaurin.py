@@ -4,7 +4,8 @@ Past a budget of _EM_HEAD terms the sum engine stops at _EM_HEAD and
 brackets the rest by Euler–Maclaurin summation. These tests check the
 Bernoulli numbers behind it, that each enclosure holds the truth and nests
 inside the integral-test sum it replaces, and that it agrees with the same
-bracket taken ten times further out.
+bracket taken ten times further out. The factor, summed in integers over one
+denominator, must equal the chain of Fractions it replaced, kept here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from tuatara.machines import (
     Builtin,
     _element_stop,
     _IntervalAcc,
-    _root_terms,
     weighted_domain_sum,
 )
 from tuatara.numerics import Enclosure, bernoulli, pow_bounds, zeta_tail_factor
@@ -41,6 +41,53 @@ def test_bernoulli_numbers():
         bernoulli(-1)
 
 
+def _fraction_tail_factor(s: F, n: int, terms: int) -> Enclosure:
+    """zeta_tail_factor as a chain of Fractions, the form it had before its
+    terms were summed as integers over one denominator."""
+    if s <= 1 or n < 1 or terms < 0:
+        raise ValueError("zeta_tail_factor requires s > 1, n >= 1 and terms >= 0")
+    c = 1 / (s - 1) + F(1, 2 * n)
+    x = F(1, n * n)
+    t = s * x / 2
+    for k in range(1, terms + 1):
+        c += bernoulli(2 * k) * t
+        t *= (s + 2 * k - 1) * (s + 2 * k) * x / ((2 * k + 1) * (2 * k + 2))
+    r = abs(bernoulli(2 * terms + 2) * t)
+    return Enclosure(max(c - r, F(0)), c + r)
+
+
+def _outcome(f, *args):
+    """f's value, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2, 40])
+def test_tail_factor_equals_its_fraction_chain(terms):
+    # denominators up to 1598, the largest under the root cap at the term
+    # precision
+    for b in (1, 2, 3, 7, 10, 101, 1000, 1597, 1598):
+        for a in (b + 1, 2 * b + 1, 3 * b + 2, 9 * b + 1, 40 * b + 1):
+            s = F(a, b)
+            for n in (1, 2, 3, 25, 1000, 10 ** 9):
+                want = _outcome(_fraction_tail_factor, s, n, terms)
+                assert _outcome(zeta_tail_factor, s, n, terms) == want, (s, n)
+    # at n = 1 and s = 9 the remainder passes the sum, and lo is cut to 0
+    want = _fraction_tail_factor(F(9), 1, terms)
+    assert zeta_tail_factor(F(9), 1, terms) == want and want.lo == 0
+
+
+def test_tail_factor_argument_errors():
+    message = "zeta_tail_factor requires s > 1, n >= 1 and terms >= 0"
+    for s, n, terms in ((F(1), 5, 2), (F(1, 2), 5, 2), (F(-3), 5, 2), (F(2), 0, 2),
+                        (F(3, 2), -1, 2), (F(2), 5, -1)):
+        with pytest.raises(ValueError) as exc:
+            zeta_tail_factor(s, n, terms)
+        assert str(exc.value) == message == _outcome(_fraction_tail_factor, s, n, terms)
+
+
 def _parent_sums(s: F, budgets):
     """The index sum over all_strings as the engine took it before the
     Euler–Maclaurin close: the terms n <= min(budget, _element_stop(s)) on
@@ -48,15 +95,14 @@ def _parent_sums(s: F, budgets):
     enclosure per budget, in ascending order."""
     stop = _element_stop(s)
     acc = _IntervalAcc()
-    add = _root_terms(s) if s.denominator > 1 else None
     n = 0
     for budget in budgets:
         while n < min(budget, stop):
             n += 1
-            if add is None:
+            if s.denominator == 1:
                 acc.add_inverses((n,), s.numerator)
             else:
-                add(acc, n)
+                acc.add_roots((n,), s.numerator, s.denominator)
         b = pow_bounds(F(n + 1), 1 - s, _TERM_PREC)
         yield Enclosure(acc.lo + b.lo / (s - 1), acc.hi + b.hi / (n + 1) + b.hi / (s - 1))
 

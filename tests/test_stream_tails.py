@@ -28,10 +28,17 @@ strings, and smooth numbers from a heap with a set of every number
 yielded. Where a product's parts are not uniquely decodable, several
 multisets render one string; the multiset counts behind the tail then
 exceed the string counts, so hi may only fall below the reference's.
+
+The references take their powers and weights from Fraction copies of the
+formulas kept here (_pow2, _inverse_pow, _ref_weight), not from the package,
+whose tails and weights are now built from integer parts. A last reference
+is every stream kind's tail as a chain of those Fractions: _tail_upper must
+equal it exactly at every length from -1 to 140, at integer and rational s.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import tracemalloc
@@ -54,7 +61,44 @@ from tuatara.machines import (
     domain_stream,
     weighted_domain_sum,
 )
-from tuatara.numerics import POWER_BITS_CAP, PrecisionLimit, first_primes
+from tuatara.numerics import POWER_BITS_CAP, PrecisionLimit, _ikroot, check_power, first_primes
+
+# ---------------------------------------------------------------------------
+# the weights and powers as Fractions, as the tails and weights took them
+# before they were built from integers; the package lends only the certified
+# integer root and the power cap's check
+
+_PREC = machines._TERM_PREC
+
+
+def _pow2(e):
+    """(lo, hi) around 2^e, as pow2_bounds(e, _PREC) gave them."""
+    c, f = divmod(e.numerator, e.denominator)
+    check_power(2, abs(c))
+    if f == 0:
+        v = F(2) ** c
+        return v, v
+    s = _ikroot(1 << (f + e.denominator * _PREC), e.denominator)
+    up, down = max(c - _PREC, 0), max(_PREC - c, 0)
+    return F(s << up, 1 << down), F((s + 1) << up, 1 << down)
+
+
+def _inverse_pow(n, e):
+    """(lo, hi) around n^-e for integer n >= 1 and rational e > 0, as
+    pow_bounds(F(n), -e, _PREC) gave them; the caps are not checked."""
+    a, b = e.numerator, e.denominator
+    if b == 1:
+        v = F(1, n ** a)
+        return v, v
+    p = _PREC + 4
+    r = _ikroot(n ** a << (b * p), b)  # at least 2^p, as n >= 1
+    return F(1 << p, r + 1), F(1 << p, r)
+
+
+def _ref_weight(key, s, kind):
+    """_weight_interval as it was: 2^(-s key) or key^-s."""
+    return _pow2(-s * key) if kind == "omega" else _inverse_pow(key, s)
+
 
 # ---------------------------------------------------------------------------
 # the earlier stream layer
@@ -102,7 +146,7 @@ def _old_strings_tail(strings, ell, s, kind):
     for w in strings:
         if len(w) > ell:
             key = len(w) if kind == "omega" else bin_inv(w)
-            acc += _weight_interval(key, s, kind)[1]
+            acc += _ref_weight(key, s, kind)[1]
     return acc
 
 
@@ -135,7 +179,7 @@ class _RefAllStrings(_RefStream):
     def total_upper(self, s, kind):
         if kind != "omega" or s <= 1:
             return None
-        r = machines.pow2_bounds(1 - s, machines._TERM_PREC).hi
+        r = _pow2(1 - s)[1]
         return None if r >= 1 else 1 / (1 - r)
 
 
@@ -174,10 +218,10 @@ class _RefLukasiewicz(_RefStream):
             return F(comb(2 * n0, n0), 4 ** n0)
         if s < 1:
             return None
-        q = machines.pow2_bounds(2 * (1 - s), machines._TERM_PREC).hi
+        q = _pow2(2 * (1 - s))[1]
         if q >= 1:
             return None
-        scale = machines.pow2_bounds(s - 2, machines._TERM_PREC).hi
+        scale = _pow2(s - 2)[1]
         return scale * q ** (n0 + 1) / (1 - q)
 
 
@@ -225,10 +269,10 @@ class _RefGeometric(_RefStream):
         if s <= 0:
             return None
         i0 = max(ell, 0)
-        r = machines.pow2_bounds(-s, machines._TERM_PREC).hi
+        r = _pow2(-s)[1]
         if r >= 1:
             return None
-        acc = machines.pow2_bounds(-s * (i0 + 1), machines._TERM_PREC).hi / (1 - r)
+        acc = _pow2(-s * (i0 + 1))[1] / (1 - r)
         return acc + _old_strings_tail(self.extras, ell, s, kind)
 
 
@@ -271,7 +315,7 @@ class _RefProduct(_RefStream):
     def total_upper(self, s, kind):
         acc = F(1)
         for p in self._usable:
-            x = _weight_interval(len(p), s, "omega")[1]
+            x = _ref_weight(len(p), s, "omega")[1]
             if x >= 1:
                 return None
             acc *= 1 / (1 - x)
@@ -284,7 +328,7 @@ class _RefProduct(_RefStream):
         heads = self._heads.setdefault(s, [F(0)])
         while len(heads) <= ell + 1:
             l = len(heads) - 1
-            heads.append(heads[l] + len(self._level(l)) * _weight_interval(l, s, "omega")[0])
+            heads.append(heads[l] + len(self._level(l)) * _ref_weight(l, s, "omega")[0])
         return max(total - heads[ell + 1], F(0))
 
 
@@ -475,7 +519,7 @@ def _ref_sum(stream, s, budget, kind):
         if not stream.exhaustible and s * length > _STOP_BITS:
             stop = "grid"
             break
-        acc.add(*_weight_interval(key, s, kind))
+        acc.add(*_ref_weight(key, s, kind))
         consumed += 1
     else:
         if stream.exhaustible and next(src, None) is None:
@@ -797,6 +841,18 @@ if given is not None:
     def test_random_streams_match_the_string_enumeration(spec):
         _same_enumeration(spec, 120)
 
+    # s = a/b up to 4, for b from 2 to 101; a may share a factor with b
+    _RATIONAL_S = st.integers(2, 101).flatmap(lambda b: st.integers(1, 4 * b).map(lambda a: F(a, b)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_SPECS, s=_RATIONAL_S, ells=st.lists(st.integers(-1, 140), min_size=1, max_size=6))
+    def test_random_integer_tails_equal_their_fraction_chains(spec, s, ells):
+        stream = domain_stream(spec)
+        for ell in ells:
+            for kind in ("omega", "zeta"):
+                want = _fraction_tail_upper(stream, ell, s, kind)
+                assert _tail_upper(stream, ell, s, kind) == want, (kind, s, ell)
+
 
 # ---------------------------------------------------------------------------
 # one geometric series behind the all-strings, geometric and Łukasiewicz tails
@@ -809,13 +865,13 @@ def _ref_universal_tail(ell, s, kind):
     if s <= 1:
         return None
     if kind == "omega":
-        r = machines.pow2_bounds(1 - s, machines._TERM_PREC).hi
+        r = _pow2(1 - s)[1]
         if r >= 1:
             return None
-        return machines.pow2_bounds((1 - s) * max(ell + 1, 0), machines._TERM_PREC).hi / (1 - r)
+        return _pow2((1 - s) * max(ell + 1, 0))[1] / (1 - r)
     n_min = (1 << (max(ell, 0) + 1)) - 1
     head = 1 if ell < 0 else 0
-    return head + machines.pow_bounds(F(n_min), 1 - s, machines._TERM_PREC).hi / (s - 1)
+    return head + _inverse_pow(n_min, s - 1)[1] / (s - 1)
 
 
 _SERIES_EXPONENTS = [F(k) for k in (1, 2, 3, 5, 17, 1000)] + [
@@ -843,6 +899,122 @@ def test_series_tails_match_their_separate_copies(spec):
             for ell in range(-1, 71):
                 want = _min(ref.tail_bound(ell, s, kind), _ref_universal_tail(ell, s, kind))
                 assert _tail_upper(new, ell, s, kind) == want, (kind, s, ell)
+
+
+# ---------------------------------------------------------------------------
+# every tail as one Fraction from integer parts, against the Fraction chains
+
+
+def _fraction_series(e, m):
+    """The geometric tail as a chain of Fractions: 2^(e m)/(1 - 2^e), each
+    power rounded up, or None where it diverges."""
+    r = _pow2(e)[1]
+    return None if r >= 1 else _pow2(e * m)[1] / (1 - r)
+
+
+@functools.cache
+def _product_heads(stream, s):
+    """[0], grown by _fraction_tail_bound to heads[L], the lower weight of a
+    product's multisets shorter than L, as far as it has been asked."""
+    return [F(0)]
+
+
+def _fraction_tail_bound(stream, ell, s, kind):
+    """Each stream kind's tail_bound as it stood, with _pow2 and _ref_weight
+    for its powers; the live stream lends only its domain: keys, parts,
+    multiset counts and operand."""
+    if isinstance(stream, machines._UniversalStream):
+        kind = "omega"  # halting weights bound index weights
+    if isinstance(stream, machines._FiniteStream):
+        keys = (n for n in stream.keys if n.bit_length() - 1 > ell)
+        weights = (_ref_weight(n if kind == "zeta" else n.bit_length() - 1, s, kind)[1] for n in keys)
+        return sum(weights, F(0))
+    if isinstance(stream, (machines._LukasiewiczStream, machines._IotaHaltingStream)):
+        n0 = max((ell + 1) // 2, 0)
+        if s <= 1:
+            return F(comb(2 * n0, n0), 4 ** n0) if s == 1 else None
+        if s.denominator == 1:
+            tail = _fraction_series(2 * (1 - s), n0 + 1)
+        else:
+            q = _pow2(2 * (1 - s))[1]
+            tail = None if q >= 1 else q ** (n0 + 1) / (1 - q)
+        return None if tail is None else tail * _pow2(s - 2)[1]
+    if isinstance(stream, machines._GeometricStream):
+        base = _fraction_series(-s, max(ell, 0) + 1)
+        return None if base is None else base + _fraction_tail_bound(stream.extras, ell, s, kind)
+    if isinstance(stream, machines._PrimeProductStream):
+        if ell >= 0 or s.denominator != 1:
+            return None
+        k = s.numerator
+        euler = F(1)
+        for p, _ in stream.parts:
+            euler *= F(p ** k, p ** k - 1)
+        return euler if kind == "zeta" else 2 ** k * euler
+    if isinstance(stream, machines._ProductStream):
+        total = F(1)
+        for d in stream._lengths:
+            r = _ref_weight(d, s, "omega")[1]
+            if r >= 1:
+                return None
+            total *= 1 / (1 - r)
+        counts, heads = stream._counts_to(ell), _product_heads(stream, s)
+        while len(heads) <= ell + 1:
+            l = len(heads) - 1
+            heads.append(heads[l] + counts[l] * _ref_weight(l, s, "omega")[0])
+        return max(total - heads[ell + 1], F(0))
+    if isinstance(stream, machines._DoubleStream):
+        return _fraction_tail_upper(stream.inner, ell // 2, 2 * s, "omega")
+    if isinstance(stream, machines._TuataraOfStream):
+        if ell >= 0 or s != 1:
+            return None
+        if kind == "zeta":
+            return _fraction_tail_upper(stream.inner, -1, s, "omega")
+        if stream.exhaustible:
+            keys = stream.inner.indices()
+            return sum((F(n, 4 ** (n.bit_length() - 1)) for n in keys), F(0))
+        inner = _fraction_tail_upper(stream.inner, -1, s, "omega")
+        return None if inner is None else 2 * inner
+    assert isinstance(stream, machines._AllStringsStream), stream
+    return None
+
+
+def _fraction_tail_upper(stream, ell, s, kind):
+    return _min(_fraction_tail_bound(stream, ell, s, kind), _ref_universal_tail(ell, s, kind))
+
+
+_EVERY_KIND = {
+    "finite": _PREFIX_FREE,
+    "all_strings": Builtin("all_strings"),
+    "lukasiewicz": _LUKA,
+    "iota": Builtin("iota", step_budget=20, size_budget=13),
+    "geometric": Builtin("geometric", ("11", "0101", "1111")),
+    "product": Construction("product", (FiniteTable(("1", "01", "000")),)),
+    "prime_product": Construction("prime_product", (FiniteTable(("", "0", "1", "01")),)),
+    "double": Construction("double", (_LUKA,)),
+    "double_finite": Construction("double", (_PREFIX_FREE,)),
+    "tuatara_of": Construction("tuatara_of", (_PREFIX_FREE,)),
+    "tuatara_of_lukasiewicz": Construction("tuatara_of", (_LUKA,)),
+    "universal_tuatara": Construction("universal_tuatara", (_PREFIX_FREE, FiniteTable(("1",)))),
+    "universal_convergent": Construction(
+        "universal_convergent", (_PREFIX_FREE, FiniteTable(("01",))), (F(1), F(5, 2))
+    ),
+}
+# integer s, s below 1 (omega tails over doubles read 2s), and s = a/b for b
+# from 2 to 101, near 1 and past 2
+_TAIL_EXPONENTS = [F(1, 2), F(1), F(2), F(3), F(7)] + [
+    F(3, 2), F(5, 3), F(11, 7), F(13, 10), F(73, 50), F(102, 101), F(203, 101),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_KIND))
+def test_integer_tails_equal_their_fraction_chains(name):
+    # one stream serves every exponent, kind and length, as in a sum
+    stream = domain_stream(_EVERY_KIND[name])
+    for s in _TAIL_EXPONENTS:
+        for kind in ("omega", "zeta"):
+            for ell in range(-1, 141):
+                want = _fraction_tail_upper(stream, ell, s, kind)
+                assert _tail_upper(stream, ell, s, kind) == want, (kind, s, ell)
 
 
 def test_each_program_tail_is_made_once_per_sum(monkeypatch):

@@ -13,9 +13,10 @@ was before its grid grew to 2^-192, and every enclosure must nest inside
 that one. A second reference is the run accumulator whose exact mode added
 reduced Fractions; the integer exact mode must agree with it after every
 operation. It is also the reference for zeta terms at non-integer s, which
-the engine adds from the integers of one root and, past exact mode, adds
-with no root at all once a key is far enough below the grid: they must
-equal _weight_interval's Fractions added to it.
+the engine adds a block at a time from the integers of one root each and,
+past exact mode, adds with no root at all once a key is far enough below
+the grid: they must equal _weight_interval's Fractions added to it, and a
+block must equal its keys added one at a time.
 
 weighted_domain_sums serves several (kind, s) requests from one
 enumeration, read a lengths() group at a time: every request must equal
@@ -39,7 +40,7 @@ from math import lcm, prod
 
 import pytest
 
-from tuatara import machines, numerics
+from tuatara import machines
 from tuatara.machines import (
     _ACC_BITS,
     _STOP_BITS,
@@ -47,7 +48,6 @@ from tuatara.machines import (
     Construction,
     FiniteTable,
     _IntervalAcc,
-    _root_terms,
     _tail_upper,
     _pairwise_sum,
     _weight_interval,
@@ -168,9 +168,8 @@ def _replay_roots(s: F, keys, grid: bool) -> None:
         for a in (acc, ref):
             a.add_inverses((3 ** 2600,), 1)  # 4,121 bits
         assert not acc.exact
-    add = _root_terms(s)
     for key in keys:
-        add(acc, key)
+        acc.add_roots((key,), s.numerator, s.denominator)
         ref.add(*_weight_interval(key, s, "zeta"))
         assert (acc.lo, acc.hi, acc.exact) == (ref.lo, ref.hi, ref.exact), (s, key)
 
@@ -380,6 +379,30 @@ def test_root_terms_at_the_cut():
             _replay_roots(s, keys, grid)
 
 
+def test_a_root_block_across_the_guard_adds_as_its_keys_one_at_a_time():
+    # the sum leaves exact mode inside the block: at s = 5/3 at the 25th key
+    # of 2, 3, ..., and further keys fall either side of the cut, 2^116 at
+    # s = 5/3 and 2^129 at s = 3/2; at s = 2001/2 a few keys pass the guard
+    # and every later key is past the cut, 2^1
+    rng = random.Random(30)
+    far = sorted((1 << j) | rng.getrandbits(j) for j in (115, 116, 117, 128, 129) for _ in range(4))
+    keys = list(range(2, 41)) + far
+    for s in (F(5, 3), F(3, 2), F(2001, 2)):
+        block, single, ref = _IntervalAcc(), _IntervalAcc(), _FractionAcc()
+        block.add_roots(keys, s.numerator, s.denominator)
+        halves = _IntervalAcc()
+        for part in (keys[:30], keys[30:]):
+            halves.add_roots(part, s.numerator, s.denominator)
+        for key in keys:
+            single.add_roots([key], s.numerator, s.denominator)
+            ref.add(*_weight_interval(key, s, "zeta"))
+        want = (single.lo, single.hi, single.exact, single.exact_terms)
+        assert 0 < single.exact_terms < 39 and not single.exact, s
+        for acc in (block, halves):
+            assert (acc.lo, acc.hi, acc.exact, acc.exact_terms) == want, s
+        assert (ref.lo, ref.hi, ref.exact) == want[:3], s
+
+
 def test_rational_zeta_sums_take_no_pow_bounds_per_term(monkeypatch):
     # only the tails, one per completed length, go through pow_bounds
     calls = []
@@ -395,10 +418,11 @@ def _table(indices) -> FiniteTable:
 
 
 def test_terms_below_the_grid_take_no_root(monkeypatch):
+    # every root term is one _scaled_root call of the accumulator's
     roots = []
-    scaled_root = numerics._scaled_root
+    scaled_root = machines._scaled_root
     monkeypatch.setattr(
-        numerics, "_scaled_root", lambda *a: roots.append(a) or scaled_root(*a)
+        machines, "_scaled_root", lambda *a: roots.append(a) or scaled_root(*a)
     )
     rng = random.Random(2001)
     # the first of 40 20-bit indices at s = 2001/2 takes the sum past the
@@ -720,13 +744,18 @@ def test_reports_say_where_the_accumulator_left_exact_mode():
 
 
 def test_tail_memos_go_with_their_stream():
+    # lukasiewicz, product and finite tails keep memos on their stream; the
+    # geometric series of all_strings, geometric and double over all_strings
+    # are made afresh in integers, and those streams keep none
+    memos = (_LUKA, STREAMS["product"], STREAMS["finite"])
     for spec in (_ALL, _LUKA, *(STREAMS[k] for k in ("geometric", "product", "double", "finite"))):
         stream = domain_stream(spec)
         for s in (F(2), F(7, 3)):
             for ell in (-1, 0, 5):
                 for kind in ("omega", "zeta"):
                     _tail_upper(stream, ell, s, kind)
-        assert vars(stream)["_constants"]
+        memo = vars(stream).get("_constants")
+        assert memo if spec in memos else memo is None, spec
         gone = weakref.ref(stream)
         del stream
         gc.collect()
