@@ -17,7 +17,9 @@ the total (total_upper takes it, or the majorant over all strings where
 that is smaller). Upper bounds are the least of that total and
 partial sums plus a tail majorant, taken at every length the enumeration
 completed or at the string where a bracketed sum stopped; so a larger
-budget never widens the enclosure of a sum it does not exhaust.
+budget never widens the enclosure of a sum it does not exhaust. Those
+candidates are compared as unreduced integer pairs, and one Fraction is
+built, for the least.
 """
 
 from __future__ import annotations
@@ -1020,10 +1022,16 @@ class _IntervalAcc:
         return Fraction(self.ln, self.ld) if self.exact else Fraction(self.lo_i, _ACC_ONE)
 
     @property
-    def hi(self) -> Fraction:
+    def hi_pair(self) -> tuple[int, int]:
+        """(num, den) with hi == num/den, unreduced: hi_i over _ACC_ONE on
+        the grid, the exact upper (or lower) sum's integers before."""
         if not self.exact:
-            return Fraction(self.hi_i, _ACC_ONE)
-        return Fraction(self.ln, self.ld) if self.hn is None else Fraction(self.hn, self.hd)
+            return self.hi_i, _ACC_ONE
+        return (self.ln, self.ld) if self.hn is None else (self.hn, self.hd)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self.hi_pair)
 
 
 def _element_stop(s: Fraction) -> int:
@@ -1048,15 +1056,20 @@ def _element_stop(s: Fraction) -> int:
 
 class _Sum:
     """One (kind, s) request of weighted_domain_sums: its accumulator, the
-    lengths it completed, how many strings it took and why it stopped."""
+    lengths it completed, how many strings it took and why it stopped.
+
+    reach() keeps each completed length's upper sum as the accumulator's
+    integers (hi_pair). report() forms each candidate (the total, then the
+    bracket or the lengths ascending) as one unreduced integer pair, keeps
+    the least by cross multiplication and builds one Fraction, the winner's."""
 
     def __init__(self, stream: DomainStream, kind: str, s: Fraction, budget: int):
         self.kind, self.s = kind, s
         self.acc = _IntervalAcc()
-        # (ell, upper sum over the strings of length <= ell) for every length
-        # ell >= 0 the enumeration has completed; past length -1, the tail is
-        # the stream's total_upper
-        self.complete: list[tuple[int, Fraction]] = []
+        # (ell, num, den), num/den the upper sum over the strings of length
+        # <= ell, for every length ell >= 0 the enumeration has completed;
+        # past length -1, the tail is the stream's total_upper
+        self.complete: list[tuple[int, int, int]] = []
         self.consumed = 0
         self.stop = "budget"
         # omega weights depend on the length alone, so the strings of one
@@ -1084,7 +1097,7 @@ class _Sum:
         self._add_run()
         self.length = length
         if length:
-            self.complete.append((length - 1, self.acc.hi))
+            self.complete.append((length - 1, *self.acc.hi_pair))
             if self.stop_len is not None and length >= self.stop_len:
                 self.stop = "grid"
                 return False
@@ -1117,21 +1130,24 @@ class _Sum:
         # acc.hi rounds every term up and every tail is an upper bound, so
         # each candidate is sound as it stands; a larger budget passes every
         # length a smaller one did, so the least of them cannot rise with the
-        # budget. A bracketed tail narrows with each string up to limit instead
-        candidates = [("total", stream.total_upper(s, kind))]
+        # budget. A bracketed tail narrows with each string up to limit
+        # instead. A later candidate wins only when strictly less, so ties go
+        # to the first; bn/bd = 1/0 is infinity
+        total = stream.total_upper(s, kind)
+        upper, bn, bd = (None, 1, 0) if total is None else ("total", *total.as_integer_ratio())
         if self.tail_at is not None:
             tail = self.tail_at(self.consumed)
             lo += tail.lo
-            candidates.append(("bracket", acc.hi + tail.hi))
+            sums = [("bracket", *acc.hi_pair, tail.hi)]
         else:
-            for ell, hi_complete in self.complete:
-                tail = _tail_upper(stream, ell, s, kind)
-                candidates.append((ell, None if tail is None else hi_complete + tail))
-        upper, hi = min(
-            ((name, c) for name, c in candidates if c is not None),
-            key=lambda nc: nc[1],
-            default=(None, None),
-        )
+            sums = ((ell, n, d, _tail_upper(stream, ell, s, kind)) for ell, n, d in self.complete)
+        for name, n, d, tail in sums:
+            if tail is not None:
+                tn, td = tail.as_integer_ratio()
+                cn, cd = n * td + tn * d, d * td
+                if cn * bd < bn * cd:
+                    upper, bn, bd = name, cn, cd
+        hi = None if upper is None else Fraction(bn, bd)
         return SumReport(Enclosure(lo, hi), self.consumed, self.stop, upper, exact_terms)
 
 

@@ -306,10 +306,11 @@ class PrecisionLimit(Exception):
 
 
 # cap on k * prec, the scaling bits of a k-th root operand. A root costs Newton
-# steps on cut mantissas and one exact power r^(k-1) of about k prec bits for
-# its certificate, most of the time at large k: on a 2-core x86-64 host a zeta
-# term (prec 164) takes 0.14 ms at k = 100, 4.1 ms at k = 1000 and 8.4 ms at
-# k = 1598, the largest denominator under this cap
+# steps on cut mantissas and, at large k, two cut powers for its certificate;
+# the exact power r^(k-1) of about k prec bits is left for operands next to a
+# perfect power. On a 2-core x86-64 host a zeta term (prec 164) takes 0.02 ms
+# at k = 100, 0.10 ms at k = 1000 and 0.18 ms at k = 1598, the largest
+# denominator under this cap
 ROOT_BITS_CAP = 1 << 18
 
 # cap on e floor(log2 b) for an exact power b^e, such as a term n^s or a tail's
@@ -320,6 +321,12 @@ POWER_BITS_CAP = 1 << 23
 # powers at k = 3 and 5, and by Newton steps on cut mantissas at every other k
 # from this one on, whichever measured fastest (per-k timings in CHANGES.md)
 _MANTISSA_K = 6
+# from this k on, cut powers try the mantissa estimate's certificate before
+# the exact power r^(k-1), which measured faster from about k = 18 on
+_CUT_CERT_K = 18
+# the cut powers' bits past the root's: n falls within their rounding of r^k
+# or (r+1)^k, where the exact power must decide, about once in 2^30
+_CERT_GUARD = 32
 # the estimate's bits below the unit, which keep its floor off by one rarely
 _FRACTION_BITS = 8
 
@@ -339,8 +346,9 @@ def _newton_root(n: int, k: int) -> tuple[int, int]:
         r = ((k - 1) * r + n // q) // k
 
 
-def _cut_pow(y: int, e: int, w: int) -> tuple[int, int]:
-    """(m, c) with m 2^c close below y^e, m cut to w bits after each product."""
+def _cut_pow(y: int, e: int, w: int, up: bool = False) -> tuple[int, int]:
+    """(m, c) with m 2^c close below y^e (above it when up), m cut to w bits
+    after each product, rounded down (up)."""
     m, c = y, 0
     for bit in bin(e)[3:]:
         m *= m
@@ -349,9 +357,21 @@ def _cut_pow(y: int, e: int, w: int) -> tuple[int, int]:
             m *= y
         cut = m.bit_length() - w
         if cut > 0:
-            m >>= cut
+            m = -(-m >> cut) if up else m >> cut
             c += cut
     return m, c
+
+
+def _cut_certified(n: int, r: int, k: int) -> bool:
+    """True when cut powers show r^k <= n < (r+1)^k: r^k <= m 2^c <= n,
+    with m 2^c rounded up, and n < m' 2^c' <= (r+1)^k, rounded down. For
+    integer m, m 2^c <= n exactly when m <= n >> c. False says nothing."""
+    w = r.bit_length() + _CERT_GUARD
+    m, c = _cut_pow(r, k, w, up=True)
+    if m > n >> c:
+        return False
+    m, c = _cut_pow(r + 1, k, w)
+    return m > n >> c
 
 
 def _mantissa_root(n: int, k: int) -> int:
@@ -382,11 +402,12 @@ def _mantissa_root(n: int, k: int) -> int:
 
 
 def _ikroot(n: int, k: int) -> int:
-    """Integer k-th root: the largest r with r**k <= n, certified. The
-    estimate r is checked with one exact power q = r**(k-1): since
-    (r+1)^k >= r^k + k r^(k-1), low = r q <= n < low + k q proves it. An
-    estimate that fails is never used: integer Newton on exact powers finds
-    the root, checked against (r+1)**k."""
+    """Integer k-th root: the largest r with r**k <= n, certified. From
+    k = _CUT_CERT_K on, cut powers first try to show r^k <= n < (r+1)^k.
+    Otherwise the estimate r is checked with one exact power q = r**(k-1):
+    since (r+1)^k >= r^k + k r^(k-1), low = r q <= n < low + k q proves it.
+    An estimate that fails is never used: integer Newton on exact powers
+    finds the root, checked against (r+1)**k."""
     if n < 0 or k < 1:
         raise ValueError("_ikroot requires n >= 0, k >= 1")
     if n < 2 or k == 1:
@@ -403,6 +424,8 @@ def _ikroot(n: int, k: int) -> int:
         r, q = _newton_root(n, k)
     else:
         r = _mantissa_root(n, k)
+        if k >= _CUT_CERT_K and _cut_certified(n, r, k):
+            return r
         q = r ** (k - 1)
     low = r * q
     if not low <= n < low + k * q:
@@ -517,17 +540,33 @@ def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:
 
 
 @functools.cache
+def _tangent_numbers(m: int) -> tuple[int, ...]:
+    """The tangent numbers T_1, ..., T_m (tan x is the sum of
+    T_k x^(2k-1)/(2k-1)!), in about m^2/2 integer steps (R. Brent and
+    P. Zimmermann, Modern Computer Arithmetic, 2010, §4.7.2)."""
+    t = [1] * m
+    for k in range(1, m):
+        t[k] = k * t[k - 1]
+    for k in range(1, m):
+        for j in range(k, m):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
+@functools.cache
 def bernoulli(n: int) -> Fraction:
-    """The Bernoulli number B_n (B_1 = -1/2), by the exact recurrence
-    sum over j <= n of C(n+1, j) B_j = 0 for n >= 1; each is computed on
-    first use and kept."""
+    """The Bernoulli number B_n (B_1 = -1/2): B_2k is
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) for the tangent number T_k, from a
+    table of a power of two entries; each is computed on first use and kept."""
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
-    if n == 0:
-        return _ONE
-    if n > 1 and n % 2:
+    if n < 2:
+        return _ONE if n == 0 else Fraction(-1, 2)
+    if n % 2:
         return _ZERO
-    return -sum((comb(n + 1, j) * bernoulli(j) for j in range(n)), _ZERO) / (n + 1)
+    k = n // 2
+    t = _tangent_numbers(1 << (k - 1).bit_length())[k - 1]
+    return Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
 
 
 def zeta_tail_factor(s: Fraction, n: int, terms: int) -> Enclosure:

@@ -2,7 +2,8 @@
 
 Past a budget of _EM_HEAD terms the sum engine stops at _EM_HEAD and
 brackets the rest by Euler–Maclaurin summation. These tests check the
-Bernoulli numbers behind it, that each enclosure holds the truth and nests
+Bernoulli numbers behind it, now built from the tangent numbers, against
+their exact recurrence, that each enclosure holds the truth and nests
 inside the integral-test sum it replaces, and that it agrees with the same
 bracket taken ten times further out. The factor, summed in integers over one
 denominator, must equal the chain of Fractions it replaced, kept here.
@@ -11,6 +12,7 @@ denominator, must equal the chain of Fractions it replaced, kept here.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -39,6 +41,26 @@ def test_bernoulli_numbers():
     assert (bernoulli(0), bernoulli(1), bernoulli(3), bernoulli(21)) == (1, F(-1, 2), 0, 0)
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def _recurrence_bernoulli(count: int) -> list[F]:
+    """B_0, ..., B_(count-1) by the exact recurrence the tangent numbers
+    replaced: the sum over j <= n of C(n+1, j) B_j is 0 for n >= 1."""
+    b: list[F] = []
+    for n in range(count):
+        if n == 0:
+            b.append(F(1))
+        elif n > 1 and n % 2:
+            b.append(F(0))
+        else:
+            b.append(-sum((comb(n + 1, j) * b[j] for j in range(n)), F(0)) / (n + 1))
+    return b
+
+
+def test_bernoulli_numbers_equal_their_recurrence():
+    # past B_82, the largest the bracket takes, and across the tables'
+    # sizes (powers of two in k = n/2)
+    assert [bernoulli(n) for n in range(301)] == _recurrence_bernoulli(301)
 
 
 def _fraction_tail_factor(s: F, n: int, terms: int) -> Enclosure:

@@ -1,11 +1,14 @@
 """Property and differential tests of the integer root kernel.
 
 `_ikroot` estimates the root by isqrt, by Newton on exact powers or by
-Newton on cut mantissas, by k, and certifies the estimate with one exact
-power, mending it when it fails. A reference kept here runs Newton from a
-power of two and builds the rational powers through Fraction roots and
-reciprocals; every endpoint of `root_bounds`, `pow_bounds` and
-`pow2_bounds` must equal the reference's exactly.
+Newton on cut mantissas, by k, and certifies the estimate with cut powers
+rounded up and down (from k = 18 on) or one exact power, mending it when it
+fails. At and beside perfect powers, for k from 2 to 1,638, it must equal
+integer Newton on exact powers, and the cut certificate must refuse every
+root one off. A reference kept here runs Newton from a power of two and
+builds the rational powers through Fraction roots and reciprocals; every
+endpoint of `root_bounds`, `pow_bounds` and `pow2_bounds` must equal the
+reference's exactly.
 
 `digits` reads its certified binary digits off two cell indices at the
 deepest level; a copy of the depth-by-depth loop it replaced is kept here,
@@ -150,6 +153,45 @@ def test_a_failed_certificate_raises(monkeypatch):
     monkeypatch.setattr(numerics, "_newton_root", lambda n, k: (r - 1, (r - 1) ** (k - 1)))
     with pytest.raises(ArithmeticError):
         _ikroot(r ** k, k)
+
+
+# every k to 130, then a spread to the widest omega denominator under the
+# cap at 160 bits; the cut certificate serves k >= _CUT_CERT_K
+_SWEEP_KS = sorted({*range(2, 131), *range(131, 1639, 61), 1597, 1598, 1638})
+
+
+def _sweep_roots(k):
+    """Roots whose k-th powers stay within the root cap: small ones, a power
+    of two (whose cut powers are exact) and its neighbours."""
+    j = min(160, ROOT_BITS_CAP // k - 1)
+    return (2, 3, 1 << j, (1 << j) - 3, (1 << j) + 1)
+
+
+@pytest.mark.parametrize("k", _SWEEP_KS)
+def test_ikroot_matches_newton_at_and_beside_perfect_powers(k):
+    for r in _sweep_roots(k):
+        n = r ** k
+        for m in (n - 1, n, n + 1, (r + 1) ** k - 1):
+            assert _ikroot(m, k) == numerics._newton_root(m, k)[0], (k, r, m - n)
+
+
+@pytest.mark.parametrize("k", _SWEEP_KS)
+def test_cut_certificate_refuses_every_neighbour(k):
+    # at and beside r^k only r certifies (r - 1 for n - 1); the neighbours
+    # one off never do, even where the cut powers are exact
+    for r in _sweep_roots(k):
+        n = r ** k
+        for m, root in ((n - 1, r - 1), (n, r), (n + 1, r)):
+            for guess in (root - 1, root + 1):
+                assert not numerics._cut_certified(m, guess, k), (k, r, m - n, guess - root)
+
+
+def test_cut_certificate_decides_term_operands():
+    # operands away from a perfect power: the cut powers alone decide them
+    for k in (numerics._CUT_CERT_K, 40, 59, 73, 1000):
+        for key in (3, 12345, (1 << 40) + 15):
+            n = _term_operand(key, k)
+            assert numerics._cut_certified(n, _ref_ikroot(n, k), k), (k, key)
 
 
 def test_widest_accepted_roots():
