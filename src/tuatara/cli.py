@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import iota as iota_mod
-from .binstr import EPS, is_prefix_free, parse_bits, render_bits, validate_all_bits
+from .binstr import EPS, is_prefix_free, parse_bits, render_bits
 from .complexity import (
     NO_WITNESS,
     ComplexityOracle,
@@ -70,14 +70,23 @@ class _Block:
         self.name = name
         self.line = line
         self.kind: str | None = None
-        self.domain: dict[str, None] = {}  # ordered, with O(1) membership
+        self.domain: dict[str, int] = {}  # each string's line, in line order
         self.maps: dict[str, str] = {}
+        self.map_lines: list[tuple[int, str, str]] = []  # line, source, target
         self.generator: str | None = None
         self.extras: tuple[str, ...] = ()
         self.construct: str | None = None
         self.operand_names: list[str] = []
         self.bounds: list[Fraction] = []
         self.check_prefix_free = False
+
+    def check_strings(self) -> None:
+        """Raise MachineFileError at the first recorded domain or map string,
+        in line order, that is not bits."""
+        strings = [(line, w) for w, line in self.domain.items()]
+        strings += [(line, w) for line, src, dst in self.map_lines for w in (src, dst)]
+        for line, w in sorted(strings, key=lambda pair: pair[0]):
+            _bits_token(w, line)
 
 
 def _bits_token(token: str, line: int) -> str:
@@ -87,25 +96,12 @@ def _bits_token(token: str, line: int) -> str:
         raise MachineFileError(line, str(exc)) from None
 
 
-def _first_bad_string(lines: list[str], start: int, end: int) -> None:
-    """Raise MachineFileError at the first well-formed domain or map line,
-    from line start to line end, whose string is not bits: table strings are
-    checked with their table, and read again only to name a failure's line."""
-    for lineno in range(start, end + 1):
-        tokens = lines[lineno - 1].split("#", 1)[0].split()
-        if tokens[:1] == ["domain"] and len(tokens) == 2:
-            _bits_token(tokens[1], lineno)
-        elif tokens[:1] == ["map"] and len(tokens) == 4 and tokens[2] == "->":
-            _bits_token(tokens[1], lineno)
-            _bits_token(tokens[3], lineno)
-
-
 def _finish_block(
     block: _Block, known: dict[str, MachineSpec], budgets: tuple[int, int]
 ) -> MachineSpec:
     if block.kind != "finite":
         # domain and map lines on a block of another kind are checked all the same
-        validate_all_bits([*block.domain, *block.maps.values()])
+        block.check_strings()
     if block.kind is None:
         raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
     if block.kind == "finite":
@@ -115,9 +111,7 @@ def _finish_block(
         table = FiniteTable(tuple(block.domain), outputs)
         validate_spec(table)  # the one check of the table's strings
         if block.check_prefix_free and not is_prefix_free(table.domain):
-            raise MachineFileError(
-                block.line, f"machine {block.name!r} domain is not prefix-free"
-            )
+            raise MachineFileError(block.line, f"machine {block.name!r} domain is not prefix-free")
         return table
     if block.kind == "builtin":
         if block.generator is None:
@@ -154,15 +148,11 @@ def parse_machine_file(
     def close() -> None:
         nonlocal block, last
         if block is not None:
-            spec = _finish_block(block, known, (step_budget, size_budget))
-            known[block.name] = spec
-            last = spec
+            known[block.name] = last = _finish_block(block, known, (step_budget, size_budget))
             block = None
 
-    lines = text.splitlines()
-    lineno = 0
     try:
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if "#" in line:
                 line = line.split("#", 1)[0]
             tokens = line.split()
@@ -180,11 +170,7 @@ def parse_machine_file(
             if block is None:
                 raise MachineFileError(lineno, "directive before any machine line")
             if key == "kind":
-                if len(tokens) != 2 or tokens[1] not in (
-                    "finite",
-                    "builtin",
-                    "construction",
-                ):
+                if len(tokens) != 2 or tokens[1] not in ("finite", "builtin", "construction"):
                     raise MachineFileError(lineno, "kind must be finite, builtin or construction")
                 if block.kind is not None:
                     raise MachineFileError(lineno, "duplicate kind line")
@@ -195,12 +181,13 @@ def parse_machine_file(
                 w = "" if tokens[1] == EPS else tokens[1]
                 if w in block.domain:
                     raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
-                block.domain[w] = None
+                block.domain[w] = lineno
             elif key == "map":
                 if len(tokens) != 4 or tokens[2] != "->":
                     raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
                 src = "" if tokens[1] == EPS else tokens[1]
                 dst = "" if tokens[3] == EPS else tokens[3]
+                block.map_lines.append((lineno, src, dst))
                 if src not in block.domain:
                     raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
                 if src in block.maps:
@@ -216,9 +203,7 @@ def parse_machine_file(
                     if len(tokens) > 3:
                         raise MachineFileError(lineno, "geometric takes one extras list")
                     if len(tokens) == 3:
-                        block.extras = tuple(
-                            _bits_token(t, lineno) for t in tokens[2].split(",")
-                        )
+                        block.extras = tuple(_bits_token(t, lineno) for t in tokens[2].split(","))
                 elif len(tokens) != 2:
                     raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
             elif key == "construct":
@@ -243,9 +228,9 @@ def parse_machine_file(
                 raise MachineFileError(lineno, f"unknown directive {key!r}")
         close()
     except ValueError:
-        # the open block's strings were not checked yet, and come first
+        # a string of the open block that is not bits is reported first
         if block is not None:
-            _first_bad_string(lines, block.line, lineno)
+            block.check_strings()
         raise
     if last is None:
         raise MachineFileError(1, "no machine block found")

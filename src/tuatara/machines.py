@@ -501,7 +501,9 @@ class _GeometricStream(DomainStream):
     def tail_bound(self, ell: int, s: Fraction, kind: str) -> Fraction | None:
         # base strings 0^i 1 with i >= max(ell, 0) have length > ell
         base = _geometric_tail(-s.numerator, s.denominator, max(ell, 0) + 1)
-        return None if base is None else base + self.extras.tail_bound(ell, s, kind)
+        if base is None or not self.extras.keys:
+            return base
+        return base + self.extras.tail_bound(ell, s, kind)
 
 
 def _by_length(indices: Iterator[int]) -> Iterator[tuple[int, Iterator[int]]]:

@@ -501,8 +501,10 @@ def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
 
 
 # a sum at s = a/b takes 2^(f/b) for each length's weight and tail, and f
-# repeats with period b in the length; a PrecisionLimit is never cached
-@functools.lru_cache(maxsize=256)
+# repeats with period b in the length; the root cap allows b up to
+# ROOT_BITS_CAP // prec, so one sum's residues all fit at 64 bits or more.
+# A PrecisionLimit is never cached
+@functools.lru_cache(maxsize=ROOT_BITS_CAP // 64)
 def _pow2_root(f: int, b: int, prec: int) -> int:
     """floor(2^prec 2^(f/b)), refused before 2^f is built, as f < b."""
     check_root_cap(b, prec)

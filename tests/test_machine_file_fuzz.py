@@ -7,13 +7,13 @@ prefix_free lines, with wrong arities, unknown names and values, comments
 and blank lines mixed in, or the text of a valid machine with a few lines
 inserted, dropped or repeated. Each runs in-process through cli.run on omega, zeta or
 classify. The same texts, with comments, tabs, CRLF line ends and trailing
-spaces added, also run against a copy of the original line loop, which must
-give the same exit code, output and message; fixed texts that open with a
-string that is not bits check that its line is still the first error
-reported, whatever follows. Budgets stay at most 200
-elements and --steps at most 50, bit strings at most 5 bits and bounds
-small or refused by the prefix cap, so every run is bounded; no subprocess
-is started.
+spaces added, also run against a copy of the original line loop, with its
+own block and block check, which must give the same exit code, output and
+message; fixed texts that open with a string that is not bits check that
+its line is still the first error reported, whatever follows. Budgets stay
+at most 200 elements and --steps at most 50, bit strings at most 5 bits and
+bounds small or refused by the prefix cap, so every run is bounded; no
+subprocess is started.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from unittest import mock
 import pytest
 
 from tuatara import cli
-from tuatara.binstr import parse_bits, render_bits
+from tuatara.binstr import is_prefix_free, parse_bits, render_bits, validate_all_bits
 from tuatara.cli import EXIT_BUDGET, EXIT_COMPUTE, MachineFileError, parse_machine_file, run
 from tuatara.machines import Builtin, Construction, FiniteTable, validate_spec
 from tuatara.numerics import parse_rational
@@ -98,9 +98,60 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 # the line loop against a plain copy of it
 
 
+class _RefBlock:
+    """The parser's block as first written: the domain keeps no lines."""
+
+    def __init__(self, name: str, line: int):
+        self.name = name
+        self.line = line
+        self.kind = None
+        self.domain: dict[str, None] = {}
+        self.maps: dict[str, str] = {}
+        self.generator = None
+        self.extras: tuple[str, ...] = ()
+        self.construct = None
+        self.operand_names: list[str] = []
+        self.bounds: list[F] = []
+        self.check_prefix_free = False
+
+
+def _ref_finish_block(block: _RefBlock, known: dict, budgets: tuple[int, int]):
+    if block.kind != "finite":
+        validate_all_bits([*block.domain, *block.maps.values()])
+    if block.kind is None:
+        raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
+    if block.kind == "finite":
+        outputs = None
+        if block.maps:
+            outputs = tuple(block.maps.get(w) for w in block.domain)
+        table = FiniteTable(tuple(block.domain), outputs)
+        validate_spec(table)
+        if block.check_prefix_free and not is_prefix_free(table.domain):
+            raise MachineFileError(
+                block.line, f"machine {block.name!r} domain is not prefix-free"
+            )
+        return table
+    if block.kind == "builtin":
+        if block.generator is None:
+            raise MachineFileError(block.line, "builtin block needs a generator")
+        if block.generator == "iota":
+            return Builtin(block.generator, block.extras, *budgets)
+        return Builtin(block.generator, block.extras)
+    if block.construct is None:
+        raise MachineFileError(block.line, "construction block needs construct")
+    operands = []
+    for name in block.operand_names:
+        if name not in known:
+            raise MachineFileError(block.line, f"unknown machine {name!r}")
+        operands.append(known[name])
+    return Construction(block.construct, tuple(operands), tuple(block.bounds))
+
+
 def _reference_parse(text: str, step_budget: int, size_budget: int):
     """parse_machine_file as first written: every line has its comment cut
-    and is stripped, and each bit token goes through parse_bits."""
+    and is stripped, and each bit token goes through parse_bits as its line
+    is read. It keeps its own block and block check, so it does not follow
+    what the parser records."""
     known: dict = {}
     block = None
     last = None
@@ -114,7 +165,7 @@ def _reference_parse(text: str, step_budget: int, size_budget: int):
     def close() -> None:
         nonlocal block, last
         if block is not None:
-            spec = cli._finish_block(block, known, (step_budget, size_budget))
+            spec = _ref_finish_block(block, known, (step_budget, size_budget))
             known[block.name] = spec
             last = spec
             block = None
@@ -131,7 +182,7 @@ def _reference_parse(text: str, step_budget: int, size_budget: int):
             close()
             if tokens[1] in known:
                 raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
-            block = cli._Block(tokens[1], lineno)
+            block = _RefBlock(tokens[1], lineno)
             continue
         if block is None:
             raise MachineFileError(lineno, "directive before any machine line")
@@ -214,13 +265,15 @@ def _outcome(parse, text: str, steps: int):
 
 
 # texts that open with a string that is not bits, on a domain line, a map
-# line, or a block of another kind, and go on with a line whose own error, or
-# a later check of its block, might be reported first
+# line (its target, or both its strings), or a block of another kind, and go
+# on with a line whose own error, or a later check of its block, might be
+# reported first
 _BAD_STARTS = (
     "machine a\nkind finite\ndomain 0x\n",
     "machine a\nkind finite\ndomain eps\ndomain 1\nmap 1 -> 2\n",
     "machine a\nkind builtin\ngenerator all_strings\ndomain 0x\n",
     "machine a\ndomain 0x\n",
+    "machine a\nkind finite\nmap 0x -> 1y\n",  # the source is named, not the target
 )
 _THEN = (
     "{bad}\n",  # the bad line again: a duplicate of its string
@@ -232,6 +285,9 @@ _THEN = (
     "machine b\nkind finite\ndomain 2\n",
     "machine b\nkind builtin\ngenerator all_strings\n"
     "machine c\nkind construction\nconstruct double b\n",
+    "map 1 -> 0x\n",  # a bad target whose source is not in the domain
+    "map 0x -> 1y\n",  # two bad strings on one line
+    "generator geometric 0x\n",  # a bad extra, refused on its own line
 )
 
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from tuatara import numerics
+from tuatara.machines import Builtin, weighted_domain_sum
 from tuatara.numerics import (
     POWER_BITS_CAP,
     DigitResult,
@@ -259,6 +261,14 @@ def test_pow2_refuses_before_building_two_to_the_f():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_sum_at_a_large_denominator_makes_each_root_once():
+    # at s = 1/1000 the lengths cycle through 1,000 residues of 2^(f/1000);
+    # the root cache holds them all, where 256 entries missed on every call
+    numerics._pow2_root.cache_clear()
+    weighted_domain_sum(Builtin("geometric"), F(1, 1000), 3000, "omega")
+    assert numerics._pow2_root.cache_info().misses <= 1000
 
 
 def test_pow_refuses_before_building_the_power():

@@ -589,6 +589,19 @@ def test_geometric_with_extras(extras):
         assert new.count_up_to_length(ell) == ref.count_up_to_length(ell)
 
 
+@pytest.mark.parametrize("extras", [(), ("10",), ("", "10", "0110", "1111")])
+def test_geometric_tail_is_the_base_tail_plus_the_extras(extras):
+    # a stream without extras returns its base tail alone, and one with
+    # extras adds their tail to it, as every geometric tail once did
+    stream = domain_stream(Builtin("geometric", extras))
+    for s in (F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3)):
+        for kind in ("omega", "zeta"):
+            for ell in range(-1, 12):
+                base = machines._geometric_tail(-s.numerator, s.denominator, max(ell, 0) + 1)
+                want = None if base is None else base + stream.extras.tail_bound(ell, s, kind)
+                assert stream.tail_bound(ell, s, kind) == want, (s, kind, ell)
+
+
 @pytest.mark.parametrize("parts", [("1", "01"), ("0", "10", "110"), ("", "1", "00"), ("",)])
 def test_product_per_length_tails(parts):
     spec = Construction("product", (FiniteTable(parts),))

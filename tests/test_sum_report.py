@@ -183,6 +183,12 @@ def test_reach_and_report_add_no_fraction_per_length():
     assert _fraction_adds_in((machines._Sum.report,), _bracketed_sum) == 1
 
 
+def test_a_geometric_tail_without_extras_adds_nothing():
+    # the same sum asks for 138 tails; each once added an empty extras tail
+    tail_bound = machines._GeometricStream.tail_bound
+    assert _fraction_adds_in((tail_bound,), _geometric_sum) == 0
+
+
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
