@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm, log2
@@ -245,10 +245,12 @@ class DomainStream:
 
     lengths() is the one enumeration hook a stream implements: (L, group)
     for each length L that holds strings, ascending, the indices of length L
-    ascending in group: a sized sequence, whose len omega sums read, or,
-    where the stream filters, merges or maps, an iterator to read before the
-    next group. tail_bound is the one upper-bound hook; the bound on the
-    full sum, total_upper, is its value past length -1.
+    ascending in group: a sized group, whose len omega sums read (a
+    sequence, or a _SizedGroup, whose indices are made only as it is read,
+    once), or, where the stream filters, merges or maps, an iterator; either
+    of the last two is read before the next group. tail_bound is the one
+    upper-bound hook; the bound on the full sum, total_upper, is its value
+    past length -1.
     """
 
     exhaustible = False
@@ -511,44 +513,103 @@ def _by_length(indices: Iterator[int]) -> Iterator[tuple[int, Iterator[int]]]:
     return ((bits - 1, group) for bits, group in itertools.groupby(indices, int.bit_length))
 
 
-def _multisets(parts: list[tuple[int, int]]) -> Iterator[int]:
-    """The distinct values of all multisets of parts, ascending from 1.
+class _SizedGroup:
+    """A lengths() group whose size is known before its indices are made:
+    len() reads the size, and iteration reads the indices, once."""
 
-    Part (m, a) maps a value n to n m + a, above n and above where the part
-    listed before it maps n; a multiset applies its parts in list order. A
-    heap entry (value, i, before) ends in part i, applied to before. Its pop
-    pushes the sibling (part i + 1 in place of part i) and, the first time
-    its value pops, the child (one more part i). Equal values, which only
-    parts that are not uniquely decodable give, pop in a row, the least i
-    first, whose child and its siblings include the later ones' children; so a
-    value yielded costs at most len(parts) pops and one more heap entry.
+    def __init__(self, size: int, indices: Iterator[int]):
+        self.size, self.indices = size, indices
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[int]:
+        return self.indices
+
+    def __getitem__(self, part: slice) -> Iterator[int]:
+        return itertools.islice(self.indices, part.start, part.stop)
+
+
+def _multiset_candidates(
+    kept: list[int], parts: list[tuple[int, int]], starts: list[int], stops: list[int], bits: int
+) -> list[int]:
+    """Part j applied to each of kept[starts[j]:stops[j]] whose greatest
+    part is at most j, and tagged j; in part order."""
+    mask = (1 << bits) - 1
+    out: list[int] = []
+    for j, (m, a) in enumerate(parts):
+        i, k = starts[j], stops[j]
+        if i < k:
+            # (n << bits | t) maps to (n m + a) << bits | j
+            mb, ab = m << bits, a << bits | j
+            out += [(e >> bits) * mb + ab for e in kept[i:k] if e & mask <= j]
+    return out
+
+
+def _multiset_windows(parts: list[tuple[int, int]]) -> Iterator[tuple[int, list[int], bool]]:
+    """The distinct values of all multisets of parts, ascending from 1, in
+    windows [lo, hi) within one length: (length, values, hi ends the length).
+
+    Part (m, a), m >= 2, maps n to n m + a; a multiset applies its parts in
+    list order, so part j extends the values whose greatest part is at most
+    j. A value n is kept as n << bits | t, t the least such greatest part of
+    the multisets giving n (parts that are not uniquely decodable give n
+    more than once). A value comes from one at most half its size, so a
+    window draws on kept values alone: a slice per part, found by bisection.
+    A window is halved until its slices hold at most _BLOCK candidates.
     """
-    yield 1
-    heap = [(parts[0][0] + parts[0][1], 0, 1)] if parts else []
-    last = 1
-    while heap:
-        n, i, before = heap[0]
-        if n != last:
-            yield n
-            last = n
-            m, a = parts[i]
-            heapq.heapreplace(heap, (n * m + a, i, n))
-        else:
-            heapq.heappop(heap)
-        if i + 1 < len(parts):
-            m, a = parts[i + 1]
-            heapq.heappush(heap, (before * m + a, i + 1, before))
+    yield 0, [1], True
+    if not parts:
+        return
+    bits = (len(parts) - 1).bit_length()
+    kept, lo = [1 << bits], 2
+    while True:
+        # each part's first source that it maps to lo or past: the least
+        # value from lo on is one of theirs. A value below all of them is no
+        # source again
+        firsts = [-((a - lo) // m) << bits for m, a in parts]
+        del kept[: bisect.bisect_left(kept, min(firsts))]
+        starts = [bisect.bisect_left(kept, first) for first in firsts]
+        lo = min((kept[i] >> bits) * m + a for (m, a), i in zip(parts, starts) if i < len(kept))
+        top = hi = 1 << lo.bit_length()
+        while True:
+            stops = [
+                bisect.bisect_left(kept, -((a - hi) // m) << bits, i)
+                for (m, a), i in zip(parts, starts)
+            ]
+            if sum(stops) - sum(starts) <= _BLOCK or hi - lo == 1:
+                break
+            hi = lo + (hi - lo) // 2
+        window = _multiset_candidates(kept, parts, starts, stops, bits)
+        window.sort()
+        values = [e >> bits for e in window]
+        if len(set(values)) < len(values):  # keep the least tag of each value
+            window = [e for e, n, before in zip(window, values, [0, *values]) if n != before]
+            values = [e >> bits for e in window]
+        kept += window
+        if values:
+            yield lo.bit_length() - 1, values, hi == top
+        lo = hi
 
 
 class _MultisetStream(DomainStream):
-    """One string per distinct value of a multiset of parts; see _multisets."""
+    """One string per distinct value of a multiset of parts: a length that
+    one of _multiset_windows holds is one list, and a length split over
+    several is a lazy group, built a window at a time as it is read."""
 
     def __init__(self, parts: list[tuple[int, int]]):
         self.parts = parts
         self.exhaustible = not parts
 
-    def lengths(self) -> Iterator[tuple[int, Iterator[int]]]:
-        return _by_length(_multisets(self.parts))
+    def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
+        windows = _multiset_windows(self.parts)
+        for length, run in itertools.groupby(windows, operator.itemgetter(0)):
+            _, first, whole = next(run)
+            if whole:
+                yield length, first
+            else:
+                rest = itertools.chain.from_iterable(values for _, values, _ in run)
+                yield length, itertools.chain(first, rest)
 
 
 # a product of a prefix code counts its strings by length from the multiset
@@ -558,6 +619,15 @@ class _MultisetStream(DomainStream):
 # 11111}); one by one, reaching the cap takes about 1.6 s on a 2-core x86-64
 # host
 PRODUCT_COUNT_CAP = 1 << 19
+
+
+def _group_of(groups: Iterator[tuple[int, Iterable[int]]], length: int) -> Iterator[int]:
+    """The indices of one length, read from a stream's lengths() when first
+    read; the groups of shorter lengths are passed over unread."""
+    for ell, group in groups:
+        if ell >= length:
+            yield from group if ell == length else ()
+            return
 
 
 class _ProductStream(_MultisetStream):
@@ -575,8 +645,21 @@ class _ProductStream(_MultisetStream):
         usable = [n for n in spec.operands[0].indices if n > 1]
         self._lengths = [n.bit_length() - 1 for n in usable]
         super().__init__([(1 << d, n - (1 << d)) for n, d in zip(usable, self._lengths)])
-        # _counts[L]: multisets of length L
+        # _counts[L]: multisets of length L, which for a prefix code are its
+        # strings of length L
         self._counts = [1]
+        self.prefix_code = is_prefix_free(bin_of(n) for n in usable)
+
+    def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
+        built = super().lengths()
+        if not (self.parts and self.prefix_code):
+            return built
+        # each length counted, its strings built only as its group is read
+        return (
+            (length, _SizedGroup(n, _group_of(built, length)))
+            for length in itertools.count()
+            if (n := self._counts_to(length)[length])
+        )
 
     def _counts_to(self, ell: int) -> list[int]:
         """The multisets of parts by length, up to at least ell: the
@@ -590,7 +673,7 @@ class _ProductStream(_MultisetStream):
         return self._counts
 
     def count_up_to_length(self, ell: int) -> int:
-        if is_prefix_free(bin_of(m + a) for m, a in self.parts):
+        if self.prefix_code:
             # _counts_to doubles its reach as the length passes it, so that
             # few lengths past the cap are counted, whose counts can be long
             total = 0
@@ -649,17 +732,24 @@ class _OperandStream(DomainStream):
         self.inner.limit_examined(limit)
 
 
+def _affine(group: Iterable[int], m: int, c: int) -> Iterator[int]:
+    """n m + c for each n of group, as it is read."""
+    return (n * m + c for n in group)
+
+
 class _DoubleStream(_OperandStream):
     def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
         # w of index n and length L gives ww of index n m - 2^L, m = 2^L + 1:
         # a range maps to a range, any other group lazily, as the budget may
-        # end early in it
+        # end early in it; a sized one keeps its size, which omega sums read
         for length, group in self.inner.lengths():
             top, m = 1 << length, (1 << length) + 1
             if isinstance(group, range):
                 yield 2 * length, range(group.start * m - top, group.stop * m - top, group.step * m)
+            elif hasattr(group, "__len__"):
+                yield 2 * length, _SizedGroup(len(group), _affine(group, m, -top))
             else:
-                yield 2 * length, (n * m - top for n in group)
+                yield 2 * length, _affine(group, m, -top)
 
     def count_up_to_length(self, ell: int) -> int | None:
         return self.inner.count_up_to_length(ell // 2)
@@ -676,14 +766,14 @@ class _TuataraOfStream(_OperandStream):
         # X(p) is p, then p 0^i for each position i (from 1) where p has a 1,
         # bit j = d - i of its index n, for p of length d: p 0^i is n << i, of
         # length 2d - j. due[L] holds (the operands of length d, i, j) for each
-        # j set in any of them; a lazy group is listed, as each j reads it
+        # j set in any of them; a group read once is listed, as each j reads it
         due: dict[int, list[tuple[Sequence[int], int, int]]] = {}
         inner = self.inner.lengths()
         pending = next(inner, None)
         length = 0
         while pending is not None or due:
             if pending is not None and pending[0] == length:
-                d, ops = pending if hasattr(pending[1], "__len__") else (length, list(pending[1]))
+                d, ops = pending if isinstance(pending[1], Sequence) else (length, list(pending[1]))
                 mask = functools.reduce(int.__or__, ops)
                 while mask:
                     j = mask.bit_length() - 1
@@ -1107,17 +1197,18 @@ class _Sum:
 
     def take(self, block: Sequence[int]) -> bool:
         """Add the leading keys of block, all of the length last reached, up
-        to the limit; False once the limit is reached."""
-        if len(block) > self.limit - self.consumed:
-            block = block[: self.limit - self.consumed]
-        if block:
-            if self.kind == "omega":
-                self.run += len(block)
-            elif self.k:
+        to the limit; False once the limit is reached. The omega kind reads
+        only len(block)."""
+        n = min(len(block), self.limit - self.consumed)
+        if self.kind == "omega":
+            self.run += n
+        elif n:
+            block = block[:n] if n < len(block) else block
+            if self.k:
                 self.acc.add_inverses(block, self.k)
             else:
                 self.acc.add_roots(block, self.s.numerator, self.s.denominator)
-            self.consumed += len(block)
+        self.consumed += n
         return self.consumed < self.limit
 
     def report(self, stream: DomainStream) -> SumReport:
