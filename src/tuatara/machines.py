@@ -38,7 +38,7 @@ from .binstr import (
     all_bits, bin_inv, bin_of, is_prefix_free, rational_of_prefix, validate_all_bits, validate_bits,
 )
 from .numerics import (
-    Enclosure, _scaled_root, check_power, check_root_cap, dyadic, first_primes, frac_text,
+    Enclosure, _scaled_root, check_power, dyadic, first_primes, frac_text,
     inverse_root, log2_bounds, pow2_dyadic, pow_bounds, zeta_tail_factor,
 )
 
@@ -341,8 +341,6 @@ def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
     # and N^(1-s) <= 2^p/r (exact at integer s); below length 0 the empty
     # string adds its index 1 and weight 1
     n_min = (1 << (max(ell, 0) + 1)) - 1
-    check_root_cap(b, _TERM_PREC + 4)
-    check_power(n_min, a - b)
     p, r = inverse_root(n_min, 1, a - b, b, _TERM_PREC)
     den = r * (a - b)
     return Fraction((b << p) + (den if ell < 0 else 0), den)
@@ -739,14 +737,12 @@ def _affine(group: Iterable[int], m: int, c: int) -> Iterator[int]:
 
 class _DoubleStream(_OperandStream):
     def lengths(self) -> Iterator[tuple[int, Iterable[int]]]:
-        # w of index n and length L gives ww of index n m - 2^L, m = 2^L + 1:
-        # a range maps to a range, any other group lazily, as the budget may
-        # end early in it; a sized one keeps its size, which omega sums read
+        # w of index n and length L gives ww of index n m - 2^L, m = 2^L + 1,
+        # mapped lazily, as the budget may end early in a group; a sized one,
+        # a range included, keeps its size, which omega sums read
         for length, group in self.inner.lengths():
             top, m = 1 << length, (1 << length) + 1
-            if isinstance(group, range):
-                yield 2 * length, range(group.start * m - top, group.stop * m - top, group.step * m)
-            elif hasattr(group, "__len__"):
+            if hasattr(group, "__len__"):
                 yield 2 * length, _SizedGroup(len(group), _affine(group, m, -top))
             else:
                 yield 2 * length, _affine(group, m, -top)
@@ -1087,14 +1083,13 @@ class _IntervalAcc:
         """Add key^(-a/b) for each key >= 1 from r = floor(2^p key^(a/b)) >=
         2^p, p = _TERM_PREC + 4. On the grid a key past the cut has key^(a/b)
         > 2^_ACC_BITS: its term floors to 0 and ceils to 1 unit, which goes in
-        with no root. Exact mode, where every sum starts, checks the root and
-        power caps; past it the root cap holds, as b is the same, and a key
-        below the cut has floor(log2 key) <= _ACC_BITS b, under the power cap."""
+        with no root. In exact mode, where every sum starts, inverse_root
+        checks the root and power caps; past it the root cap holds, as b is
+        the same, and a key below the cut has floor(log2 key) <= _ACC_BITS b,
+        under the power cap."""
         p, i = _TERM_PREC + 4, 0
         while self.exact and i < len(keys):
-            check_root_cap(b, p)
-            check_power(keys[i], a)
-            r = _scaled_root(keys[i] ** a, 1, b, p)
+            p, r = inverse_root(keys[i], 1, a, b, _TERM_PREC)
             self._add_exact(1 << p, r + 1, 1 << p, r)
             i += 1
         one, cut = 1 << (p + _ACC_BITS), 1 << (_ACC_BITS * b // a + 1)

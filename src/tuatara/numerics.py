@@ -459,9 +459,11 @@ def _scaled_root(num: int, den: int, k: int, prec: int) -> int:
 def inverse_root(num: int, den: int, a: int, k: int, prec: int) -> tuple[int, int]:
     """(p, r) with 2^p / (r + 1) < (num/den)^(-a/k) <= 2^p / r: r is
     floor(2^p (num/den)^(a/k)), and p doubles from prec + 4 while it is 0.
-    The caller checks the root cap at prec + 4 and the power cap for num^a
-    and den^a; a doubled p is checked here."""
+    The root cap at prec + 4, then the power cap for num^a and den^a, refuse
+    before either is built; a doubled p is checked as it doubles."""
     p = prec + 4
+    check_root_cap(k, p)
+    check_power(max(num, den), a)
     num, den = num ** a, den ** a
     while (r := _scaled_root(num, den, k, p)) == 0:
         p *= 2
@@ -485,18 +487,20 @@ def root_bounds(v: Fraction, k: int, prec: int = 64) -> Enclosure:
 
 
 def pow_bounds(v: Fraction, e: Fraction, prec: int = 64) -> Enclosure:
-    """Interval around v^e for rational v > 0 and rational e."""
+    """Interval around v^e for rational v > 0 and rational e, refused past
+    the root cap, then the power cap, before v^a is built: by inverse_root
+    at a negative non-integer e, else here."""
     if v <= 0:
         raise ValueError("pow_bounds requires v > 0")
     a, b = e.numerator, e.denominator
+    if b > 1 and a < 0:
+        p, r = inverse_root(v.numerator, v.denominator, -a, b, prec)
+        return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
     if b > 1:
-        check_root_cap(b, prec + 4 if a < 0 else prec)
+        check_root_cap(b, prec)
     check_power(max(v.numerator, v.denominator), abs(a))
     if b == 1:
         return Enclosure.exact(v ** a)
-    if a < 0:
-        p, r = inverse_root(v.numerator, v.denominator, -a, b, prec)
-        return Enclosure(Fraction(1 << p, r + 1), Fraction(1 << p, r))
     return root_bounds(v ** a, b, prec)
 
 

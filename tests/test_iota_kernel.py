@@ -397,13 +397,14 @@ def test_parse_of_inputs_without_skips_stays_linear(kind):
     # memory, but time stays linear in size and the peak within twice the
     # former parser's. A doubling takes 1.6 to 3 times as long for the former
     # parser too (caches, allocation), so the bound is over a quadrupling:
-    # 8 times, where a quadratic cost would take 16
+    # 8 times, where a quadratic cost would take 16. The least of three
+    # interleaved runs per size keeps one slow run from failing it
     quarter, full = _stress_input(kind, 4), _stress_input(kind, 1)
     t = iota.parse(full)
     assert iota.unparse(t) == full
     del t
     times = {len(s): [] for s in (quarter, full)}
-    for s in (quarter, full, quarter, full):
+    for s in (quarter, full) * 3:
         times[len(s)].append(_cpu_time(iota.parse, s))
     assert min(times[len(full)]) <= 8 * min(times[len(quarter)])
     assert _peak(iota.parse, quarter) <= 2 * _peak(_shared_build, quarter)

@@ -12,6 +12,7 @@ from tuatara import numerics
 from tuatara.machines import Builtin, weighted_domain_sum
 from tuatara.numerics import (
     POWER_BITS_CAP,
+    ROOT_BITS_CAP,
     DigitResult,
     Enclosure,
     PrecisionLimit,
@@ -21,6 +22,7 @@ from tuatara.numerics import (
     exp_bounds,
     first_primes,
     harmonic_segment,
+    inverse_root,
     lambert_w,
     ln2_bounds,
     ln_bounds,
@@ -278,6 +280,28 @@ def test_pow_refuses_before_building_the_power():
             pow_bounds(F(3), -F(10**7 + 1, 10**7), 160)
         with pytest.raises(PrecisionLimit):
             pow_bounds(F(3), F(10**7 + 1, 10**7), 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_inverse_root_refuses_before_it_builds():
+    # each root owns its refusal: the root cap at prec + 4 first, then the
+    # power cap on num^a and den^a, before either power is built
+    k, big = ROOT_BITS_CAP // 164 + 1, POWER_BITS_CAP + 1
+    root_message = f"^a {k}-th root needs {k * 164} operand bits, over {ROOT_BITS_CAP}$"
+    with pytest.raises(PrecisionLimit, match=root_message):
+        inverse_root(3, 1, 1, k, 160)
+    assert inverse_root(3, 1, 1, k - 1, 160)[0] == 164
+    tracemalloc.start()
+    try:
+        for num, den in ((3, 1), (1, 3)):
+            with pytest.raises(PrecisionLimit, match="^a power needs"):
+                inverse_root(num, den, big, 2, 160)
+        # both caps fail: the root is named, as pow_bounds and the sums name it
+        with pytest.raises(PrecisionLimit, match=root_message):
+            inverse_root(3, 1, big, k, 160)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -418,12 +418,14 @@ def _table(indices) -> FiniteTable:
 
 
 def test_terms_below_the_grid_take_no_root(monkeypatch):
-    # every root term is one _scaled_root call of the accumulator's
+    # every root term is one call of the accumulator's: inverse_root in
+    # exact mode, _scaled_root on the grid
     roots = []
-    scaled_root = machines._scaled_root
-    monkeypatch.setattr(
-        machines, "_scaled_root", lambda *a: roots.append(a) or scaled_root(*a)
-    )
+    for name in ("inverse_root", "_scaled_root"):
+        root = getattr(machines, name)
+        monkeypatch.setattr(
+            machines, name, lambda *a, root=root: roots.append(a) or root(*a)
+        )
     rng = random.Random(2001)
     # the first of 40 20-bit indices at s = 2001/2 takes the sum past the
     # guard, and every later index is past the cut, 2^1
