@@ -24,7 +24,7 @@ from .egyptian import (
     ExpansionOverflow,
     KraftViolation,
     egyptian_floor,
-    grid_walk,
+    grid_cells,
     kraft_chaitin,
 )
 from .machines import (
@@ -266,15 +266,14 @@ def _decimal_common(e: Enclosure, places: int = 12) -> str:
 
 
 def _emit(header: list[str], rows: list[list[str]], fmt: str) -> None:
+    table = [header, *rows]
     if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
-        return
-    table = [header] + rows
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines = map(",".join, table)
+    else:
+        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
+    # writelines takes each line as made; print(*lines) would hold a second table
+    sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def _enclosure_report(label: str, e: Enclosure, args) -> None:
@@ -401,31 +400,28 @@ def _cmd_egyptian(args) -> None:
     q = parse_rational(args.q)
     # the budget caps greedy denominator bits; unbudgeted runs can outgrow memory
     denoms = egyptian_floor(q, args.floor, bit_budget=args.budget)
-    print(" + ".join(f"1/{d}" for d in denoms))
+    print(" + ".join(f"1/{frac_text(Fraction(d))}" for d in denoms))
 
 
 def _cmd_kraft(args) -> None:
     _within_budget(args, "kraft length", max(args.lengths))
     words = kraft_chaitin(args.lengths)
-    rows = [
-        [str(i + 1), str(n), render_bits(w)]
-        for i, (n, w) in enumerate(zip(args.lengths, words))
-    ]
+    pairs = zip(args.lengths, words)
+    rows = [[str(i), str(n), render_bits(w)] for i, (n, w) in enumerate(pairs, 1)]
     _emit(["index", "length", "word"], rows, args.format)
 
 
 def _cmd_grid(args) -> None:
     rows = []
-    for t in grid_walk(args.ms, args.budget):
+    for d, row, col, e in grid_cells(args.ms, args.budget):
         try:
-            term = str(t.term)
+            term = f"1/{1 << e}"  # the text of Fraction(1, 2^e)
         except ValueError:  # past the interpreter's int-to-str digit limit
-            size = t.term.denominator.bit_length() - 1
             raise _Refused(
-                f"error: grid term 1/2^{size} passes the {sys.get_int_max_str_digits()}"
+                f"error: grid term 1/2^{e} passes the {sys.get_int_max_str_digits()}"
                 f"-digit limit on printed integers; lower --budget {args.budget}"
             ) from None
-        rows.append([str(t.d), str(t.row), str(t.col), term])
+        rows.append([str(d), str(row), str(col), term])
     _emit(["diagonal", "row", "col", "term"], rows, args.format)
 
 

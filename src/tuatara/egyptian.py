@@ -62,22 +62,27 @@ def egyptian_floor(
     return out
 
 
+def _row_exponents(m: int) -> Iterator[int]:
+    """Exponents e of the terms 2^-e of dyadic_row(m): each step shifts the
+    remainder r < m by the least k with r * 2^k >= m, past the zero digits."""
+    if m < 2:
+        raise ValueError("rows need m >= 2")
+    width, r, e = m.bit_length(), 1, 0
+    while r:
+        k = width - r.bit_length()
+        k += (r << k) < m
+        e += k
+        r = (r << k) - m
+        yield e
+
+
 def dyadic_row(m: int) -> Iterator[Fraction]:
     """Nonzero dyadic terms of the binary expansion of 1/m, m >= 2, in order.
 
     Finite exactly when m is a power of two; otherwise the expansion is
     eventually periodic and the iterator never ends.
     """
-    if m < 2:
-        raise ValueError("rows need m >= 2")
-    r = 1
-    e = 0
-    while r:
-        r *= 2
-        e += 1
-        if r >= m:
-            r -= m
-            yield Fraction(1, 1 << e)
+    return (Fraction(1, 1 << e) for e in _row_exponents(m))
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,9 @@ class GridTerm:
     term: Fraction
 
 
-def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
-    """Anti-diagonal walk over the rows for the given denominators.
+def grid_cells(ms: Sequence[int], budget: int) -> Iterator[tuple[int, int, int, int]]:
+    """Anti-diagonal walk over the rows for the given denominators, as
+    tuples (d, row, col, e) whose term is 2^-e.
 
     Pass d visits cells with row + col = d bottom-up (larger row first).
     Rows are the expansions of 1/m_i in the order given; columns index the
@@ -100,7 +106,7 @@ def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    rows = [dyadic_row(m) for m in ms]
+    rows = [_row_exponents(m) for m in ms]
     done = [False] * len(ms)
     emitted = 0
     d = 2
@@ -109,12 +115,12 @@ def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
         for row in range(min(d - 1, len(ms)), 0, -1):
             # pass d reads row r at column d - r, the column after the one
             # pass d - 1 read, so each row is read once per pass, in order
-            t = next(rows[row - 1], None)
-            if t is None:
+            e = next(rows[row - 1], None)
+            if e is None:
                 done[row - 1] = True
                 continue
             hit = True
-            yield GridTerm(d, row, d - row, t)
+            yield d, row, d - row, e
             emitted += 1
             if emitted >= budget:
                 return
@@ -123,6 +129,11 @@ def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
         if not hit and all(done):
             return
         d += 1
+
+
+def grid_walk(ms: Sequence[int], budget: int) -> Iterator[GridTerm]:
+    """The cells of grid_cells, each with its term as a Fraction."""
+    return (GridTerm(d, r, c, Fraction(1, 1 << e)) for d, r, c, e in grid_cells(ms, budget))
 
 
 def dyadic_diagonal(ms: Sequence[int], budget: int) -> list[Fraction]:
@@ -212,8 +223,7 @@ def unit_sum_to_prefix_free(ms: Sequence[int], budget: int) -> CodeAssignment:
     alloc = KraftAllocator()
     terms: list[Fraction] = []
     words: list[str] = []
-    for g in grid_walk(ms, budget):
-        n = g.term.denominator.bit_length() - 1
-        words.append(alloc.request(n))
-        terms.append(g.term)
+    for *_, e in grid_cells(ms, budget):
+        words.append(alloc.request(e))
+        terms.append(Fraction(1, 1 << e))
     return CodeAssignment(tuple(terms), tuple(words), sum(terms, Fraction(0)))

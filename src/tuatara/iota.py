@@ -257,11 +257,14 @@ def parse(bits: str) -> Term:
 
 
 def is_program(bits: str) -> bool:
-    try:
-        parse(bits)
-    except ParseFailure:
-        return False
-    return True
+    """Whether bits, whitespace ignored, spell one whole program: the count of
+    subterms owed starts at 1, each 1 adds one, and each 0 settles one."""
+    need = 1
+    for c in _clean(bits):
+        if not need:
+            return False  # a whole program, then trailing bits
+        need += 1 if c == "1" else -1
+    return not need
 
 
 _SPELLINGS = {"i": "0", "K": "1010100", "S": "101010100"}

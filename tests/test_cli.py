@@ -122,6 +122,18 @@ def test_egyptian_command(capsys):
     assert code == EXIT_COMPUTE and err == "error: floor must be >= 1\n"
 
 
+def test_egyptian_prints_denominators_past_the_digit_limit(capsys):
+    # the greedy tail ends in a 44,213-bit denominator, well inside the
+    # default 100,000-bit budget but past str()'s default 4300-digit limit
+    code, out, err = _go(capsys, "egyptian", "143299323/205428871", "--floor", "2")
+    assert (code, err) == (EXIT_OK, "")
+    terms = out.removesuffix("\n").split(" + ")
+    assert all(t.startswith("1/") for t in terms)
+    denoms = [int(Decimal(t[2:])) for t in terms]  # int() of the text has the limit too
+    assert len(denoms) == 16 and max(denoms).bit_length() == 44_213
+    assert sum(F(1, d) for d in denoms) == F(143299323, 205428871)
+
+
 def test_kraft_command(capsys):
     code, out, err = _go(capsys, "kraft", "1", "2", "3", "3", "--format", "csv")
     assert code == EXIT_OK

@@ -410,6 +410,29 @@ def test_parse_of_inputs_without_skips_stays_linear(kind):
     assert _peak(iota.parse, quarter) <= 2 * _peak(_shared_build, quarter)
 
 
+def _parses(text):
+    """The former is_program: whether parse builds a term from the text."""
+    try:
+        iota.parse(text)
+    except ParseFailure:
+        return False
+    return True
+
+
+def test_is_program_of_a_million_bits_builds_nothing():
+    # is_program counts the subterms still owed and builds no term: on a
+    # 1M-bit random program it takes at most a third of parse's time, and its
+    # peak stays within two copies of the text, where one object per bit
+    # would take tens of megabytes
+    full = _stress_input("random", 1)
+    assert iota.is_program(full)
+    # cut short, extended, or with a bit flipped, the counts no longer match
+    assert not any(map(iota.is_program, _variants(full, len(full) - 1, len(full) // 2, "0")[1:]))
+    built = _cpu_time(iota.parse, full)
+    assert 3 * min(_cpu_time(iota.is_program, full) for _ in range(3)) <= built
+    assert _peak(iota.is_program, full) <= 2 * len(full)
+
+
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # the tests above need no hypothesis
@@ -470,6 +493,15 @@ if given is not None:
         pad = data.draw(st.text(alphabet="01", min_size=1, max_size=40), label="pad")
         for text in _variants(bits, cut, flip, pad):
             _parse_agrees(text)
+
+    _NEAR_PROGRAM = _PROGRAM.flatmap(lambda b: st.sampled_from(
+        (b, b[:-1], b + "0", b + "10", "1" + b, " ".join(b), f"\t{b}\n", b + "2")))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(alphabet="01 \n2", max_size=60), _NEAR_PROGRAM))
+    def test_is_program_matches_parse(text):
+        # the same answer, or the same ValueError for text that is not bits
+        assert _outcome(iota.is_program, text) == _outcome(_parses, text)
 
     # ---------------------------------------------------------------------------
     # shared cells
