@@ -184,15 +184,21 @@ class ComplexityOracle:
         return _length_of_index(nabla(self.machine, x, budget))
 
     def prefix_indices(self, digits: str, budget: int) -> list:
-        """Least index (or NO_WITNESS) of each prefix of digits; one pass.
+        """Least index (or NO_WITNESS) of each prefix of digits; one pass
+        over the domain, which keeps an index per prefix length, not a prefix.
 
         Every kind's value is the length of bin(least index): a shortest
         input for plain and prefix, |bin(nabla)| for nabla_log.
         """
         self._check_domain()
-        prefixes = [digits[:m] for m in range(1, len(digits) + 1)]
-        least = least_indices(self.machine, prefixes, budget)
-        return [least.get(p, NO_WITNESS) for p in prefixes]
+        least, missing = [NO_WITNESS] * len(digits), len(digits)
+        for n, out in self.machine.outputs(budget):
+            if out and digits.startswith(out) and least[len(out) - 1] is NO_WITNESS:
+                least[len(out) - 1] = n
+                missing -= 1
+                if not missing:
+                    break
+        return least
 
 
 @dataclass(frozen=True)

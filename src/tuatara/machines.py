@@ -18,8 +18,8 @@ that is smaller). Upper bounds are the least of that total and
 partial sums plus a tail majorant, taken at every length the enumeration
 completed or at the string where a bracketed sum stopped; so a larger
 budget never widens the enclosure of a sum it does not exhaust. Those
-candidates are compared as unreduced integer pairs, and one Fraction is
-built, for the least.
+candidates are compared as unreduced integer pairs, and only the least is
+reduced: the total as it stands, or a partial sum plus its tail.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def _geometric_tail(n: int, b: int, m: int) -> Fraction | None:
     if d <= 0:
         return None
     _, t, y = pow2_dyadic(n * m, b, _TERM_PREC)
-    return Fraction(t << (y - x), d) if y >= x else Fraction(t, d << (x - y))
+    return dyadic(t, y - x, d)
 
 
 def _universal_tail(ell: int, s: Fraction, kind: str) -> Fraction | None:
@@ -448,21 +448,20 @@ class _LukasiewiczStream(DomainStream):
 
     def _tail(self, s: Fraction, n0: int) -> Fraction | None:
         # weight at most the omega weight, and C_{m-1} <= 4^(m-1) bounds the
-        # counts: the tail is at most 2^(s-2) times the sum of q^m over
-        # m > n0, q = 4^(1-s)
+        # counts: the tail is at most 2^(s-2) q^(n0+1)/(1 - q), q = 4^(1-s),
+        # with q <= r 2^y and 2^(s-2) <= h 2^x rounded up (exact at integer s)
         if s == 1:
             return iota_mod.program_tail_weight(n0)
         if s < 1:
             return None
         a, b = s.numerator, s.denominator
-        if b == 1:  # exact, as is every power at integer s
-            tail = _geometric_tail(2 - 2 * a, 1, n0 + 1)
-        else:  # one rounded q = r 2^y, raised to the power: q^(n0+1)/(1 - q)
-            _, r, y = pow2_dyadic(2 * (b - a), b, _TERM_PREC)
-            d = (1 << -y) - r
-            tail = None if d <= 0 else Fraction(r ** (n0 + 1), d << (-y * n0))
+        _, r, y = pow2_dyadic(2 * (b - a), b, _TERM_PREC)
+        d = (1 << -y) - r
+        if d <= 0:
+            return None
         _, h, x = pow2_dyadic(a - 2 * b, b, _TERM_PREC)
-        return None if tail is None else tail * dyadic(h, x)
+        check_power(2, -y * (n0 + 1))
+        return dyadic(h * r ** (n0 + 1), y * n0 + x, d)
 
 
 class _IotaHaltingStream(DomainStream):
@@ -1148,7 +1147,7 @@ class _Sum:
     reach() keeps each completed length's upper sum as the accumulator's
     integers (hi_pair). report() forms each candidate (the total, then the
     bracket or the lengths ascending) as one unreduced integer pair, keeps
-    the least by cross multiplication and builds one Fraction, the winner's."""
+    the least by cross multiplication and reduces only the winner, n/d + tail."""
 
     def __init__(self, stream: DomainStream, kind: str, s: Fraction, budget: int):
         self.kind, self.s = kind, s
@@ -1220,7 +1219,7 @@ class _Sum:
         # length a smaller one did, so the least of them cannot rise with the
         # budget. A bracketed tail narrows with each string up to limit
         # instead. A later candidate wins only when strictly less, so ties go
-        # to the first; bn/bd = 1/0 is infinity
+        # to the first; bn/bd = 1/0 is infinity, and the winner alone is reduced
         total = stream.total_upper(s, kind)
         upper, bn, bd = (None, 1, 0) if total is None else ("total", *total.as_integer_ratio())
         if self.tail_at is not None:
@@ -1229,13 +1228,14 @@ class _Sum:
             sums = [("bracket", *acc.hi_pair, tail.hi)]
         else:
             sums = ((ell, n, d, _tail_upper(stream, ell, s, kind)) for ell, n, d in self.complete)
+        win = None
         for name, n, d, tail in sums:
             if tail is not None:
                 tn, td = tail.as_integer_ratio()
                 cn, cd = n * td + tn * d, d * td
                 if cn * bd < bn * cd:
-                    upper, bn, bd = name, cn, cd
-        hi = None if upper is None else Fraction(bn, bd)
+                    upper, bn, bd, win = name, cn, cd, (n, d, tail)
+        hi = total if win is None else Fraction(win[0], win[1]) + win[2]
         return SumReport(Enclosure(lo, hi), self.consumed, self.stop, upper, exact_terms)
 
 

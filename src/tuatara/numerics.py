@@ -529,9 +529,9 @@ def pow2_dyadic(n: int, b: int, prec: int) -> tuple[int, int, int]:
     return m, m + 1, c - prec
 
 
-def dyadic(m: int, x: int) -> Fraction:
-    """m 2^x as a Fraction."""
-    return Fraction(m << x) if x >= 0 else Fraction(m, 1 << -x)
+def dyadic(m: int, x: int, d: int = 1) -> Fraction:
+    """m 2^x / d as one Fraction, d >= 1; every power-of-two bound is built here."""
+    return Fraction(m << x, d) if x >= 0 else Fraction(m, d << -x)
 
 
 def pow2_bounds(e: Fraction, prec: int = 64) -> Enclosure:

@@ -1,5 +1,6 @@
-"""Single-pass deficiency and liminf proxy against one query per prefix, and
-the complexity search's domain walk against a walk over every integer."""
+"""Single-pass deficiency and liminf proxy against one query per prefix and
+against a search over every prefix string, and the complexity search's
+domain walk against a walk over every integer."""
 
 from __future__ import annotations
 
@@ -49,6 +50,15 @@ def _liminf_by_prefix(digits, oracle, budget):
     return min(ratios) if ratios else NO_WITNESS
 
 
+def _prefix_indices_by_strings(oracle, digits, budget):
+    """Reference: the search as it read before it kept one index per
+    length, a target set of every prefix string."""
+    oracle._check_domain()
+    prefixes = [digits[:m] for m in range(1, len(digits) + 1)]
+    least = least_indices(oracle.machine, prefixes, budget)
+    return [least.get(p, NO_WITNESS) for p in prefixes]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -57,6 +67,9 @@ def _outcome(fn, *args):
 
 
 def _assert_single_pass_matches(digits, s, oracle, budget):
+    assert _outcome(oracle.prefix_indices, digits, budget) == _outcome(
+        _prefix_indices_by_strings, oracle, digits, budget
+    )
     assert _outcome(deficiency, digits, s, oracle, budget) == _outcome(
         _deficiency_by_prefix, digits, F(s), oracle, budget
     )

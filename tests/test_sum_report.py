@@ -3,11 +3,12 @@
 _Sum.reach keeps each completed length's upper sum as the accumulator's
 integers, and _Sum.report compares its candidates (the total, then the
 bracket or the completed lengths in ascending order) as unreduced integer
-pairs, building one Fraction for the winner. The reference kept here is
-the engine it replaced, which built the upper sum as a Fraction at every
-completed length and took the least candidate with min(), the first of
-equal ones. Every report (enclosure, consumed count, stop, winning bound
-and exact-mode count) must equal the reference's, ties included.
+pairs, and reduces the winner alone, its partial sum plus its tail. The
+reference kept here is the engine it replaced, which built the upper sum
+as a Fraction at every completed length and took the least candidate with
+min(), the first of equal ones. Every report (enclosure, consumed count,
+stop, winning bound and exact-mode count) must equal the reference's, ties
+included.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def test_reach_and_report_add_no_fraction_per_length():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(machines, "_Sum", _RefSum)
         assert _fraction_adds_in((_RefSum.reach, _RefSum.report), _geometric_sum) == 137
-    # a bracketed sum adds its tail's lower end to lo, once
-    assert _fraction_adds_in((machines._Sum.report,), _bracketed_sum) == 1
+    # a bracketed sum adds its tail's lower end to lo and its upper end to
+    # the winner's reduced partial sum, once each
+    assert _fraction_adds_in((machines._Sum.report,), _bracketed_sum) == 2
 
 
 def test_a_geometric_tail_without_extras_adds_nothing():

@@ -1,0 +1,112 @@
+"""Slow paths guarded by counted work, not by time, so a busy host cannot
+move them.
+
+A sum's report reduces only its winning candidate, n/d plus its tail
+(Henrici's addition, as fractions does it), so every gcd it takes meets
+the accumulator's own denominator: 2^_ACC_BITS on the grid, at most
+_IntervalAcc._GUARD_BITS bits in exact mode. Reducing the cross sum
+(n td + tn d) / (d td) instead takes the gcd of two integers as large as
+the tail's, millions of bits at a large s. The tails themselves are the
+stream hooks' work and are not counted here.
+
+A deficiency report's search keeps one least index per prefix length and
+builds no prefix string, so its traced memory is linear in the digits.
+"""
+
+from __future__ import annotations
+
+import fractions
+import math
+import sys
+import tracemalloc
+import types
+from fractions import Fraction as F
+
+import pytest
+
+from tuatara import machines
+from tuatara.complexity import ComplexityOracle, ExecutableMachine, deficiency
+from tuatara.machines import (
+    _ACC_BITS,
+    Builtin,
+    Construction,
+    FiniteTable,
+    weighted_domain_sums,
+)
+
+
+def _report_gcd_bits(run) -> list[tuple[int, int]]:
+    """For every gcd that report's own Fraction arithmetic takes while run()
+    runs: the bit length of its smaller operand, and that of the largest
+    denominator of the accumulator or of a completed length's upper sum.
+    The gcds of the tail hooks (tail_bound, total_upper, _tail_upper, a
+    bracket) and of the weights are taken in their own frames, and are not
+    counted."""
+    report = machines._Sum.report.__code__
+    seen = []
+
+    def gcd(a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == fractions.__file__:
+            frame = frame.f_back
+        if frame.f_code is report:
+            acc, complete = frame.f_locals["acc"], frame.f_locals["self"].complete
+            dens = [acc.ld, acc.hd] if acc.exact else [1 << _ACC_BITS]
+            den = max(dens + [d for _, _, d in complete])
+            seen.append((min(abs(a), abs(b)).bit_length(), den.bit_length()))
+        return math.gcd(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractions, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+        run()
+    return seen
+
+
+_LUKA = Builtin("lukasiewicz")
+_SPECS = {
+    "double_lukasiewicz": Construction("double", (_LUKA,)),
+    "lukasiewicz": _LUKA,
+    "geometric": Builtin("geometric"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_report_gcds_stay_within_the_grid(name):
+    # at s = 100000 these sums are on the grid after their first term, so
+    # no gcd of a report meets more than the _ACC_BITS + 1 bits of
+    # 2^_ACC_BITS; reducing the total's or a cross sum's own integers
+    # again would take gcds of s bits and more
+    requests = [("omega", F(100000)), ("zeta", F(100000))]
+    seen = _report_gcd_bits(lambda: weighted_domain_sums(_SPECS[name], requests, 2000))
+    assert max((bits for bits, _ in seen), default=0) <= _ACC_BITS + 1
+
+
+@pytest.mark.parametrize(
+    "spec", [*_SPECS.values(), Builtin("all_strings")], ids=[*_SPECS, "all_strings"]
+)
+def test_report_gcds_meet_only_the_accumulator(spec):
+    # where a completed length or a bracket wins, hi is n/d plus its tail,
+    # in exact mode too: each gcd has an operand no larger than d, so none
+    # passes the largest denominator the report holds
+    requests = [(kind, s) for kind in ("omega", "zeta") for s in (F(2), F(7, 3), F(40))]
+    reports = []
+    seen = _report_gcd_bits(lambda: reports.extend(weighted_domain_sums(spec, requests, 2000)))
+    assert any(r.upper not in ("total", "exhausted") for r in reports)
+    assert all(bits <= den for bits, den in seen), seen
+
+
+def test_deficiency_holds_no_prefix_strings():
+    # the search keeps one least index per prefix length, so its memory is
+    # linear in the digits: a report row each, 218-272 bytes on Python
+    # 3.10-3.13; the prefixes themselves, digits[:m] for every m, would
+    # hold n^2/2 bytes, 32 MB
+    digits = "".join(format(i, "b") for i in range(1, 2000))[:8000]
+    machine = ExecutableMachine(FiniteTable(("0", "1"), (digits[:3], digits)))
+    tracemalloc.start()
+    try:
+        report = deficiency(digits, 2, ComplexityOracle("plain", machine), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.m for row in report.rows if row.slack is not None] == [3, len(digits)]
+    assert peak < 512 * len(digits)
