@@ -111,7 +111,6 @@ def grid_cells(ms: Sequence[int], budget: int) -> Iterator[tuple[int, int, int, 
     emitted = 0
     d = 2
     while emitted < budget:
-        hit = False
         for row in range(min(d - 1, len(ms)), 0, -1):
             # pass d reads row r at column d - r, the column after the one
             # pass d - 1 read, so each row is read once per pass, in order
@@ -119,14 +118,14 @@ def grid_cells(ms: Sequence[int], budget: int) -> Iterator[tuple[int, int, int, 
             if e is None:
                 done[row - 1] = True
                 continue
-            hit = True
             yield d, row, d - row, e
             emitted += 1
             if emitted >= budget:
                 return
-        # a miss at (r, d-r) means row r holds fewer than d-r terms, so once
-        # every row is exhausted a fully missed diagonal rules out all later ones
-        if not hit and all(done):
+        # a row is marked done only when it misses, and a finished row never
+        # yields again: once every row is done, this pass yielded nothing, and
+        # no later pass can
+        if all(done):
             return
         d += 1
 

@@ -463,16 +463,13 @@ def _one_pass_matches(spec, requests, budget):
 
 class _ReadGroup:
     """A sized lengths() group that records each index iterated from it;
-    its len and its slices read none."""
+    its len reads none."""
 
     def __init__(self, group, pulls):
         self.group, self.pulls = group, pulls
 
     def __len__(self):
         return len(self.group)
-
-    def __getitem__(self, part):
-        return _ReadGroup(self.group[part], self.pulls)
 
     def __iter__(self):
         for n in self.group:
@@ -681,11 +678,19 @@ def test_omega_sums_from_counts_match_the_reference():
 
 
 def test_exhaustion_exactly_at_the_budget():
-    for spec in (_PREFIX_FREE, STREAMS["finite"], STREAMS["universal_tuatara"]):
-        size = len(spec.indices) if isinstance(spec, FiniteTable) else 7
+    # double and tuatara_of groups are sized but not slices; omega requests
+    # alone probe a sized group for exhaustion, mixed ones read it
+    omega = [request for request in _MIXED if request[0] == "omega"]
+    specs = (
+        _PREFIX_FREE, STREAMS["finite"], STREAMS["universal_tuatara"],
+        Construction("double", (_PREFIX_FREE,)), Construction("tuatara_of", (_PREFIX_FREE,)),
+    )
+    for spec in specs:
+        size = sum(1 for _ in domain_stream(spec))
         for budget, stop in ((size - 1, "budget"), (size, "exhausted"), (size + 1, "exhausted")):
-            reps = _one_pass_matches(spec, _MIXED, budget)
-            assert {(rep.stop, rep.consumed) for rep in reps} == {(stop, min(size, budget))}
+            for requests in (_MIXED, omega):
+                reps = _one_pass_matches(spec, requests, budget)
+                assert {(rep.stop, rep.consumed) for rep in reps} == {(stop, min(size, budget))}
 
 
 def test_classify_takes_both_sums_from_one_pass(monkeypatch):

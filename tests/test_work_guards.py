@@ -11,6 +11,10 @@ stream hooks' work and are not counted here.
 
 A deficiency report's search keeps one least index per prefix length and
 builds no prefix string, so its traced memory is linear in the digits.
+
+Counts and totals read a stream's lengths() groups, by their len or their
+sum: a count walks no index, and the tuatara_of total at s = 1 builds one
+Fraction per operand length.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import sys
 import tracemalloc
 import types
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 
@@ -110,3 +115,52 @@ def test_deficiency_holds_no_prefix_strings():
         tracemalloc.stop()
     assert [row.m for row in report.rows if row.slack is not None] == [3, len(digits)]
     assert peak < 512 * len(digits)
+
+
+def test_counts_walk_no_index(monkeypatch):
+    # each of these streams is counted from its groups' sizes; a product of
+    # parts that are not a prefix code holds each length in one window here
+    table = FiniteTable(("", "0", "10", "110", "1110", "0110", "111111"))
+    specs = [
+        table,
+        Construction("universal_tuatara", (table, FiniteTable(("1", "01")))),
+        Construction("double", (table,)),
+        Construction("tuatara_of", (FiniteTable(("0", "10", "1100", "1101", "111")),)),
+        Construction("product", (FiniteTable(("1", "01", "0")),)),
+    ]
+
+    def enumerated(spec):  # the strings of length <= ell for ell = -1..8, one at a time
+        short = [len(w) for w in takewhile(lambda w: len(w) <= 8, machines.domain_stream(spec))]
+        return [sum(length <= ell for length in short) for ell in range(-1, 9)]
+
+    def walked(self):
+        raise AssertionError("a count walked indices()")
+
+    want = [enumerated(spec) for spec in specs]
+    monkeypatch.setattr(machines.DomainStream, "indices", walked)
+    for spec, counts in zip(specs, want):
+        stream = machines.domain_stream(spec)
+        assert [stream.count_up_to_length(ell) for ell in range(-1, 9)] == counts, spec
+
+
+def test_tuatara_of_total_builds_a_fraction_per_operand_length(monkeypatch):
+    # 64 prefix-free strings of lengths 5, 6 and 7: 0xxxx, 10xxxx and 11xxxxx
+    domain = tuple(
+        prefix + format(i, f"0{width}b")
+        for prefix, width in (("0", 4), ("10", 4), ("11", 5))
+        for i in range(1 << width)
+    )
+    stream = machines.domain_stream(Construction("tuatara_of", (FiniteTable(domain),)))
+    want = sum(F(int("1" + w, 2), 4 ** len(w)) for w in domain)
+    made = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(machines, "Fraction", Counted)
+    total = stream.tail_bound(-1, 1, "omega")
+    monkeypatch.undo()
+    assert total == want
+    assert len(made) <= 3 + 1, len(made)  # one per length, and the start value
