@@ -91,10 +91,7 @@ def is_prefix_free(strings: Iterable[str]) -> bool:
     validate_all_bits(seen)
     seen.sort()
     # after sorting, a prefix is adjacent to some extension of itself
-    for a, b in zip(seen, seen[1:]):
-        if b.startswith(a):
-            return False
-    return True
+    return not any(map(str.startswith, seen[1:], seen))
 
 
 def all_strings(limit: int | None = None) -> Iterator[str]:

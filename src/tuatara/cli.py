@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,12 @@ class MachineFileError(ValueError):
 # ---------------------------------------------------------------------------
 # machine description files
 
+# a run of lines of one directive in the shape files mostly hold: exactly
+# "domain BITS" or "map BITS -> BITS", with single spaces, no eps, no comment
+_RUNS = re.compile(r"^(?:domain [01]+\n)+|^(?:map [01]+ -> [01]+\n)+", re.M)
+# str.splitlines breaks lines at these besides \n, and at \x85, \u2028 and \u2029
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
 
 class _Block:
     def __init__(self, name: str, line: int):
@@ -105,9 +112,7 @@ def _finish_block(
     if block.kind is None:
         raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
     if block.kind == "finite":
-        outputs = None
-        if block.maps:
-            outputs = tuple(block.maps.get(w) for w in block.domain)
+        outputs = tuple(map(block.maps.get, block.domain)) if block.maps else None
         table = FiniteTable(tuple(block.domain), outputs)
         validate_spec(table)  # the one check of the table's strings
         if block.check_prefix_free and not is_prefix_free(table.domain):
@@ -129,6 +134,137 @@ def _finish_block(
     return Construction(block.construct, tuple(operands), tuple(block.bounds))
 
 
+class _Reader:
+    """A machine file as read so far: the spec of each closed block by name,
+    the last spec closed, and the open block."""
+
+    def __init__(self, budgets: tuple[int, int]):
+        self.budgets = budgets
+        self.known: dict[str, MachineSpec] = {}
+        self.last: MachineSpec | None = None
+        self.block: _Block | None = None
+
+    def close(self) -> None:
+        if self.block is not None:
+            spec = _finish_block(self.block, self.known, self.budgets)
+            self.known[self.block.name] = self.last = spec
+            self.block = None
+
+    def read_run(self, first: int, run: str) -> int:
+        """Read a match of _RUNS whose first line is line first, and return
+        the number of the line after it. Its strings are recorded at once,
+        as its lines one at a time would record them, unless a line would
+        fail a check: a duplicate string, a map source not yet in the domain
+        or a duplicate map. Then the run is read line by line, to name the
+        line at fault."""
+        block = self.block
+        if block is None:
+            return self.read_lines(first, run)
+        if run[0] == "d":
+            words = run[7:-1].split("\ndomain ")
+            new = dict(zip(words, range(first, first + len(words))))
+            if len(new) == len(words) and block.domain.keys().isdisjoint(new):
+                block.domain |= new
+                return first + len(new)
+        else:
+            parts = run[4:-1].replace("\nmap ", " -> ").split(" -> ")
+            new = dict(zip(parts[::2], parts[1::2]))  # source: target
+            if (
+                2 * len(new) == len(parts)
+                and new.keys() <= block.domain.keys()
+                and block.maps.keys().isdisjoint(new)
+            ):
+                block.maps |= new
+                block.map_lines += zip(range(first, first + len(new)), new, new.values())
+                return first + len(new)
+        return self.read_lines(first, run)
+
+    def read_lines(self, first: int, text: str) -> int:
+        """Read text line by line, its first line being line first, and
+        return the number of the line after it."""
+        lines = text.splitlines()
+        for lineno, line in enumerate(lines, first):
+            self.read_line(lineno, line)
+        return first + len(lines)
+
+    def read_line(self, lineno: int, line: str) -> None:
+        """Read one line: the code of every directive."""
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            return
+        key = tokens[0]
+        if key == "machine":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "machine needs exactly one name")
+            self.close()
+            if tokens[1] in self.known:
+                raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
+            self.block = _Block(tokens[1], lineno)
+            return
+        block = self.block
+        if block is None:
+            raise MachineFileError(lineno, "directive before any machine line")
+        if key == "kind":
+            if len(tokens) != 2 or tokens[1] not in ("finite", "builtin", "construction"):
+                raise MachineFileError(lineno, "kind must be finite, builtin or construction")
+            if block.kind is not None:
+                raise MachineFileError(lineno, "duplicate kind line")
+            block.kind = tokens[1]
+        elif key == "domain":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "domain needs exactly one string")
+            w = "" if tokens[1] == EPS else tokens[1]
+            if w in block.domain:
+                raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
+            block.domain[w] = lineno
+        elif key == "map":
+            if len(tokens) != 4 or tokens[2] != "->":
+                raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
+            src = "" if tokens[1] == EPS else tokens[1]
+            dst = "" if tokens[3] == EPS else tokens[3]
+            block.map_lines.append((lineno, src, dst))
+            if src not in block.domain:
+                raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
+            if src in block.maps:
+                raise MachineFileError(lineno, f"duplicate map for {tokens[1]!r}")
+            block.maps[src] = dst
+        elif key == "generator":
+            if block.generator is not None:
+                raise MachineFileError(lineno, "duplicate generator line")
+            if len(tokens) < 2:
+                raise MachineFileError(lineno, "generator needs a name")
+            block.generator = tokens[1]
+            if tokens[1] == "geometric":
+                if len(tokens) > 3:
+                    raise MachineFileError(lineno, "geometric takes one extras list")
+                if len(tokens) == 3:
+                    block.extras = tuple(_bits_token(t, lineno) for t in tokens[2].split(","))
+            elif len(tokens) != 2:
+                raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
+        elif key == "construct":
+            if block.construct is not None:
+                raise MachineFileError(lineno, "duplicate construct line")
+            if len(tokens) != 3:
+                raise MachineFileError(lineno, "construct syntax is: construct KIND NAMES")
+            block.construct = tokens[1]
+            block.operand_names = tokens[2].split(",")
+        elif key == "bound":
+            if len(tokens) != 2:
+                raise MachineFileError(lineno, "bound needs one rational")
+            try:
+                block.bounds.append(parse_rational(tokens[1]))
+            except ValueError as exc:
+                raise MachineFileError(lineno, str(exc)) from None
+        elif key == "prefix_free":
+            if len(tokens) != 1:
+                raise MachineFileError(lineno, "prefix_free takes no arguments")
+            block.check_prefix_free = True
+        else:
+            raise MachineFileError(lineno, f"unknown directive {key!r}")
+
+
 def parse_machine_file(
     text: str,
     step_budget: int = iota_mod.DEFAULT_STEP_BUDGET,
@@ -139,103 +275,30 @@ def parse_machine_file(
     Earlier blocks become named operands for later construction blocks.
     Iota generator blocks run their programs under the given reduction
     budgets. A string that is not bits is reported at its line, and before
-    any error that a later line of its block would raise.
+    any error that a later line of its block would raise. Runs of domain or
+    map lines in their plain shape are read at once; all other lines, and a
+    run that fails a check, are read one at a time, in the same order.
     """
-    known: dict[str, MachineSpec] = {}
-    block: _Block | None = None
-    last: MachineSpec | None = None
-
-    def close() -> None:
-        nonlocal block, last
-        if block is not None:
-            known[block.name] = last = _finish_block(block, known, (step_budget, size_budget))
-            block = None
-
+    reader = _Reader((step_budget, size_budget))
+    if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
+        text = "\n".join(text.splitlines())  # the same lines, broken at \n only
+    lineno, pos = 1, 0
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if "#" in line:
-                line = line.split("#", 1)[0]
-            tokens = line.split()
-            if not tokens:
-                continue
-            key = tokens[0]
-            if key == "machine":
-                if len(tokens) != 2:
-                    raise MachineFileError(lineno, "machine needs exactly one name")
-                close()
-                if tokens[1] in known:
-                    raise MachineFileError(lineno, f"duplicate machine {tokens[1]!r}")
-                block = _Block(tokens[1], lineno)
-                continue
-            if block is None:
-                raise MachineFileError(lineno, "directive before any machine line")
-            if key == "kind":
-                if len(tokens) != 2 or tokens[1] not in ("finite", "builtin", "construction"):
-                    raise MachineFileError(lineno, "kind must be finite, builtin or construction")
-                if block.kind is not None:
-                    raise MachineFileError(lineno, "duplicate kind line")
-                block.kind = tokens[1]
-            elif key == "domain":
-                if len(tokens) != 2:
-                    raise MachineFileError(lineno, "domain needs exactly one string")
-                w = "" if tokens[1] == EPS else tokens[1]
-                if w in block.domain:
-                    raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
-                block.domain[w] = lineno
-            elif key == "map":
-                if len(tokens) != 4 or tokens[2] != "->":
-                    raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
-                src = "" if tokens[1] == EPS else tokens[1]
-                dst = "" if tokens[3] == EPS else tokens[3]
-                block.map_lines.append((lineno, src, dst))
-                if src not in block.domain:
-                    raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
-                if src in block.maps:
-                    raise MachineFileError(lineno, f"duplicate map for {tokens[1]!r}")
-                block.maps[src] = dst
-            elif key == "generator":
-                if block.generator is not None:
-                    raise MachineFileError(lineno, "duplicate generator line")
-                if len(tokens) < 2:
-                    raise MachineFileError(lineno, "generator needs a name")
-                block.generator = tokens[1]
-                if tokens[1] == "geometric":
-                    if len(tokens) > 3:
-                        raise MachineFileError(lineno, "geometric takes one extras list")
-                    if len(tokens) == 3:
-                        block.extras = tuple(_bits_token(t, lineno) for t in tokens[2].split(","))
-                elif len(tokens) != 2:
-                    raise MachineFileError(lineno, f"{tokens[1]} takes no arguments")
-            elif key == "construct":
-                if block.construct is not None:
-                    raise MachineFileError(lineno, "duplicate construct line")
-                if len(tokens) != 3:
-                    raise MachineFileError(lineno, "construct syntax is: construct KIND NAMES")
-                block.construct = tokens[1]
-                block.operand_names = tokens[2].split(",")
-            elif key == "bound":
-                if len(tokens) != 2:
-                    raise MachineFileError(lineno, "bound needs one rational")
-                try:
-                    block.bounds.append(parse_rational(tokens[1]))
-                except ValueError as exc:
-                    raise MachineFileError(lineno, str(exc)) from None
-            elif key == "prefix_free":
-                if len(tokens) != 1:
-                    raise MachineFileError(lineno, "prefix_free takes no arguments")
-                block.check_prefix_free = True
-            else:
-                raise MachineFileError(lineno, f"unknown directive {key!r}")
-        close()
+        for match in _RUNS.finditer(text):
+            lineno = reader.read_lines(lineno, text[pos : match.start()])
+            lineno = reader.read_run(lineno, match[0])
+            pos = match.end()
+        reader.read_lines(lineno, text[pos:])
+        reader.close()
     except ValueError:
         # a string of the open block that is not bits is reported first
-        if block is not None:
-            block.check_strings()
+        if reader.block is not None:
+            reader.block.check_strings()
         raise
-    if last is None:
+    if reader.last is None:
         raise MachineFileError(1, "no machine block found")
-    validate_spec(last)
-    return last
+    validate_spec(reader.last)
+    return reader.last
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class FiniteTable:
         if self.outputs is not None:
             if len(self.outputs) != len(domain):
                 raise MachineSpecError("outputs must parallel the domain")
-            validate_all_bits([out for out in self.outputs if out is not None], MachineSpecError)
+            validate_all_bits([*filter(None, self.outputs)], MachineSpecError)
         return True
 
     def output_for(self, w: str) -> str | None:

@@ -122,9 +122,58 @@ def test_prefix_free():
     assert not is_prefix_free(["10", "1"])
     assert not is_prefix_free(["0", "0"])
     assert not is_prefix_free(["", "0"])
+    # the first member that is not bits is named, though a later one sorts first
+    with pytest.raises(ValueError, match=r"^not a bit string: 'a'$"):
+        is_prefix_free(["1", "a", "0", "2"])
 
 
 def test_all_strings_prefix():
     assert list(all_strings(7)) == ["", "0", "1", "00", "01", "10", "11"]
     gen = all_strings()
     assert [next(gen) for _ in range(3)] == ["", "0", "1"]
+
+
+def _ref_prefix_free(strings: list[str]) -> bool:
+    """Every ordered pair of positions, one at a time; a member that is not
+    bits is refused first, the first one in order."""
+    for w in strings:
+        validate_bits(w)
+    return not any(
+        i != j and b.startswith(a)
+        for i, a in enumerate(strings)
+        for j, b in enumerate(strings)
+    )
+
+
+def _prefix_free_outcome(test, strings):
+    try:
+        return test(strings)
+    except ValueError as exc:
+        return str(exc)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the tests above need no hypothesis
+    given = None
+
+if given is not None:
+    # short bit strings, so prefixes and duplicates are common; the empty
+    # string, and members that are not bits, some of them bits plus a tail
+    _members = st.one_of(
+        st.text("01", max_size=4),
+        st.text("01", max_size=4),
+        st.just(""),
+        st.sampled_from(("2", "0a", "1 ", "1_0", "eps", "\u0661")),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_members, max_size=12))
+    def test_prefix_free_answers_as_every_pair(strings):
+        given_order = list(strings)
+        got = _prefix_free_outcome(is_prefix_free, strings)
+        assert got == _prefix_free_outcome(_ref_prefix_free, strings)
+        # the sort is on a copy: the list keeps its order, and an iterator,
+        # read once, gives the same answer
+        assert strings == given_order
+        assert _prefix_free_outcome(is_prefix_free, iter(strings)) == got

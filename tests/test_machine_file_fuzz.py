@@ -9,11 +9,14 @@ inserted, dropped or repeated. Each runs in-process through cli.run on omega, ze
 classify. The same texts, with comments, tabs, CRLF line ends and trailing
 spaces added, also run against a copy of the original line loop, with its
 own block and block check, which must give the same exit code, output and
-message; fixed texts that open with a string that is not bits check that
-its line is still the first error reported, whatever follows. Budgets stay
-at most 200 elements and --steps at most 50, bit strings at most 5 bits and
-bounds small or refused by the prefix cap, so every run is bounded; no
-subprocess is started.
+message. So must finite tables written as long runs of plain domain and
+map lines, which the parser records a run at once, with a fault in a run
+that its checks must name at its line, and with odd line breaks; fixed
+texts that open with a string that is not bits check that its line is
+still the first error reported, whatever follows. Budgets stay at most 200
+elements and --steps at most 50, bit strings at most 5 bits (9 in the
+runs) and bounds small or refused by the prefix cap, so every run is
+bounded; no subprocess is started.
 """
 
 from __future__ import annotations
@@ -445,6 +448,62 @@ if given is not None:
             out.append(lead + line + trail)
         return draw(st.sampled_from(("\n", "\r\n"))).join(out) + "\n"
 
+    _RUN_FAULTS = (
+        "duplicate", "duplicate past a break", "map ahead of its source", "duplicate map",
+        "duplicate map past a break", "not bits", "eps",
+    )
+    _NOT_BITS = ("0x", "2", "1_0", "eps0")
+
+    @st.composite
+    def _runs_text(draw) -> str:
+        """A finite table's text with its domain and map lines in the plain
+        shape and in long runs, which the parser records at once, and with
+        faults that a run's checks must name at their line: a duplicate
+        string or map late in a run, or past a blank or comment line that
+        ends the run holding the first copy; a map whose source comes only
+        later; a string that is not bits right after a run; eps inside a
+        run. A few lines end in a lone \\r, \\x0b, \\x1c or \\u2028, and
+        the last line may have no line end."""
+        words = draw(st.lists(st.text("01", min_size=1, max_size=7), min_size=10,
+                              max_size=60, unique=True))
+        domain = [f"domain {w}" for w in words]
+        maps = [f"map {w} -> {draw(st.text('01', min_size=1, max_size=3))}"
+                for w in words[: draw(st.integers(2, len(words)))]]
+        after = []  # lines after the map run
+        for fault in draw(st.lists(st.sampled_from(_RUN_FAULTS), min_size=1, max_size=2)):
+            if fault.startswith("duplicate"):
+                run = maps if "map" in fault else domain
+                at = draw(st.integers(max(1, len(run) - 5), len(run)))
+                first = draw(st.integers(0, at - 1))
+                line = run[first].replace("-> ", "-> 1")  # a map's second target differs
+                if fault.endswith("break"):
+                    run.insert(draw(st.integers(first + 1, at)), draw(st.sampled_from(("", "# note"))))
+                    at += 1
+                run.insert(at, line)
+            elif fault == "map ahead of its source":
+                late = draw(st.text("01", min_size=8, max_size=9))  # longer than any word
+                maps.insert(draw(st.integers(0, len(maps))), f"map {late} -> 1")
+                after.append(f"domain {late}")
+            elif fault == "not bits":
+                bad = draw(st.sampled_from(_NOT_BITS))
+                if draw(st.booleans()):
+                    domain.append(f"domain {bad}")
+                else:
+                    maps.append(f"map {words[0]} -> {bad}")
+            else:
+                line = draw(st.sampled_from(("domain eps", f"map eps -> {words[0]}")))
+                domain.insert(draw(st.integers(1, len(domain) - 1)), line)
+        lines = ["machine a", "kind finite", *domain, *maps, *after]
+        if draw(st.booleans()):
+            lines.append("prefix_free")
+        ends = ["\n"] * len(lines)
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines) - 1))
+            ends[at] = draw(st.sampled_from(("\r", "\x0b", "\x1c", "\u2028", "\r\n")))
+        if draw(st.booleans()):
+            ends[-1] = ""
+        return "".join(map(str.__add__, lines, ends))
+
     @settings(max_examples=200, deadline=20_000)
     @given(
         data=st.data(),
@@ -453,7 +512,7 @@ if given is not None:
         steps=st.integers(0, 50),
     )
     def test_the_line_loop_answers_as_its_plain_copy(machine_path, data, command, budget, steps):
-        text = data.draw(_decorated_text(steps, 2000), label="text")
+        text = data.draw(st.one_of(_decorated_text(steps, 2000), _runs_text()), label="text")
         machine_path.write_bytes(text.encode("utf-8"))
         argv = [command, "--machine", str(machine_path), "--budget", str(budget), "--steps", str(steps)]
         if command == "sanity":

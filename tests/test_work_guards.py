@@ -15,6 +15,9 @@ builds no prefix string, so its traced memory is linear in the digits.
 Counts and totals read a stream's lengths() groups, by their len or their
 sum: a count walks no index, and the tuatara_of total at s = 1 builds one
 Fraction per operand length.
+
+A machine file records each run of plain domain or map lines at once: the
+per-line directive code reads only the other lines, however long the table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import takewhile
 
 import pytest
 
-from tuatara import machines
+from tuatara import cli, machines
 from tuatara.complexity import ComplexityOracle, ExecutableMachine, deficiency
 from tuatara.machines import (
     _ACC_BITS,
@@ -164,3 +167,32 @@ def test_tuatara_of_total_builds_a_fraction_per_operand_length(monkeypatch):
     monkeypatch.undo()
     assert total == want
     assert len(made) <= 3 + 1, len(made)  # one per length, and the start value
+
+
+def test_plain_domain_and_map_lines_skip_the_line_code(monkeypatch):
+    # a run of "domain BITS" or "map BITS -> BITS" lines is one record; the
+    # line code reads the machine, kind and prefix_free lines and no more,
+    # so its calls are the same for a table of 800 lines and of 8000
+    calls = []
+    read_line = cli._Reader.read_line
+
+    def counted(self, lineno, text):
+        calls.append(lineno)
+        return read_line(self, lineno, text)
+
+    monkeypatch.setattr(cli._Reader, "read_line", counted)
+    counts = []
+    for domain_lines, map_lines in ((6000, 2000), (600, 200)):
+        domain = [format(i, "013b") for i in range(domain_lines)]  # one length: prefix free
+        text = "".join(
+            ["machine m\n", "kind finite\n"]
+            + [f"domain {w}\n" for w in domain]
+            + [f"map {w} -> {w[-3:]}\n" for w in domain[:map_lines]]
+            + ["prefix_free\n"]
+        )
+        calls.clear()
+        table = cli.parse_machine_file(text)
+        assert table.domain == tuple(domain)
+        assert table.outputs == tuple(w[-3:] if i < map_lines else None for i, w in enumerate(domain))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3, counts
