@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import iota as iota_mod
-from .binstr import EPS, is_prefix_free, parse_bits, render_bits
+from .binstr import is_prefix_free, parse_bits, render_bits
 from .complexity import (
     NO_WITNESS,
     ComplexityOracle,
@@ -77,23 +77,14 @@ class _Block:
         self.name = name
         self.line = line
         self.kind: str | None = None
-        self.domain: dict[str, int] = {}  # each string's line, in line order
+        self.domain: dict[str, None] = {}  # the strings, in line order
         self.maps: dict[str, str] = {}
-        self.map_lines: list[tuple[int, str, str]] = []  # line, source, target
         self.generator: str | None = None
         self.extras: tuple[str, ...] = ()
         self.construct: str | None = None
         self.operand_names: list[str] = []
         self.bounds: list[Fraction] = []
         self.check_prefix_free = False
-
-    def check_strings(self) -> None:
-        """Raise MachineFileError at the first recorded domain or map string,
-        in line order, that is not bits."""
-        strings = [(line, w) for w, line in self.domain.items()]
-        strings += [(line, w) for line, src, dst in self.map_lines for w in (src, dst)]
-        for line, w in sorted(strings, key=lambda pair: pair[0]):
-            _bits_token(w, line)
 
 
 def _bits_token(token: str, line: int) -> str:
@@ -106,15 +97,11 @@ def _bits_token(token: str, line: int) -> str:
 def _finish_block(
     block: _Block, known: dict[str, MachineSpec], budgets: tuple[int, int]
 ) -> MachineSpec:
-    if block.kind != "finite":
-        # domain and map lines on a block of another kind are checked all the same
-        block.check_strings()
     if block.kind is None:
         raise MachineFileError(block.line, f"machine {block.name!r} has no kind")
     if block.kind == "finite":
         outputs = tuple(map(block.maps.get, block.domain)) if block.maps else None
         table = FiniteTable(tuple(block.domain), outputs)
-        validate_spec(table)  # the one check of the table's strings
         if block.check_prefix_free and not is_prefix_free(table.domain):
             raise MachineFileError(block.line, f"machine {block.name!r} domain is not prefix-free")
         return table
@@ -152,17 +139,17 @@ class _Reader:
 
     def read_run(self, first: int, run: str) -> int:
         """Read a match of _RUNS whose first line is line first, and return
-        the number of the line after it. Its strings are recorded at once,
-        as its lines one at a time would record them, unless a line would
-        fail a check: a duplicate string, a map source not yet in the domain
-        or a duplicate map. Then the run is read line by line, to name the
-        line at fault."""
+        the number of the line after it. Its strings are bits by the
+        pattern, and are recorded at once, as its lines one at a time would
+        record them, unless a line would fail a check: a duplicate string, a
+        map source not yet in the domain or a duplicate map. Then the run is
+        read line by line, to name the line at fault."""
         block = self.block
         if block is None:
             return self.read_lines(first, run)
         if run[0] == "d":
             words = run[7:-1].split("\ndomain ")
-            new = dict(zip(words, range(first, first + len(words))))
+            new = dict.fromkeys(words)
             if len(new) == len(words) and block.domain.keys().isdisjoint(new):
                 block.domain |= new
                 return first + len(new)
@@ -175,7 +162,6 @@ class _Reader:
                 and block.maps.keys().isdisjoint(new)
             ):
                 block.maps |= new
-                block.map_lines += zip(range(first, first + len(new)), new, new.values())
                 return first + len(new)
         return self.read_lines(first, run)
 
@@ -215,16 +201,15 @@ class _Reader:
         elif key == "domain":
             if len(tokens) != 2:
                 raise MachineFileError(lineno, "domain needs exactly one string")
-            w = "" if tokens[1] == EPS else tokens[1]
+            w = _bits_token(tokens[1], lineno)
             if w in block.domain:
                 raise MachineFileError(lineno, f"duplicate domain string {tokens[1]!r}")
-            block.domain[w] = lineno
+            block.domain[w] = None
         elif key == "map":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise MachineFileError(lineno, "map syntax is: map BITS -> BITS")
-            src = "" if tokens[1] == EPS else tokens[1]
-            dst = "" if tokens[3] == EPS else tokens[3]
-            block.map_lines.append((lineno, src, dst))
+            src = _bits_token(tokens[1], lineno)
+            dst = _bits_token(tokens[3], lineno)
             if src not in block.domain:
                 raise MachineFileError(lineno, f"map source {tokens[1]!r} not in domain")
             if src in block.maps:
@@ -274,27 +259,21 @@ def parse_machine_file(
 
     Earlier blocks become named operands for later construction blocks.
     Iota generator blocks run their programs under the given reduction
-    budgets. A string that is not bits is reported at its line, and before
-    any error that a later line of its block would raise. Runs of domain or
-    map lines in their plain shape are read at once; all other lines, and a
-    run that fails a check, are read one at a time, in the same order.
+    budgets. Each string is checked as its line is read, so the first
+    error reported is the first line at fault. Runs of domain or map lines
+    in their plain shape are read at once; all other lines, and a run that
+    fails a check, are read one at a time, in the same order.
     """
     reader = _Reader((step_budget, size_budget))
     if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
         text = "\n".join(text.splitlines())  # the same lines, broken at \n only
     lineno, pos = 1, 0
-    try:
-        for match in _RUNS.finditer(text):
-            lineno = reader.read_lines(lineno, text[pos : match.start()])
-            lineno = reader.read_run(lineno, match[0])
-            pos = match.end()
-        reader.read_lines(lineno, text[pos:])
-        reader.close()
-    except ValueError:
-        # a string of the open block that is not bits is reported first
-        if reader.block is not None:
-            reader.block.check_strings()
-        raise
+    for match in _RUNS.finditer(text):
+        lineno = reader.read_lines(lineno, text[pos : match.start()])
+        lineno = reader.read_run(lineno, match[0])
+        pos = match.end()
+    reader.read_lines(lineno, text[pos:])
+    reader.close()
     if reader.last is None:
         raise MachineFileError(1, "no machine block found")
     validate_spec(reader.last)

@@ -286,9 +286,10 @@ def ln_bounds(x: Fraction, prec: int = 64) -> Enclosure:
 
 
 def log2_bounds(x: Fraction, prec: int = 64) -> Enclosure:
-    """Interval for log2 x, rational x > 0."""
-    if x == 1:
-        return Enclosure.exact(_ZERO)
+    """Interval for log2 x, rational x > 0; exact when x is a power of two."""
+    n, d = x.as_integer_ratio()
+    if n > 0 and not n & (n - 1) and not d & (d - 1):  # x = 2^k, k of either sign
+        return Enclosure.exact(Fraction(n.bit_length() - d.bit_length()))
     num = ln_bounds(x, prec + 4)
     den = ln2_bounds(prec + 4)
     if x > 1:

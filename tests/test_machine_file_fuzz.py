@@ -102,7 +102,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 class _RefBlock:
-    """The parser's block as first written: the domain keeps no lines."""
+    """The parser's block as first written."""
 
     def __init__(self, name: str, line: int):
         self.name = name
@@ -268,15 +268,17 @@ def _outcome(parse, text: str, steps: int):
 
 
 # texts that open with a string that is not bits, on a domain line, a map
-# line (its target, or both its strings), or a block of another kind, and go
-# on with a line whose own error, or a later check of its block, might be
-# reported first
+# line (its target, or both its strings), a block of another kind, or the line
+# that ends a plain domain or map run, and go on with a line whose own error,
+# or a later check of its block, might be reported first
 _BAD_STARTS = (
     "machine a\nkind finite\ndomain 0x\n",
     "machine a\nkind finite\ndomain eps\ndomain 1\nmap 1 -> 2\n",
     "machine a\nkind builtin\ngenerator all_strings\ndomain 0x\n",
     "machine a\ndomain 0x\n",
     "machine a\nkind finite\nmap 0x -> 1y\n",  # the source is named, not the target
+    "machine a\nkind finite\ndomain 0\ndomain 1\ndomain 0x\n",
+    "machine a\nkind finite\ndomain 0\ndomain 1\nmap 0 -> 1\nmap 1 -> 0x\n",
 )
 _THEN = (
     "{bad}\n",  # the bad line again: a duplicate of its string

@@ -390,6 +390,7 @@ def test_each_machine_name_builds_its_stream():
 def test_density_statistic():
     luka = Builtin("lukasiewicz")
     assert density_statistic(luka, 1) == 0
+    assert density_statistic(luka, 3) == F(1, 3)  # two words of length <= 3: exactly log2(2)/3
     # 9 words of length <= 7, so the statistic is log2(9)/7
     assert abs(float(density_statistic(luka, 7)) - 0.4528464287774732) < 1e-12
     d41 = density_statistic(luka, 41)

@@ -221,10 +221,12 @@ def test_log_family():
     half = ln_bounds(F(1, 2), 64)
     assert _brackets(half, -F("0.693147180559946"), -F("0.693147180559945"))
     assert log2_bounds(F(1)).is_exact
-    assert log2_bounds(F(8), 64).contains(F(3))
+    assert log2_bounds(F(8), 64) == Enclosure.exact(F(3))
     # log2 3 = 1.5849625007211561...
     assert _brackets(log2_bounds(F(3), 64), F("1.584962500721156"), F("1.584962500721157"))
-    assert log2_bounds(F(1, 4), 64).contains(F(-2))
+    assert log2_bounds(F(1, 4), 64) == Enclosure.exact(F(-2))
+    with pytest.raises(ValueError):
+        log2_bounds(F(0))
     with pytest.raises(ValueError):
         ln_bounds(F(0))
 

@@ -17,7 +17,8 @@ sum: a count walks no index, and the tuatara_of total at s = 1 builds one
 Fraction per operand length.
 
 A machine file records each run of plain domain or map lines at once: the
-per-line directive code reads only the other lines, however long the table.
+per-line directive code reads only the other lines, however long the table,
+and checks each string of those lines once, as it reads the line.
 """
 
 from __future__ import annotations
@@ -172,27 +173,42 @@ def test_tuatara_of_total_builds_a_fraction_per_operand_length(monkeypatch):
 def test_plain_domain_and_map_lines_skip_the_line_code(monkeypatch):
     # a run of "domain BITS" or "map BITS -> BITS" lines is one record; the
     # line code reads the machine, kind and prefix_free lines and no more,
-    # so its calls are the same for a table of 800 lines and of 8000
-    calls = []
-    read_line = cli._Reader.read_line
+    # so its calls are the same for a table of 800 lines and of 8000, and a
+    # run's strings are bits by its pattern, so no token is checked alone
+    calls, checks = [], []
+    read_line, bits_token = cli._Reader.read_line, cli._bits_token
 
     def counted(self, lineno, text):
         calls.append(lineno)
         return read_line(self, lineno, text)
 
+    def counted_bits(token, lineno):
+        checks.append(lineno)
+        return bits_token(token, lineno)
+
     monkeypatch.setattr(cli._Reader, "read_line", counted)
+    monkeypatch.setattr(cli, "_bits_token", counted_bits)
+
+    def table_text(domain, map_lines, end="\n"):
+        return "".join(
+            ["machine m\n", "kind finite\n"]
+            + [f"domain {w}{end}" for w in domain]
+            + [f"map {w} -> {w[-3:]}{end}" for w in domain[:map_lines]]
+            + ["prefix_free\n"]
+        )
+
     counts = []
     for domain_lines, map_lines in ((6000, 2000), (600, 200)):
         domain = [format(i, "013b") for i in range(domain_lines)]  # one length: prefix free
-        text = "".join(
-            ["machine m\n", "kind finite\n"]
-            + [f"domain {w}\n" for w in domain]
-            + [f"map {w} -> {w[-3:]}\n" for w in domain[:map_lines]]
-            + ["prefix_free\n"]
-        )
         calls.clear()
-        table = cli.parse_machine_file(text)
+        table = cli.parse_machine_file(table_text(domain, map_lines))
         assert table.domain == tuple(domain)
         assert table.outputs == tuple(w[-3:] if i < map_lines else None for i, w in enumerate(domain))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3, counts
+    assert checks == []
+    # with a comment on every line, each string is checked once, where it is read
+    domain = [format(i, "010b") for i in range(300)]
+    table = cli.parse_machine_file(table_text(domain, 100, " # note\n"))
+    assert table.domain == tuple(domain)
+    assert len(checks) == 300 + 2 * 100, len(checks)
