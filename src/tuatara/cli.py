@@ -426,14 +426,14 @@ def _cmd_deficiency(args) -> None:
     rows = []
     for r in report.rows:
         c = "none" if r.complexity is NO_WITNESS else str(r.complexity)
-        slack = "" if r.slack is None else str(r.slack)
-        rows.append([str(r.m), c, str(r.threshold), slack])
+        slack = "" if r.slack is None else _frac(r.slack)
+        rows.append([str(r.m), c, _frac(r.threshold), slack])
     _emit(["m", "complexity", "threshold", "slack"], rows, args.format)
-    print(f"worst_slack={'none' if report.worst_slack is None else report.worst_slack}")
+    print(f"worst_slack={'none' if report.worst_slack is None else _frac(report.worst_slack)}")
     if report.nabla_rows:
         _emit(
             ["n", "index", "statistic"],
-            [[str(r.n), str(r.index), str(r.statistic)] for r in report.nabla_rows],
+            [[str(r.n), str(r.index), _frac(r.statistic)] for r in report.nabla_rows],
             args.format,
         )
 

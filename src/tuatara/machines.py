@@ -843,7 +843,8 @@ class _PrimeProductStream(_MultisetStream):
     def __init__(self, spec: Construction):
         idx = spec.operands[0].indices
         if idx and idx[-1] > PRIME_COUNT_CAP:
-            raise ValueError(f"{idx[-1]} primes requested, past the cap of {PRIME_COUNT_CAP}")
+            n = frac_text(Fraction(idx[-1]))
+            raise ValueError(f"{n} primes requested, past the cap of {PRIME_COUNT_CAP}")
         primes = first_primes(idx[-1]) if idx else []
         super().__init__([(primes[i - 1], 0) for i in idx])
 
@@ -952,7 +953,7 @@ class _IntervalAcc:
 
     Terms arrive in three forms, and none builds a Fraction on the grid:
     - add(t_lo, t_hi, count) adds count copies of a term t_lo <= t <= t_hi,
-      as the omega kind does for a run of strings of one length. On the
+      as the omega kind does for the strings of one length it takes. On the
       grid, count copies of the rounded term equal count rounded terms. In
       exact mode the run goes in at once when the least common multiple of
       ld and the term's denominator is within the guard, for then no partial
@@ -1150,9 +1151,7 @@ class _Sum:
         self.complete: list[tuple[int, int, int]] = []
         self.consumed = 0
         self.stop = "budget"
-        # omega weights depend on the length alone, so the strings of one
-        # length are added as one run, of run strings of length length
-        self.length, self.run = 0, 0
+        self.length = 0  # the length reach() last noted
         # a stream that brackets its tail at every string stops at the limit
         # it sets, where its bracket closes the sum; other sparse streams
         # reach terms below 2^-_STOP_BITS long before the budget, from
@@ -1164,15 +1163,9 @@ class _Sum:
         self.stop_len = None if stream.exhaustible or self.tail_at else _STOP_BITS * b // a + 1
         self.k = a if b == 1 else 0
 
-    def _add_run(self) -> None:
-        if self.run:
-            self.acc.add(*_weight_interval(self.length, self.s, "omega"), self.run)
-            self.run = 0
-
     def reach(self, length: int) -> bool:
         """Note that every string shorter than length was read; False when
         the sum stops on the grid there."""
-        self._add_run()
         self.length = length
         if length:
             self.complete.append((length - 1, *self.acc.hi_pair))
@@ -1186,8 +1179,8 @@ class _Sum:
         to the limit; False once the limit is reached. The omega kind reads
         only len(block)."""
         n = min(len(block), self.limit - self.consumed)
-        if self.kind == "omega":
-            self.run += n
+        if n and self.kind == "omega":  # its weights depend on the length alone
+            self.acc.add(*_weight_interval(self.length, self.s, "omega"), n)
         elif n:
             block = block[:n] if n < len(block) else block
             if self.k:
@@ -1198,7 +1191,6 @@ class _Sum:
         return self.consumed < self.limit
 
     def report(self, stream: DomainStream) -> SumReport:
-        self._add_run()
         acc, s, kind = self.acc, self.s, self.kind
         lo = acc.lo
         exact_terms = None if acc.exact else acc.exact_terms

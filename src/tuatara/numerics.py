@@ -441,13 +441,14 @@ def check_power(base: int, e: int) -> None:
     """Refuse base^e, base >= 1 and e >= 0, past POWER_BITS_CAP, before it is built."""
     bits = e * (base.bit_length() - 1)
     if bits > POWER_BITS_CAP:
-        raise PrecisionLimit(f"a power needs {bits} bits, over {POWER_BITS_CAP}")
+        raise PrecisionLimit(f"a power needs {_int_text(bits)} bits, over {POWER_BITS_CAP}")
 
 
 def check_root_cap(k: int, prec: int) -> None:
     """Refuse a k-th root at prec bits past ROOT_BITS_CAP, before its operand is built."""
     if k * prec > ROOT_BITS_CAP:
-        raise PrecisionLimit(f"a {k}-th root needs {k * prec} operand bits, over {ROOT_BITS_CAP}")
+        k_text, bits = _int_text(k), _int_text(k * prec)
+        raise PrecisionLimit(f"a {k_text}-th root needs {bits} operand bits, over {ROOT_BITS_CAP}")
 
 
 def _scaled_root(num: int, den: int, k: int, prec: int) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 
 import tuatara
 from tuatara import cli
+from tuatara.binstr import bin_inv
 from tuatara.cli import (
     DIGITS_CAP,
     EXIT_BUDGET,
@@ -35,6 +37,7 @@ from tuatara.machines import (
     FiniteTable,
     weighted_domain_sum,
 )
+from tuatara.numerics import POWER_BITS_CAP, ROOT_BITS_CAP, frac_text
 
 _FINITE = "machine a\nkind finite\ndomain 0\ndomain 10\n"
 _FINITE2 = "machine b\nkind finite\ndomain 0\ndomain 11\n"
@@ -379,6 +382,54 @@ def test_deficiency_command(tmp_path, capsys):
         "n,index,statistic",
         "2,6,3/2",
     ]
+
+
+def _bits(n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return "1" + "".join(rng.choice("01") for _ in range(n - 1))
+
+
+def test_deficiency_prints_statistics_past_the_digit_limit(tmp_path, capsys):
+    # the statistic 2/2^15000 has more digits than str() renders
+    w = _bits(15000, 5)
+    f = _file(tmp_path, f"machine a\nkind finite\ndomain 0\nmap 0 -> {w}\n")
+    code, out, err = _go(
+        capsys, "deficiency", w, "--machine", f, "--kind", "nabla-log", "--format", "csv"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-4:] == [
+        "15000,1,15000,-14999",
+        "worst_slack=-14999",
+        "n,index,statistic",
+        f"15000,2,{frac_text(F(1, 2 ** 14999))}",
+    ]
+
+
+def test_deficiency_prints_thresholds_past_the_digit_limit(tmp_path, capsys):
+    # s = a/b parses, but each threshold m b/a and slack has 4,300 digits
+    a, b = 10 ** 4299 + 1, 10 ** 4299
+    f = _file(tmp_path, _MAPPED)
+    code, out, err = _go(
+        capsys, "deficiency", "0" * 10, "--machine", f, "-s", f"{a}/{b}", "--format", "csv"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    rows = out.splitlines()
+    assert rows[2] == f"2,2,{frac_text(F(2 * b, a))},{frac_text(2 - F(2 * b, a))}"
+    assert rows[-2:] == [f"10,none,{frac_text(F(10 * b, a))},", f"worst_slack={frac_text(F(2, a))}"]
+
+
+def test_caps_name_integers_past_the_digit_limit(tmp_path, capsys):
+    # -s a/b parses, but the operand bits of its b-th root pass str()'s
+    # limit, as do the bits of a 15,000-bit index to the power a
+    a, b = 10 ** 4299 + 1, 10 ** 4299
+    f = _file(tmp_path, _MAPPED)
+    code, out, err = _go(capsys, "zeta-s", "-s", f"{a}/{b}", "--machine", f)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert re.fullmatch(rf"error: a {b}-th root needs \d+ operand bits, over {ROOT_BITS_CAP}\n", err)
+    f = _file(tmp_path, "machine a\nkind finite\ndomain " + _bits(15000, 5) + "\n")
+    code, out, err = _go(capsys, "zeta-s", "-s", str(a), "--machine", f)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert re.fullmatch(rf"error: a power needs \d{{4301,}} bits, over {POWER_BITS_CAP}\n", err)
 
 
 def _run_module(*argv, timeout=20):
@@ -894,6 +945,14 @@ def test_prime_product_index_cap(tmp_path, capsys):
     code, out, err = _go(capsys, "zeta", "--machine", f)
     assert code == EXIT_COMPUTE and out == ""
     assert err == "error: 4194303 primes requested, past the cap of 1048576\n"
+    # an index past str()'s digit limit is named in full, as the module's own error
+    w = _bits(15000, 7)
+    f = _file(tmp_path, "machine a\nkind finite\ndomain " + w + "\n"
+              "machine p\nkind construction\nconstruct prime_product a\n")
+    code, out, err = _go(capsys, "zeta", "--machine", f)
+    assert code == EXIT_COMPUTE and out == ""
+    index = frac_text(F(bin_inv(w)))
+    assert err == f"error: {index} primes requested, past the cap of 1048576\n"
 
 
 def _convergent(bound: str) -> str:

@@ -4,18 +4,22 @@ Each argv is drawn from the command and option names, small integers and
 rationals, bit strings and junk tokens. Integer arguments stay within 64,
 except those that the budget or a cap bounds: iota zeta's N reaches 3000
 and kraft's lengths and iota count's N 10^9 (all are refused past
---budget), and density's n reaches from past DENSITY_LENGTH_CAP to 10^12;
-and every argv ends with --budget at most 2000 and --steps at most 1000
-(argparse keeps the last occurrence of an option), so every run is
-bounded. run() is called in-process and no subprocess is started. The same
-argv runs twice and must give the same result both times, which would
-catch state leaking between calls through the parser that run() keeps.
+--budget), density's n reaches from past DENSITY_LENGTH_CAP to 10^12,
+and an exponent -s may be a ratio of two 4,300-digit integers; and every
+argv ends with --budget at most 2000 and --steps at most 1000 (argparse
+keeps the last occurrence of an option), so every run is bounded. run()
+is called in-process and no subprocess is started. The same argv runs
+twice and must give the same result both times, which would catch state
+leaking between calls through the parser that run() keeps. No message
+may be Python's own error for an integer past str()'s digit limit: one
+machine names a prime index of 4,516 digits.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 
 import pytest
 
@@ -49,6 +53,11 @@ _MACHINES = {
         "machine u\nkind construction\nconstruct universal_convergent a\nbound 3\n"
     ),
     "broken.mt": "machine a\nkind finite\ndomain 2\n",
+    # its one operand string names a prime index of 4,516 digits, past str()'s limit
+    "prime_long.mt": (
+        "machine a\nkind finite\ndomain 1" + "".join(random.Random(1).choices("01", k=14999))
+        + "\nmachine p\nkind construction\nconstruct prime_product a\n"
+    ),
 }
 
 
@@ -80,8 +89,12 @@ if given is not None:
         st.sampled_from(("1", "2", "3/2", "1.5", "0.25")),
     )
 
+    # two of the exponents have a numerator and denominator of 4,300 digits,
+    # the most an integer argument may have: a threshold or cap that scales
+    # one passes str()'s digit limit
     _s = st.one_of(
-        st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64), st.integers(1, 64)), _rational
+        st.builds(lambda a, b: f"{a}/{b}", st.integers(1, 64), st.integers(1, 64)), _rational,
+        st.sampled_from((f"{10 ** 4299 + 1}/{10 ** 4299}", f"{10 ** 4299}/{10 ** 4299 + 1}")),
     )
 
     # past the budget or the cap; an n at or just below the density cap is left
@@ -167,4 +180,6 @@ if given is not None:
         assert code in (0, 1, 2, 3)
         if code in (EXIT_COMPUTE, EXIT_BUDGET):
             assert err.count("\n") == 1 and err.endswith("\n"), err
+        # Python's own text when str() meets an integer past its digit limit
+        assert "for integer string conversion" not in err, argv
         assert _run(argv) == result

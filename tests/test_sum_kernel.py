@@ -1,22 +1,23 @@
 """Differential tests of the integer sum kernel in weighted_domain_sum.
 
-The engine adds a run of equal-length strings with one accumulator call
-for the omega kind, adds 1/n^k terms in integers for the zeta kind at
-integer s, and tests the grid stop only when the length grows. A reference
-kept here is the per-element accumulator and loop it replaced, which
-builds a Fraction for every term; every endpoint, the consumed count and
-the exhaustion flag must equal the reference's exactly. The one exception
-is the zeta kind over all_strings at s > 1, whose tail the engine brackets
-at the string where it stopped: that enclosure must nest inside the
-reference's. Run on a 2^-128 grid, the same reference is the engine as it
-was before its grid grew to 2^-192, and every enclosure must nest inside
-that one. A second reference is the run accumulator whose exact mode added
-reduced Fractions; the integer exact mode must agree with it after every
-operation. It is also the reference for zeta terms at non-integer s, which
-the engine adds a block at a time from the integers of one root each and,
-past exact mode, adds with no root at all once a key is far enough below
-the grid: they must equal _weight_interval's Fractions added to it, and a
-block must equal its keys added one at a time.
+The engine adds the equal-length strings of each group or block an omega
+sum takes with one accumulator call as it takes them, adds 1/n^k terms in
+integers for the zeta kind at integer s, and tests the grid stop only when
+the length grows. A reference kept here is the per-element accumulator and
+loop it replaced, which builds a Fraction for every term; every endpoint,
+the consumed count and the exhaustion flag must equal the reference's
+exactly. The one exception is the zeta kind over all_strings at s > 1,
+whose tail the engine brackets at the string where it stopped: that
+enclosure must nest inside the reference's. Run on a 2^-128 grid, the same
+reference is the engine as it was before its grid grew to 2^-192, and
+every enclosure must nest inside that one. A second reference is the run
+accumulator whose exact mode added reduced Fractions; the integer exact
+mode must agree with it after every operation. It is also the reference
+for zeta terms at non-integer s, which the engine adds a block at a time
+from the integers of one root each and, past exact mode, adds with no root
+at all once a key is far enough below the grid: they must equal
+_weight_interval's Fractions added to it, and a block must equal its keys
+added one at a time.
 
 weighted_domain_sums serves several (kind, s) requests from one
 enumeration, read a lengths() group at a time: every request must equal
@@ -366,6 +367,39 @@ def test_omega_adds_once_per_length(monkeypatch):
     rep = weighted_domain_sum(_ALL, F(1), 10 ** 5, "omega")
     lengths = (10 ** 5).bit_length()  # the strings of lengths 0..16
     assert rep.consumed == 10 ** 5 and len(calls) <= lengths + 1
+
+
+def test_omega_takes_add_their_strings_at_once(monkeypatch):
+    # after every take, an omega sum still exact holds the exact weight of
+    # every string it has taken, the length last reached included: no
+    # length waits for the next reach or report
+    checked = []
+    take = machines._Sum.take
+
+    def checking_take(self, block):
+        before = self.consumed
+        more = take(self, block)
+        if self.kind == "omega":
+            t_lo = _weight_interval(self.length, self.s, "omega")[0]
+            self.taken = getattr(self, "taken", F(0)) + (self.consumed - before) * t_lo
+            if self.acc.exact:
+                assert self.acc.lo == self.taken, (self.length, self.consumed)
+                checked.append(self.consumed > before)
+        return more
+
+    monkeypatch.setattr(machines._Sum, "take", checking_take)
+    specs = (
+        _LUKA, _ALL, STREAMS["geometric"], STREAMS["product"], Construction("double", (_LUKA,)),
+        Construction("tuatara_of", (_PREFIX_FREE,)),
+    )
+    for s in (F(1), F(3, 2)):
+        runs = [(spec, budget) for spec in specs for budget in (1, 7, 400, 3000)]
+        runs += [(STREAMS["iota"], budget) for budget in (1, 7)]
+        for spec, budget in runs:
+            for requests in ([("omega", s)], [("zeta", F(1)), ("omega", s)]):
+                checked.clear()
+                weighted_domain_sums(spec, requests, budget)
+                assert any(checked), (spec, s, budget, requests)
 
 
 def test_root_terms_at_the_cut():

@@ -46,7 +46,6 @@ class _RefSum(machines._Sum):
     seen: list[list[tuple[object, F | None]]] = []
 
     def reach(self, length):
-        self._add_run()
         self.length = length
         if length:
             self.complete.append((length - 1, _ref_hi(self.acc)))
@@ -56,7 +55,6 @@ class _RefSum(machines._Sum):
         return True
 
     def report(self, stream):
-        self._add_run()
         acc, s, kind = self.acc, self.s, self.kind
         lo = acc.lo
         exact_terms = None if acc.exact else acc.exact_terms
